@@ -123,13 +123,6 @@ func (p *Pipeline) Run(ctx context.Context, c *Compilation) error {
 	return nil
 }
 
-// RunNoCtx is Run without cancellation.
-//
-// Deprecated: use Run with a context.
-func (p *Pipeline) RunNoCtx(c *Compilation) error {
-	return p.Run(context.Background(), c)
-}
-
 func (p *Pipeline) runPass(pass Pass, c *Compilation) (err error) {
 	o := c.Obs
 	name := pass.Name()

@@ -203,7 +203,7 @@ type Compiled struct {
 	// this execution (a serving layer's pinned set): their H2D transfers
 	// are elided from the report's Actual clock domain while charged
 	// Stats and outputs stay bit-identical. Set on per-call copies by
-	// Service's resident entry points; nil for plain executions.
+	// Run from RunOptions.Resident; nil for plain executions.
 	Resident map[int]bool
 	// Obs carries the engine's observer into Execute/Simulate so one
 	// trace spans compile and execution.
@@ -223,13 +223,6 @@ type Compiled struct {
 // matching errors.Is(err, ErrInfeasible).
 func (e *Engine) Compile(ctx context.Context, g *graph.Graph) (*Compiled, error) {
 	return e.compileObs(ctx, e.cfg.Obs, g)
-}
-
-// CompileNoCtx is Compile without cancellation.
-//
-// Deprecated: use Compile with a context.
-func (e *Engine) CompileNoCtx(g *graph.Graph) (*Compiled, error) {
-	return e.Compile(context.Background(), g)
 }
 
 // compileObs is Compile with an explicit observer, so Service can run
@@ -432,24 +425,6 @@ func (c *Compiled) Execute(ctx context.Context, in exec.Inputs) (*exec.Report, e
 // Simulate flag.
 func (c *Compiled) Simulate(ctx context.Context) (*exec.Report, error) {
 	return c.Run(ctx, RunOptions{Simulate: true})
-}
-
-// ExecuteResilient runs the compiled plan with real data under the
-// resilient executor.
-//
-// Deprecated: call Run with RunOptions{Inputs: in, Resilient: true,
-// Faults: inj}.
-func (c *Compiled) ExecuteResilient(ctx context.Context, in exec.Inputs, inj *gpu.Injector) (*exec.Report, error) {
-	return c.Run(ctx, RunOptions{Inputs: in, Resilient: true, Faults: inj})
-}
-
-// SimulateResilient replays the compiled plan in accounting mode under
-// the resilient executor.
-//
-// Deprecated: call Run with RunOptions{Simulate: true, Resilient: true,
-// Faults: inj}.
-func (c *Compiled) SimulateResilient(ctx context.Context, inj *gpu.Injector) (*exec.Report, error) {
-	return c.Run(ctx, RunOptions{Simulate: true, Resilient: true, Faults: inj})
 }
 
 // GenerateCUDA emits the hybrid CPU/GPU CUDA source for the plan.

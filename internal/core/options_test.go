@@ -26,7 +26,7 @@ func TestOptionsMatchConfigLiteral(t *testing.T) {
 		WithSplitMaxParts(64),
 		WithObserver(o),
 	)
-	byCfg := NewServiceConfig(cfg, 0)
+	byCfg := NewService(WithConfig(cfg))
 	g := edgeGraph(t, 40, 32, 5)
 	if byOpts.CacheKey(g) != byCfg.CacheKey(g) {
 		t.Fatalf("cache keys differ:\n opts %s\n cfg  %s", byOpts.CacheKey(g), byCfg.CacheKey(g))

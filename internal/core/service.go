@@ -48,19 +48,6 @@ func NewService(opts ...Option) *Service {
 	}
 }
 
-// NewServiceConfig returns a service over a literal configuration,
-// caching up to cacheSize compiled plans (compiler.DefaultCacheSize
-// when <= 0).
-//
-// Deprecated: use NewService with functional options (WithConfig(cfg)
-// reproduces this constructor exactly).
-func NewServiceConfig(cfg Config, cacheSize int) *Service {
-	if cacheSize > 0 {
-		cfg.CacheSize = cacheSize
-	}
-	return NewService(WithConfig(cfg))
-}
-
 // Engine returns the underlying engine (for Capacity, PassNames, or an
 // uncached Compile).
 func (s *Service) Engine() *Engine { return s.eng }
@@ -115,13 +102,6 @@ func (s *Service) Compile(ctx context.Context, g *graph.Graph) (c *Compiled, hit
 	return c, hit, nil
 }
 
-// CompileNoCtx is Compile without cancellation.
-//
-// Deprecated: use Compile with a context.
-func (s *Service) CompileNoCtx(g *graph.Graph) (*Compiled, bool, error) {
-	return s.Compile(context.Background(), g)
-}
-
 // PartitionCacheKey returns the canonical key CompilePartitioned
 // memoizes g under for the given pool: the graph fingerprint, every pool
 // member's full spec (order matters — part p runs on specs[p]), and the
@@ -153,64 +133,56 @@ func (s *Service) CompilePartitioned(ctx context.Context, g *graph.Graph, specs 
 	return pc, hit, nil
 }
 
-// runTraced executes fn against a per-call copy of the cached artifact
-// carrying its own forked observer, so concurrent executions of one
-// cached plan never share trace state. The forked child observer's spans
-// and instants are merged into sink as well as joined back into the
-// service observer, so a caller holding per-request state (the serving
-// pool's job traces) receives this execution's device timeline without
-// re-parsing the shared trace. A nil sink just skips the merge; a sink
-// with a nil service observer still receives spans through a standalone
-// fork.
-func (s *Service) runTraced(c *Compiled, sink *obs.Tracer, fn func(*Compiled) (*exec.Report, error)) (*exec.Report, error) {
+// scope is the one fork/sink scope every execution runs in: fn executes
+// under a per-call forked observer, so concurrent executions of one
+// cached plan never share trace state. The child observer's spans and
+// instants are merged into sink as well as joined back into the service
+// observer, so a caller holding per-request state (the serving pool's job
+// traces) receives this execution's device timeline without re-parsing
+// the shared trace. A nil sink just skips the merge; a sink with a nil
+// service observer still receives spans through a standalone fork.
+func (s *Service) scope(sink *obs.Tracer, fn func(child *obs.Observer)) {
 	o := s.eng.cfg.Obs
-	cc := *c
 	child := o.Fork()
 	if child == nil && sink != nil {
 		child = &obs.Observer{Trace: sink.Fork()}
 	}
-	cc.Obs = child
-	rep, err := fn(&cc)
+	fn(child)
 	sink.Merge(child.T())
 	o.Join(child)
-	return rep, err
 }
 
 // Run executes an already-compiled artifact on a fresh device under a
-// per-call forked observer — the single front-door execution entry
-// point, replacing the Execute/Simulate × Resilient × Traced × Resident
-// method matrix. Every RunOptions combination is honored: Simulate
-// selects accounting mode, Resilient the resilient driver, Resident the
-// pinned buffer set (installed on the per-call artifact copy, so
-// concurrent executions of one cached plan can carry different
-// residency), and Sink receives the execution's device-phase spans
-// (H2D/compute/D2H on the simulated clock) and recovery instants in
-// addition to the service's own trace. Safe for concurrent use — a
-// serving layer compiles once via Compile and fans executions out here.
-func (s *Service) Run(ctx context.Context, c *Compiled, opt RunOptions) (*exec.Report, error) {
-	return s.runTraced(c, opt.Sink, func(cc *Compiled) (*exec.Report, error) {
-		return cc.Run(ctx, opt)
+// per-call forked observer — the single front-door execution entry point.
+// Every RunOptions combination is honored: Simulate selects accounting
+// mode, Resilient the resilient driver, Resident the pinned buffer set
+// (installed on the per-call artifact copy, so concurrent executions of
+// one cached plan can carry different residency), and Sink receives the
+// execution's device-phase spans (H2D/compute/D2H on the simulated clock)
+// and recovery instants in addition to the service's own trace. Safe for
+// concurrent use — a serving layer compiles once via Compile and fans
+// executions out here.
+func (s *Service) Run(ctx context.Context, c *Compiled, opt RunOptions) (rep *exec.Report, err error) {
+	s.scope(opt.Sink, func(child *obs.Observer) {
+		cc := *c
+		cc.Obs = child
+		rep, err = cc.Run(ctx, opt)
 	})
+	return rep, err
 }
 
 // RunPartitioned executes a partitioned artifact on devs (fresh devices
-// from pc.NewDevices when nil) under a per-call forked observer, with
-// opt.Sink receiving the execution's spans — the partitioned counterpart
-// of Run. See PartitionedCompiled.Run for option semantics.
-func (s *Service) RunPartitioned(ctx context.Context, pc *PartitionedCompiled, devs []*gpu.Device, opt RunOptions) (*exec.PartitionReport, error) {
-	o := s.eng.cfg.Obs
-	cc := *pc
-	child := o.Fork()
-	if child == nil && opt.Sink != nil {
-		child = &obs.Observer{Trace: opt.Sink.Fork()}
-	}
-	cc.Obs = child
-	if devs == nil {
-		devs = cc.NewDevices()
-	}
-	rep, err := cc.RunOn(ctx, devs, opt)
-	opt.Sink.Merge(child.T())
-	o.Join(child)
+// from pc.NewDevices when nil) in the same scope as Run — its partitioned
+// counterpart. See PartitionedCompiled.Run for option semantics.
+func (s *Service) RunPartitioned(ctx context.Context, pc *PartitionedCompiled, devs []*gpu.Device, opt RunOptions) (rep *exec.PartitionReport, err error) {
+	s.scope(opt.Sink, func(child *obs.Observer) {
+		cc := *pc
+		cc.Obs = child
+		if devs == nil {
+			devs = cc.NewDevices()
+		}
+		rep, err = cc.RunOn(ctx, devs, opt)
+	})
 	return rep, err
 }
 
@@ -226,58 +198,6 @@ func (s *Service) Simulate(ctx context.Context, c *Compiled) (*exec.Report, erro
 	return s.Run(ctx, c, RunOptions{Simulate: true})
 }
 
-// ExecuteResilient runs an already-compiled artifact with real data under
-// the resilient executor.
-//
-// Deprecated: call Run with RunOptions{Inputs: in, Resilient: true}.
-func (s *Service) ExecuteResilient(ctx context.Context, c *Compiled, in exec.Inputs) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Inputs: in, Resilient: true})
-}
-
-// SimulateResilient replays an already-compiled artifact in accounting
-// mode under the resilient executor.
-//
-// Deprecated: call Run with RunOptions{Simulate: true, Resilient: true}.
-func (s *Service) SimulateResilient(ctx context.Context, c *Compiled) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Simulate: true, Resilient: true})
-}
-
-// ExecuteResilientTraced is ExecuteResilient with a per-execution trace
-// sink.
-//
-// Deprecated: call Run with RunOptions{Inputs: in, Resilient: true,
-// Sink: sink}.
-func (s *Service) ExecuteResilientTraced(ctx context.Context, c *Compiled, in exec.Inputs, sink *obs.Tracer) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Inputs: in, Resilient: true, Sink: sink})
-}
-
-// SimulateResilientTraced is SimulateResilient with a per-execution
-// trace sink.
-//
-// Deprecated: call Run with RunOptions{Simulate: true, Resilient: true,
-// Sink: sink}.
-func (s *Service) SimulateResilientTraced(ctx context.Context, c *Compiled, sink *obs.Tracer) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Simulate: true, Resilient: true, Sink: sink})
-}
-
-// ExecuteResilientResidentTraced is ExecuteResilientTraced with a
-// resident buffer set.
-//
-// Deprecated: call Run with RunOptions{Inputs: in, Resilient: true,
-// Resident: resident, Sink: sink}.
-func (s *Service) ExecuteResilientResidentTraced(ctx context.Context, c *Compiled, in exec.Inputs, resident map[int]bool, sink *obs.Tracer) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Inputs: in, Resilient: true, Resident: resident, Sink: sink})
-}
-
-// SimulateResilientResidentTraced is SimulateResilientTraced with a
-// resident buffer set.
-//
-// Deprecated: call Run with RunOptions{Simulate: true, Resilient: true,
-// Resident: resident, Sink: sink}.
-func (s *Service) SimulateResilientResidentTraced(ctx context.Context, c *Compiled, resident map[int]bool, sink *obs.Tracer) (*exec.Report, error) {
-	return s.Run(ctx, c, RunOptions{Simulate: true, Resilient: true, Resident: resident, Sink: sink})
-}
-
 // CompileAndSimulate compiles g (or hits the cache) and replays the plan
 // in accounting mode. Safe for concurrent use.
 func (s *Service) CompileAndSimulate(ctx context.Context, g *graph.Graph) (*exec.Report, error) {
@@ -286,13 +206,6 @@ func (s *Service) CompileAndSimulate(ctx context.Context, g *graph.Graph) (*exec
 		return nil, err
 	}
 	return s.Simulate(ctx, c)
-}
-
-// CompileAndSimulateNoCtx is CompileAndSimulate without cancellation.
-//
-// Deprecated: use CompileAndSimulate with a context.
-func (s *Service) CompileAndSimulateNoCtx(g *graph.Graph) (*exec.Report, error) {
-	return s.CompileAndSimulate(context.Background(), g)
 }
 
 // CompileAndExecute compiles g (or hits the cache) and runs the plan with
@@ -304,13 +217,6 @@ func (s *Service) CompileAndExecute(ctx context.Context, g *graph.Graph, in exec
 		return nil, err
 	}
 	return s.Execute(ctx, c, in)
-}
-
-// CompileAndExecuteNoCtx is CompileAndExecute without cancellation.
-//
-// Deprecated: use CompileAndExecute with a context.
-func (s *Service) CompileAndExecuteNoCtx(g *graph.Graph, in exec.Inputs) (*exec.Report, error) {
-	return s.CompileAndExecute(context.Background(), g, in)
 }
 
 // Observer returns the service's shared observer (nil when observability

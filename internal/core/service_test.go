@@ -19,7 +19,7 @@ import (
 // ticks, and no second set of pass spans appears in the trace.
 func TestServiceCacheHitSkipsPasses(t *testing.T) {
 	o := obs.New()
-	svc := NewServiceConfig(Config{Device: gpu.Custom("svc", 1<<20), Capacity: 9000, Obs: o}, 0)
+	svc := NewService(WithConfig(Config{Device: gpu.Custom("svc", 1<<20), Capacity: 9000, Obs: o}))
 
 	g1 := edgeGraph(t, 40, 32, 5)
 	nodesBefore := len(g1.Nodes)
@@ -150,7 +150,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	o := obs.New()
 	cfg.Obs = o
-	svc := NewServiceConfig(cfg, 0)
+	svc := NewService(WithConfig(cfg))
 	const workers = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

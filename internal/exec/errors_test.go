@@ -6,6 +6,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -215,5 +216,62 @@ func TestVerifyCatchesCorruptions(t *testing.T) {
 	}
 	if err := sched.Verify(g, plan, 400); err != nil {
 		t.Fatalf("verifier must accept the valid plan: %v", err)
+	}
+}
+
+// Every driver has one error exit: a step that fails mid-plan on an
+// under-sized device yields ErrOOM, a non-nil partial report, and a
+// pristine device — the same guarantee cancellation already gave.
+func TestFailedRunLeavesDevicePristine(t *testing.T) {
+	// Planned against 1 MiB, run on 6 KiB: the 4 KiB image uploads, then
+	// the next allocation fails with that upload still live.
+	g, in := edgeGraph(t, 32, 32, 3)
+	plan, err := sched.Heuristic(g, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, pin, pp, specs := partitionFixture(t)
+
+	for _, tc := range []struct {
+		name string
+		run  func() (*Report, []*gpu.Device, error)
+	}{
+		{"sequential", func() (*Report, []*gpu.Device, error) {
+			dev := gpu.New(gpu.Custom("tiny", 6<<10))
+			rep, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: dev})
+			return rep, []*gpu.Device{dev}, err
+		}},
+		{"pipelined", func() (*Report, []*gpu.Device, error) {
+			dev := gpu.New(gpu.Custom("tiny", 6<<10))
+			rep, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: dev, Pipeline: true})
+			return rep, []*gpu.Device{dev}, err
+		}},
+		{"partitioned", func() (*Report, []*gpu.Device, error) {
+			// Same names as the plan's specs, a fraction of the memory.
+			devs := []*gpu.Device{
+				gpu.New(gpu.Custom(specs[0].Name, specs[0].MemoryBytes)),
+				gpu.New(gpu.Custom(specs[1].Name, specs[1].MemoryBytes/4)),
+			}
+			pr, err := RunPartitioned(context.Background(), pg, pp, devs, pin, Options{Mode: Materialized})
+			if pr == nil {
+				return nil, devs, err
+			}
+			return pr.Parts[1], devs, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, devs, err := tc.run()
+			if !errors.Is(err, ErrOOM) {
+				t.Fatalf("err = %v, want ErrOOM", err)
+			}
+			if rep == nil {
+				t.Fatal("failed run returned no partial report")
+			}
+			for _, d := range devs {
+				if used := d.Allocator().UsedBytes(); used != 0 {
+					t.Errorf("%s holds %d bytes after the failed run", d.Spec.Name, used)
+				}
+			}
+		})
 	}
 }

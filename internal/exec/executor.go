@@ -156,7 +156,7 @@ type devBuf struct {
 // executor is the plan step machine: all state needed to execute one step
 // at a time, so that a resilient driver can retry individual steps,
 // snapshot the state at offload-unit boundaries, and restore it after a
-// device loss. Plain Run drives it straight through; RunPipelined splits
+// device loss. drive runs it straight through; the pipelined driver splits
 // each step into its perform half (run concurrently, DAG-ordered) and its
 // account half (replayed in plan order).
 type executor struct {
@@ -674,25 +674,25 @@ func (e *executor) step(si int, step sched.Step) error {
 	return nil
 }
 
-// releaseAll frees every device allocation the executor still holds and
-// clears the resident map, so an abandoned (cancelled) execution leaves
-// the device pristine for the next request. FreeMem errors are ignored:
-// a lost device discards its allocations on Recover/Reset anyway.
-func (e *executor) releaseAll() {
+// abort is the one error exit of every driver: it frees every device
+// allocation the executor still holds, so a failed or cancelled execution
+// leaves the device pristine for the next request, then seals the partial
+// report. FreeMem errors are ignored: a lost device discards its
+// allocations on Recover/Reset anyway. The residency profile closes at the
+// current simulated clock, so the trace stays balanced.
+func (e *executor) abort(err error) (*Report, error) {
 	e.hs.mu.Lock()
-	defer e.hs.mu.Unlock()
 	for id, db := range e.resident {
 		_ = e.dev.FreeMem(db.off)
 		delete(e.resident, id)
 	}
+	e.hs.mu.Unlock()
+	return e.capture(), err
 }
 
-// cancelled releases device state and seals the partial report when ctx
-// was cancelled before step si. The residency profile closes at the
-// current simulated clock, so the trace stays balanced.
+// cancelled aborts the execution when ctx was cancelled before step si.
 func (e *executor) cancelled(ctx context.Context, si int) (*Report, error) {
-	e.releaseAll()
-	return e.capture(), fmt.Errorf("exec: cancelled before step %d: %w", si, ctx.Err())
+	return e.abort(fmt.Errorf("exec: cancelled before step %d: %w", si, ctx.Err()))
 }
 
 // capture fills the report with the statistics accumulated so far; used
@@ -723,26 +723,30 @@ func (e *executor) finish() (*Report, error) {
 		valid := e.hs.valid[b.ID]
 		e.hs.mu.Unlock()
 		if !valid {
-			return e.capture(), fmt.Errorf("exec: template output %s did not reach the host", b)
+			return e.abort(fmt.Errorf("exec: template output %s did not reach the host", b))
 		}
 	}
 	if len(e.resident) != 0 {
-		return e.capture(), fmt.Errorf("exec: %d buffers leaked on the device", len(e.resident))
+		return e.abort(fmt.Errorf("exec: %d buffers leaked on the device", len(e.resident)))
 	}
 	if e.overlap {
 		e.dev.SetWallTime(max(e.dmaFree, e.compFree))
 	}
 	e.capture()
 	if e.opt.Mode == Materialized {
-		e.rep.Outputs = make(Outputs)
-		for _, b := range e.g.OutputBuffers() {
-			root := b.Root
-			if _, ok := e.rep.Outputs[root.ID]; !ok {
-				e.rep.Outputs[root.ID] = e.hs.arr[root.ID]
-			}
-		}
+		e.rep.Outputs = templateOutputs(e.g, e.hs)
 	}
 	return e.rep, nil
+}
+
+// templateOutputs assembles the template's outputs from the host root
+// arrays, one entry per distinct root buffer.
+func templateOutputs(g *graph.Graph, hs *hostState) Outputs {
+	outs := make(Outputs)
+	for _, b := range g.OutputBuffers() {
+		outs[b.Root.ID] = hs.arr[b.Root.ID]
+	}
+	return outs
 }
 
 // Run is the single entry point for plan execution: it executes the plan
@@ -765,13 +769,12 @@ func (e *executor) finish() (*Report, error) {
 // conditions are errors — so a plan that "passes" is proven feasible for
 // the device. The device must be pristine (no live allocations).
 //
-// Cancellation is checked between steps: when ctx expires, the run frees
-// every device allocation it holds (the device stays pristine) and
-// returns the partial report with an error wrapping ctx.Err().
-//
-// On error the returned *Report is non-nil and carries the statistics and
-// peak residency accumulated up to the failure, for diagnosability; only
-// a nil report means execution never started.
+// Every driver has one error exit (executor.abort): whether a step
+// failed or ctx expired between steps, the run frees every device
+// allocation it holds — the device stays pristine — and returns the
+// partial report (statistics and peak residency accumulated up to the
+// failure, for diagnosability) alongside the error, which wraps ctx.Err()
+// on cancellation. Only a nil report means execution never started.
 func Run(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
 	if opt.Resilient != nil {
 		return runResilient(ctx, g, plan, in, opt)
@@ -779,31 +782,39 @@ func Run(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt O
 	if opt.Pipeline {
 		return runPipelined(ctx, g, plan, in, opt)
 	}
-	return runSequential(ctx, g, plan, in, opt)
-}
-
-// runSequential drives the step machine straight through in plan order.
-func runSequential(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
 	e, err := newExecutor(g, plan, in, opt)
 	if err != nil {
 		return nil, err
 	}
-	for si, step := range plan.Steps {
+	return drive(ctx, e, nil, nil, nil)
+}
+
+// drive is the sequential step loop: every step of e's plan in plan
+// order, one at a time. Plain Run calls it with no edges; RunPartitioned
+// calls it once per part, where inEdge[si] names the cross-device edge
+// that must be done before step si (a cut H2D waits for its producer's
+// D2H) and outEdges[si] the edges step si satisfies, closed as soon as it
+// has executed.
+func drive(ctx context.Context, e *executor, inEdge map[int]int, outEdges map[int][]int, edgeDone []chan struct{}) (*Report, error) {
+	for si, step := range e.plan.Steps {
+		if ei, ok := inEdge[si]; ok {
+			select {
+			case <-edgeDone[ei]:
+			case <-ctx.Done():
+				return e.cancelled(ctx, si)
+			}
+		}
 		if ctx.Err() != nil {
 			return e.cancelled(ctx, si)
 		}
 		if err := e.step(si, step); err != nil {
-			return e.capture(), err
+			return e.abort(err)
+		}
+		for _, ei := range outEdges[si] {
+			close(edgeDone[ei])
 		}
 	}
 	return e.finish()
-}
-
-// RunNoCtx is Run without cancellation.
-//
-// Deprecated: use Run with a context.
-func RunNoCtx(g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
-	return Run(context.Background(), g, plan, in, opt)
 }
 
 // launchMaterialized assembles the node's logical argument tensors from

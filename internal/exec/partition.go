@@ -93,18 +93,35 @@ func (e *PartError) Unwrap() error { return e.Err }
 // devs[p], all parts concurrently, ordered only by the plan's cross-device
 // edges. Each device must be pristine and match its part's spec.
 //
-// Options applies per part with the driver-level fields cleared: Pipeline
-// and Resilient are ignored (each part is a sequential step machine —
-// that is what makes per-device statistics deterministic), Trace and
-// WallTrace are ignored (gpu.Trace is not safe for concurrent writers),
-// and a non-nil Obs is forked per part without the residency profiler
-// (cut buffers are resident on two devices at once, which a shared
-// per-buffer profile cannot represent).
+// Options applies per part. Each part is a sequential step machine (drive)
+// — that is what makes per-device statistics deterministic — so the
+// options that select another driver or record a single-device timeline
+// are rejected up front rather than dropped: Pipeline/PipelineWorkers and
+// Resilient (no pipelined or checkpointing driver per part yet), Trace and
+// WallTrace (one gpu.Trace has one "dma" and one "compute" lane, so k
+// devices' simulated clocks would interleave on them indistinguishably).
+// A non-nil Obs is forked per part without the residency profiler (cut
+// buffers are resident on two devices at once, which a shared per-buffer
+// profile cannot represent).
 //
 // On any part's failure the remaining parts are cancelled, every device
 // is left pristine, and the error names the failing part; the returned
 // report still carries every part's partial statistics.
 func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPlan, devs []*gpu.Device, in Inputs, opt Options) (*PartitionReport, error) {
+	unsupported := ""
+	switch {
+	case opt.Pipeline || opt.PipelineWorkers != 0:
+		unsupported = "Pipeline"
+	case opt.Resilient != nil:
+		unsupported = "Resilient"
+	case opt.Trace != nil:
+		unsupported = "Trace"
+	case opt.WallTrace != nil:
+		unsupported = "WallTrace"
+	}
+	if unsupported != "" {
+		return nil, fmt.Errorf("exec: partitioned execution cannot honor Options.%s", unsupported)
+	}
 	k := len(pp.Parts)
 	if len(devs) != k {
 		return nil, fmt.Errorf("exec: partitioned plan has %d parts but %d devices were supplied", k, len(devs))
@@ -166,11 +183,6 @@ func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPl
 	for p := 0; p < k; p++ {
 		popt := opt
 		popt.Device = devs[p]
-		popt.Pipeline = false
-		popt.PipelineWorkers = 0
-		popt.Resilient = nil
-		popt.Trace = nil
-		popt.WallTrace = nil
 		popt.shared = shared
 		child := opt.Obs.Fork()
 		if child != nil {
@@ -182,9 +194,11 @@ func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPl
 		wg.Add(1)
 		go func(p int, popt Options) {
 			defer wg.Done()
-			rep, perr := runPart(ctx, pp.Parts[p], popt, inEdge[p], outEdges[p], edgeDone)
-			reports[p], errs[p] = rep, perr
-			if perr != nil {
+			e, perr := newExecutor(pp.Parts[p].Graph, pp.Parts[p].Plan, nil, popt)
+			if perr == nil {
+				reports[p], perr = drive(ctx, e, inEdge[p], outEdges[p], edgeDone)
+			}
+			if errs[p] = perr; perr != nil {
 				cancel() // unblock siblings waiting on edges this part will never close
 			}
 		}(p, popt)
@@ -221,43 +235,7 @@ func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPl
 		return pr, firstErr
 	}
 	if opt.Mode == Materialized {
-		pr.Outputs = make(Outputs)
-		for _, b := range g.OutputBuffers() {
-			root := b.Root
-			if _, ok := pr.Outputs[root.ID]; !ok {
-				pr.Outputs[root.ID] = shared.arr[root.ID]
-			}
-		}
+		pr.Outputs = templateOutputs(g, shared)
 	}
 	return pr, nil
-}
-
-// runPart drives one part's sequential step machine, blocking a cut H2D
-// on its producer's edge channel and closing this part's outgoing edge
-// channels as soon as the feeding D2H has executed.
-func runPart(ctx context.Context, part sched.PartPlan, opt Options, inEdge map[int]int, outEdges map[int][]int, edgeDone []chan struct{}) (*Report, error) {
-	e, err := newExecutor(part.Graph, part.Plan, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	for si, step := range part.Plan.Steps {
-		if ei, ok := inEdge[si]; ok {
-			select {
-			case <-edgeDone[ei]:
-			case <-ctx.Done():
-				return e.cancelled(ctx, si)
-			}
-		}
-		if ctx.Err() != nil {
-			return e.cancelled(ctx, si)
-		}
-		if err := e.step(si, step); err != nil {
-			e.releaseAll() // leave the device pristine for re-placement
-			return e.capture(), err
-		}
-		for _, ei := range outEdges[si] {
-			close(edgeDone[ei])
-		}
-	}
-	return e.finish()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/gpu"
@@ -189,5 +190,18 @@ func TestRunPartitionedValidation(t *testing.T) {
 	swapped := []*gpu.Device{gpu.New(specs[1]), gpu.New(specs[0])}
 	if _, err := RunPartitioned(context.Background(), g, pp, swapped, in, Options{Mode: Materialized}); err == nil {
 		t.Error("spec-mismatched devices accepted")
+	}
+	// Options the per-part sequential driver cannot honor are named, not
+	// silently dropped.
+	for name, opt := range map[string]Options{
+		"Pipeline":  {Pipeline: true},
+		"Resilient": {Resilient: &Resilience{}},
+		"Trace":     {Trace: &gpu.Trace{}},
+		"WallTrace": {WallTrace: &gpu.Trace{}},
+	} {
+		_, err := RunPartitioned(context.Background(), g, pp, newPartDevices(specs), in, opt)
+		if err == nil || !strings.Contains(err.Error(), "Options."+name) {
+			t.Errorf("%s: err = %v, want an error naming the option", name, err)
+		}
 	}
 }

@@ -37,10 +37,10 @@ import (
 // On a step failure the concurrent dispatch stops, in-flight steps drain,
 // and the partial report carries no simulated-time charges for performed
 // steps (charges replay only on success); the first error is returned.
-//
-// Cancellation is checked at every scheduler round: when ctx expires,
-// dispatch stops, in-flight steps drain, every device allocation is
-// freed (the device stays pristine), and the error wraps ctx.Err().
+// Cancellation is checked at every scheduler round and fails the run the
+// same way, with an error wrapping ctx.Err(). Either way the drained
+// steps' allocations are released (executor.abort), so the device stays
+// pristine.
 func runPipelined(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
 	e, err := newExecutor(g, plan, in, opt)
 	if err != nil {
@@ -52,12 +52,7 @@ func runPipelined(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	}
 	r := newPipeRunner(e, deps, opt)
 	if err := r.run(ctx); err != nil {
-		if ctx.Err() != nil {
-			// The caller abandoned the run: release whatever the drained
-			// steps left allocated so the device is reusable immediately.
-			e.releaseAll()
-		}
-		return e.capture(), err
+		return e.abort(err)
 	}
 	// Deterministic accounting replay: every charge, trace event, and
 	// metric lands in plan order, bit-identical to sequential execution.
@@ -65,22 +60,6 @@ func runPipelined(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		e.account(si, step)
 	}
 	return e.finish()
-}
-
-// RunPipelined executes the plan under the pipelined driver.
-//
-// Deprecated: set Options.Pipeline and call Run.
-func RunPipelined(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
-	opt.Pipeline = true
-	opt.Resilient = nil
-	return Run(ctx, g, plan, in, opt)
-}
-
-// RunPipelinedNoCtx is RunPipelined without cancellation.
-//
-// Deprecated: set Options.Pipeline and call Run with a context.
-func RunPipelinedNoCtx(g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*Report, error) {
-	return RunPipelined(context.Background(), g, plan, in, opt)
 }
 
 // stepDone is a completion notice from an engine goroutine.
@@ -284,7 +263,7 @@ func (r *pipeRunner) run(ctx context.Context) error {
 	for completed < n && firstErr == nil {
 		if err := ctx.Err(); err != nil {
 			// Stop dispatching; the deferred close/wait drains in-flight
-			// steps before the caller releases their allocations.
+			// steps before abort releases their allocations.
 			firstErr = fmt.Errorf("exec: cancelled with %d/%d steps completed: %w", completed, n, err)
 			break
 		}

@@ -77,25 +77,6 @@ type Resilience struct {
 	DisableCPUFallback bool
 }
 
-// ResilientOptions configures the deprecated RunResilient entry point:
-// plain execution Options plus the resilience knobs, flattened.
-//
-// Deprecated: set Options.Resilient and call Run.
-type ResilientOptions struct {
-	Options
-	Retry RetryPolicy
-	// Capacity is the planner memory budget in floats used when the
-	// degradation ladder replans (0 → the device's PlannerCapacity).
-	Capacity int64
-	// Budgets are the shrinking capacity fractions the degradation ladder
-	// replans with on persistent OOM (nil → 0.95, 0.80, 0.60).
-	Budgets []float64
-	// MaxReplays bounds checkpoint restarts per plan attempt (0 → 3).
-	MaxReplays int
-	// DisableCPUFallback turns off the final pure-CPU fallback rung.
-	DisableCPUFallback bool
-}
-
 // Recovery documents every recovery action a resilient execution took.
 type Recovery struct {
 	// Retries counts step re-executions after transient faults.
@@ -328,7 +309,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		}
 		rec.Replans++
 		rec.ReplanBudgets = append(rec.ReplanBudgets, target)
-		dev.Recover() // drop the failed attempt's allocations, keep clock/stats
+		dev.Recover() // fresh allocator, lost flag cleared; clock and stats are kept
 		rep, err = runAttempt(ctx, g2, plan2, in, opt, res, rec)
 		if err == nil {
 			rep.Recovery = rec
@@ -361,28 +342,6 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		rep.Recovery = rec
 	}
 	return rep, err
-}
-
-// RunResilient executes the plan under the resilient driver.
-//
-// Deprecated: set Options.Resilient and call Run.
-func RunResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt ResilientOptions) (*Report, error) {
-	o := opt.Options
-	o.Resilient = &Resilience{
-		Retry:              opt.Retry,
-		Capacity:           opt.Capacity,
-		Budgets:            opt.Budgets,
-		MaxReplays:         opt.MaxReplays,
-		DisableCPUFallback: opt.DisableCPUFallback,
-	}
-	return Run(ctx, g, plan, in, o)
-}
-
-// RunResilientNoCtx is RunResilient without cancellation.
-//
-// Deprecated: set Options.Resilient and call Run with a context.
-func RunResilientNoCtx(g *graph.Graph, plan *sched.Plan, in Inputs, opt ResilientOptions) (*Report, error) {
-	return RunResilient(context.Background(), g, plan, in, opt)
 }
 
 // replan re-derives a feasible plan for a fresh clone of the graph under
@@ -434,14 +393,14 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 		switch {
 		case errors.Is(err, ErrOOM):
 			// Persistent allocation failure: the ladder replans.
-			return e.capture(), err
+			return e.abort(err)
 		case gpu.IsDeviceLost(err) || isPersistentFault(err):
 			// Device loss, or a persistent kernel/transfer fault treated
 			// as a device-level reset: restore the last checkpoint and
 			// replay from there.
 			if replays >= res.MaxReplays {
 				rec.logf("step %d: %v: replay budget (%d) exhausted", si, err, res.MaxReplays)
-				return e.capture(), err
+				return e.abort(err)
 			}
 			replays++
 			rec.Replays++
@@ -452,12 +411,12 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 				"replay":      fmt.Sprintf("%d/%d", replays, res.MaxReplays),
 			})
 			if rerr := e.restoreWithRetry(cp, res.Retry, rec); rerr != nil {
-				return e.capture(), rerr
+				return e.abort(rerr)
 			}
 			si = cp.next
 		default:
 			// Plan bug or operator error: not recoverable by rerunning.
-			return e.capture(), err
+			return e.abort(err)
 		}
 	}
 	return e.finish()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -141,110 +142,119 @@ func TestGangMaterializedMatchesReference(t *testing.T) {
 	}
 }
 
-// admitGang must never sleep holding a partial reservation: while a
-// competing hold blocks one member, every other member's ledger must show
-// nothing charged for the gang. Once the competitor releases, the gang
-// admits atomically.
-func TestGangAdmitRollsBackPartialReservations(t *testing.T) {
-	p := NewPool(WithDevices(gpu.Custom("ga", 1<<20), gpu.Custom("gb", 1<<20)))
-	defer p.Close()
-	da, db := p.devices[0], p.devices[1]
+// admit must never sleep holding a partial reservation: while a competing
+// hold blocks the last member, every other member's ledger must show
+// nothing charged for the batch. Once the competitor releases, the batch
+// admits atomically. A single-device placement is the k = 1 row: nothing
+// to roll back, same block-then-admit behaviour.
+func TestAdmitRollsBackPartialReservations(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			p := NewPool(WithDevices(gpu.Custom("ga", 1<<20), gpu.Custom("gb", 1<<20)))
+			defer p.Close()
+			members := p.devices[:k]
+			last := members[k-1].ledger
 
-	b := &batch{
-		dev:         da,
-		gang:        []*device{da, db},
-		memberBytes: []int64{400 << 10, 400 << 10},
-		footprint:   800 << 10,
-	}
-	// A competing job holds most of gb: the gang reserves ga first, then
-	// blocks on gb and must roll ga back before waiting.
-	db.mu.Lock()
-	db.committed = 800 << 10
-	db.mu.Unlock()
+			shares := make([]int64, k)
+			for i := range shares {
+				shares[i] = 400 << 10
+			}
+			b := &batch{leader: members[0], members: members, art: &artifact{shares: shares}}
+			// A competing job holds most of the last member: the batch
+			// reserves the earlier members first, then blocks on the last
+			// and must roll the others back before waiting.
+			competitor := reserve([]*ledger{last}, []int64{800 << 10})
 
-	admitted := make(chan struct{})
-	go func() {
-		p.admitGang(b)
-		close(admitted)
-	}()
+			admitted := make(chan struct{})
+			go func() {
+				p.admit(b)
+				close(admitted)
+			}()
 
-	// While blocked, the first member must hold nothing.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		select {
-		case <-admitted:
-			t.Fatal("gang admitted past a competing reservation")
-		default:
-		}
-		da.mu.Lock()
-		held := da.committed
-		da.mu.Unlock()
-		if held != 0 {
-			t.Fatalf("partial reservation held while blocked: %d bytes on ga", held)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+			// While blocked, the earlier members must hold nothing.
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for time.Now().Before(deadline) {
+				select {
+				case <-admitted:
+					t.Fatal("batch admitted past a competing reservation")
+				default:
+				}
+				for _, m := range members[:k-1] {
+					if held := m.ledger.load(); held != 0 {
+						t.Fatalf("partial reservation held while blocked: %d bytes on %s", held, m.spec.Name)
+					}
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 
-	// The competitor finishes; the gang must admit all members atomically.
-	db.mu.Lock()
-	db.committed = 0
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gang never admitted after the competing hold released")
+			// The competitor finishes; the batch must admit all members atomically.
+			last.release(competitor[0])
+			select {
+			case <-admitted:
+			case <-time.After(5 * time.Second):
+				t.Fatal("batch never admitted after the competing hold released")
+			}
+			var reserved int64
+			for i, m := range members {
+				if got := m.ledger.load(); got != 400<<10 {
+					t.Fatalf("after admit: %s committed = %d", m.spec.Name, got)
+				}
+				reserved += b.holds[i].bytes
+			}
+			if reserved != int64(k)*(400<<10) {
+				t.Fatalf("after admit: holds = %d", reserved)
+			}
+			p.release(b)
+		})
 	}
-	da.mu.Lock()
-	ha := da.committed
-	da.mu.Unlock()
-	db.mu.Lock()
-	hb := db.committed
-	db.mu.Unlock()
-	if ha != 400<<10 || hb != 400<<10 || b.reserve != b.footprint {
-		t.Fatalf("after admit: ga=%d gb=%d reserve=%d", ha, hb, b.reserve)
-	}
-	p.releaseGang(b)
 }
 
-// Two gangs spanning the same members in opposite partition orders — the
-// classic lock-ordering deadlock shape — must both make progress: the
+// Two batches spanning the same members in opposite orders — the classic
+// lock-ordering deadlock shape — must both make progress: the
 // rollback-before-wait protocol means neither can sleep holding a piece
 // the other needs. Run under -race this also exercises the ledger's
-// locking.
-func TestCompetingGangsDoNotDeadlock(t *testing.T) {
-	p := NewPool(WithDevices(gpu.Custom("ga", 1<<20), gpu.Custom("gb", 1<<20)))
-	defer p.Close()
-	da, db := p.devices[0], p.devices[1]
+// locking. The k = 1 row is two single-device batches contending for one
+// ledger.
+func TestCompetingAdmitsDoNotDeadlock(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			p := NewPool(WithDevices(gpu.Custom("ga", 1<<20), gpu.Custom("gb", 1<<20)))
+			defer p.Close()
+			da, db := p.devices[0], p.devices[1]
 
-	// Each gang needs 600 KB on both members; 1 MB devices fit only one
-	// gang at a time, so every admit contends.
-	mk := func(order []*device) *batch {
-		return &batch{
-			dev:         order[0],
-			gang:        order,
-			memberBytes: []int64{600 << 10, 600 << 10},
-			footprint:   1200 << 10,
-		}
-	}
-	done := make(chan struct{}, 2)
-	for _, order := range [][]*device{{da, db}, {db, da}} {
-		order := order
-		go func() {
-			b := mk(order)
-			for i := 0; i < 25; i++ {
-				p.admitGang(b)
-				p.releaseGang(b)
+			// Each batch needs 600 KB on every member; 1 MB devices fit only
+			// one at a time, so every admit contends.
+			mk := func(order []*device) *batch {
+				shares := make([]int64, k)
+				for i := range shares {
+					shares[i] = 600 << 10
+				}
+				return &batch{leader: order[0], members: order, art: &artifact{shares: shares}}
 			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("competing gangs deadlocked")
-		}
+			orders := [][]*device{{da, db}, {db, da}}
+			if k == 1 {
+				orders = [][]*device{{da}, {da}} // both contend for the same ledger
+			}
+			done := make(chan struct{}, 2)
+			for _, order := range orders {
+				order := order
+				go func() {
+					b := mk(order)
+					for i := 0; i < 25; i++ {
+						p.admit(b)
+						p.release(b)
+					}
+					done <- struct{}{}
+				}()
+			}
+			for i := 0; i < 2; i++ {
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("competing admits deadlocked")
+				}
+			}
+		})
 	}
 }
 

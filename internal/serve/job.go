@@ -46,7 +46,6 @@ type Job struct {
 	rep       *exec.Report
 	prep      *exec.PartitionReport // per-part detail of a gang execution
 	err       error
-	device    string    // placement.Primary(), kept for cheap labeling
 	placement Placement // device set + per-device bytes (updated on migration)
 	batch     *batch    // admitted batch; nil once started (pool.mu guards)
 	batchSize int
@@ -206,7 +205,7 @@ func (j *Job) Status() Status {
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint,
 		State:       j.state,
-		Device:      j.device,
+		Device:      j.placement.Primary(),
 		Placement:   j.placement,
 		BatchSize:   j.batchSize,
 		CacheHit:    j.cacheHit,
@@ -264,22 +263,17 @@ func (j *Job) start(batchSize int, now time.Time) bool {
 func (j *Job) setPlacement(pl Placement, migration bool) {
 	j.mu.Lock()
 	j.placement = pl
-	j.device = pl.Primary()
 	if migration {
 		j.migrated++
 	}
 	j.mu.Unlock()
 }
 
-// finish completes the job (err == nil) or fails it and wakes waiters.
-// The first finisher wins (eager expiry, cancellation, and the worker
-// may race); false means the job was already terminal.
-func (j *Job) finish(rep *exec.Report, err error) bool {
-	return j.finishWith(rep, nil, err)
-}
-
-// finishWith is finish carrying the per-part detail of a gang execution.
-func (j *Job) finishWith(rep *exec.Report, prep *exec.PartitionReport, err error) bool {
+// finish completes the job (err == nil) or fails it and wakes waiters;
+// prep carries the per-part detail of a partitioned execution (nil
+// otherwise). The first finisher wins (eager expiry, cancellation, and the
+// worker may race); false means the job was already terminal.
+func (j *Job) finish(rep *exec.Report, prep *exec.PartitionReport, err error) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed {
 		j.mu.Unlock()

@@ -7,29 +7,30 @@
 // template for a candidate device (through the per-device core.Service,
 // so identical templates share one compile via the single-flight plan
 // cache) and admits the job only where the plan's peak residency fits the
-// device. Templates no single device can host are placed as a
-// cross-device gang instead — compiled partitioned across the
-// in-rotation fleet and admitted on all members atomically (see
-// gang.go) — and WithGangPlacement prefers the gang up front whenever a
-// working set exceeds the largest device's memory. A full queue is
-// backpressure (ErrQueueFull); a template no placement can host — no
-// single device and no partition — surfaces core.ErrInfeasible. Identical-fingerprint requests waiting on the same
+// device. A placement is k ≥ 1 member devices: templates no single device
+// can host are placed as a cross-device gang — compiled partitioned
+// across the in-rotation fleet and admitted on all members atomically —
+// and WithGangPlacement prefers the gang up front whenever a working set
+// exceeds the largest device's memory. One path serves every k (see
+// placement.go). A full queue is backpressure (ErrQueueFull); a template
+// no placement can host — no single device and no partition — surfaces
+// core.ErrInfeasible. Identical-fingerprint requests waiting on the same
 // device coalesce into one batch that is compiled and memory-reserved
 // once.
 //
-// Execution is per-device worker streams running the resilient executor
-// (exec.Options.Resilient): each stream pops a batch, reserves the plan's
-// footprint against the device's physical memory, expires or cancels
-// dead jobs, and runs the rest through core.Service. Transient faults
-// are absorbed in place; a terminal device fault (device loss, a
-// persistent fault the executor could not replay around) quarantines the
-// device, drains its queue, and migrates the un-started batches onto
-// healthy devices — recompiled for the new target through its plan
-// cache, re-checked against its memory. Quarantined devices are
-// re-probed on an interval and return to rotation once a probe job runs
-// clean (see health.go for the state machine). A pool-level circuit
-// breaker sheds load with ErrRetryAfter when jobs are dying faster than
-// the pool can absorb.
+// Execution is per-device worker streams: each stream pops a batch,
+// reserves every member's share against that device's physical memory
+// (ledger.go), expires or cancels dead jobs, and runs the rest through
+// core.Service — under the resilient executor (exec.Options.Resilient)
+// for a single-device placement. Transient faults are absorbed in place;
+// a terminal device fault (device loss, a persistent fault the executor
+// could not replay around) quarantines the device, drains its queue, and
+// migrates the un-started batches onto healthy devices — recompiled for
+// the new target through its plan cache, re-checked against its memory.
+// Quarantined devices are re-probed on an interval and return to
+// rotation once a probe job runs clean (see health.go for the state
+// machine). A pool-level circuit breaker sheds load with ErrRetryAfter
+// when jobs are dying faster than the pool can absorb.
 package serve
 
 import (
@@ -72,70 +73,74 @@ type Request struct {
 	Ctx context.Context
 }
 
-// batch is the queue unit: one compiled plan plus every coalesced job
+// batch is the queue unit: one compiled placement plus every coalesced job
 // sharing it. Memory is reserved once per batch, not per job.
 type batch struct {
 	fp         string
 	graph      *graph.Graph // original template; migration recompiles it
-	compiled   *core.Compiled
-	footprint  int64 // bytes: Plan.PeakFloats*4, or the summed member shares of a gang
 	accounting bool
-	dev        *device
-	migrations int       // how many devices already gave up on this batch
-	enqueuedAt time.Time // when the batch entered its device queue (trace lane)
+	migrations int       // how many placements already gave up on this batch
+	enqueuedAt time.Time // when the batch entered its leader's queue (trace lane)
 
-	// Gang placement state (nil for single-device batches): gang lists
-	// the member devices the partition spans in partition-part order, pc
-	// the pool-compiled artifact, and memberBytes each member's share of
-	// the reservation, parallel to gang. dev is the member whose queue
-	// holds the batch (the leader whose worker stream drives the gang).
-	gang        []*device
-	pc          *core.PartitionedCompiled
-	memberBytes []int64
+	// The placement: members lists the k ≥ 1 devices it spans (partition-
+	// part order for k > 1), parallel to art.shares; leader is the member
+	// whose queue holds the batch and whose worker stream drives it; pl is
+	// the same placement as reported on job status.
+	leader  *device
+	members []*device
+	art     *artifact
+	pl      Placement
 
 	// jobs and started are guarded by the pool mutex: Submit appends
 	// only while !started; a worker sets started before snapshotting.
 	jobs    []*Job
 	started bool
 
-	// Residency admission state, set by admit and consumed by release
-	// (worker-local after admission; no extra locking):
-	// reserve is the bytes charged to the device ledger for this batch
-	// (footprint on the plain path, the plan's transient peak when the
-	// pinned-set grant succeeded); pinned lists the pin keys whose refs
-	// this batch holds; resident maps the buffer IDs whose H2D the
-	// executor elides (pin hits only — freshly installed pins are paid
-	// for by this batch's own upload).
-	reserve  int64
-	pinned   []string
+	// Admission state, set by admit and consumed by release (worker-local
+	// after admission; no extra locking): holds is what the batch holds on
+	// each member's ledger, parallel to members; resident maps the buffer
+	// IDs whose H2D the executor elides (pin hits of a pinned-set grant
+	// only — freshly installed pins are paid for by this batch's own
+	// upload).
+	holds    []hold
 	resident map[int]bool
+}
+
+// queued charges (sign +1) or returns (-1) every member's share on its
+// queued-bytes load signal.
+func (b *batch) queued(sign int64) {
+	for i, m := range b.members {
+		m.queuedBytes.Add(sign * b.art.shares[i])
+	}
+}
+
+// sick returns the first member no longer in rotation — a placement is
+// only as healthy as its sickest member — or nil when all are.
+func (b *batch) sick() *device {
+	for _, m := range b.members {
+		if !m.health.inRotation() {
+			return m
+		}
+	}
+	return nil
 }
 
 // device is one pool member: its spec, its core.Service (own plan cache,
 // shared observer), its bounded queue, its health tracker, and its
-// memory-reservation state.
+// admission ledger.
 type device struct {
 	spec gpu.Spec
 	svc  *core.Service
 
 	queue       *devQueue
-	queuedBytes atomic.Int64 // enqueued-not-started footprint (load signal)
+	queuedBytes atomic.Int64 // enqueued-not-started shares (load signal)
 	health      *healthTracker
+	ledger      *ledger
 
-	mu        sync.Mutex // guards committed, counters, streamClock, pins
-	cond      *sync.Cond // committed changed
-	committed int64      // bytes reserved by running batches + pinned-set bytes
+	mu        sync.Mutex // guards the counters and stream clocks below
 	completed int64
 	failed    int64
 
-	// pins is the device's cross-job pinned set (nil with residency
-	// off). Invariant, maintained under mu: committed equals the sum of
-	// active batch reserves plus pins.Bytes() — so after the pool drains
-	// committed returns exactly to the pinned-set size.
-	pins         *gpu.PinSet
-	pinHits      int64
-	pinMisses    int64
-	pinEvictions int64
 	// Residency-modeled transfer accounting across completed jobs:
 	// charged vs actual (elided) H2D float volumes, and the rolling-
 	// admission overlap claimed against predecessors' compute tails.
@@ -145,7 +150,7 @@ type device struct {
 	rollSec      float64
 	// streamTail[s] is the modeled compute tail (after the last H2D) of
 	// the batch most recently completed on stream s — the window the
-	// next batch's lead prefetches overlap into.
+	// next batch's lead prefetches overlap into (nil with residency off).
 	streamTail []float64
 	// migration accounting: jobs moved off this device (queue drained on
 	// quarantine or in-flight escalation) and onto it.
@@ -153,21 +158,16 @@ type device struct {
 	migratedIn  int64
 	probes      int64
 	// streamClock is the modeled simulated-time clock per worker stream:
-	// each execution advances its stream by the report's simulated time.
+	// each execution advances its leader's stream by the outcome's span.
 	// The max across all pool streams is the modeled makespan.
 	streamClock []float64
-	// gangSec is modeled time this device spent as a non-leading gang
-	// member — busy executing a partition part without occupying one of
-	// its own worker streams (the leader's stream carries the makespan).
+	// gangSec is modeled time this device spent as a non-leading member —
+	// busy executing a partition part without occupying one of its own
+	// worker streams (the leader's stream carries the makespan).
 	gangSec float64
 }
 
-func (d *device) load() int64 {
-	d.mu.Lock()
-	committed := d.committed
-	d.mu.Unlock()
-	return committed + d.queuedBytes.Load()
-}
+func (d *device) load() int64 { return d.ledger.load() + d.queuedBytes.Load() }
 
 // poolConfig collects the PoolOption knobs.
 type poolConfig struct {
@@ -322,12 +322,7 @@ type Pool struct {
 	jobs    map[string]*Job
 	nextID  atomic.Int64
 
-	// Gang scheduling counters (see GangStats).
-	gangPlaced    atomic.Int64
-	gangCompleted atomic.Int64
-	gangFailed    atomic.Int64
-	gangAborted   atomic.Int64
-	gangCutFloats atomic.Int64
+	gangs gangTally // see GangStats
 
 	// Eager deadline expiry: a min-heap of queued jobs by deadline and a
 	// sweeper goroutine that frees their queue slots the moment they
@@ -364,6 +359,7 @@ func NewPool(opts ...PoolOption) *Pool {
 		jobs:    make(map[string]*Job),
 		dlKick:  make(chan struct{}, 1),
 	}
+	p.gangs.obs = cfg.obs
 	if cfg.obs != nil {
 		p.slo = newSLOBoard()
 	}
@@ -382,13 +378,12 @@ func NewPool(opts ...PoolOption) *Pool {
 			svc:         core.NewService(svcOpts...),
 			queue:       newDevQueue(cfg.queueDepth),
 			health:      newHealthTracker(spec.Name, cfg.health, cfg.obs, p.flight),
+			ledger:      newLedger(spec.Name, spec.MemoryBytes, cfg.residency, cfg.obs),
 			streamClock: make([]float64, cfg.streams),
 		}
 		if cfg.residency {
-			d.pins = gpu.NewPinSet()
 			d.streamTail = make([]float64, cfg.streams)
 		}
-		d.cond = sync.NewCond(&d.mu)
 		p.devices = append(p.devices, d)
 		for s := 0; s < cfg.streams; s++ {
 			p.wg.Add(1)
@@ -454,14 +449,13 @@ func (p *Pool) Submit(ctx context.Context, req Request) (*Job, error) {
 	if b := p.pending[j.Fingerprint]; b != nil && !b.started &&
 		b.accounting == accounting && len(b.jobs) < p.cfg.maxBatch {
 		b.jobs = append(b.jobs, j)
-		j.placement = b.placement()
-		j.device = j.placement.Primary()
+		j.placement = b.pl
 		j.coalesced = true
 		j.batch = b
 		size := len(b.jobs)
-		dev := b.dev.spec.Name // j.device may be rewritten by a migrating worker after unlock
 		p.jobs[j.ID] = j
 		p.mu.Unlock()
+		dev := b.leader.spec.Name
 		metricInc(p.obs, metricCoalesced)
 		j.trace.mark("coalesce-join", map[string]string{
 			"device": dev, "batch_size": fmt.Sprint(size)})
@@ -472,68 +466,59 @@ func (p *Pool) Submit(ctx context.Context, req Request) (*Job, error) {
 	}
 	p.mu.Unlock()
 
-	d, err := p.place(ctx, req.Graph, accounting, []*Job{j}, nil, 0, false)
+	b, err := p.place(ctx, req.Graph, accounting, []*Job{j}, nil, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	j.trace.span(PhaseAdmission, j.submitted, time.Now(), map[string]string{
-		"device": d.spec.Name, "cache_hit": fmt.Sprint(j.cacheHit)})
+		"device": b.leader.spec.Name, "cache_hit": fmt.Sprint(j.cacheHit)})
 	p.trackDeadline(j)
 	return j, nil
 }
 
-// place finds the job's placement: under WithGangPlacement, a template
-// whose working set exceeds the largest in-rotation device's memory
-// goes to a cross-device gang first (placeGang); otherwise g is
-// compiled for each candidate device
-// in least-loaded order and a new batch carrying jobs lands on the
-// first one whose compiled plan fits and whose queue has room. A
-// template no single device can host gets one more gang attempt before
-// the infeasible verdict — admission reports core.ErrInfeasible only
-// when a graph fits no feasible placement at all, single-device or
-// partitioned. Quarantined devices and the exclude set are skipped.
-// Fresh submissions (migration=false) register the batch for coalescing
-// and the lead job for polling; migrated batches are not coalescable.
-// Failures are typed: ErrQueueFull, core.ErrInfeasible, ErrRetryAfter
-// (no device in rotation), ErrClosed.
+// place finds the jobs' placement and enqueues them as one new batch.
+// Candidate placements are tried in preference order: each in-rotation
+// device alone (residency-affine, then least-loaded) — the first whose
+// compiled plan fits and whose queue has room wins — and, only when no
+// single device can host the template, the whole in-rotation fleet as a
+// gang: admission reports core.ErrInfeasible only when a graph fits no
+// feasible placement at all, single-device or partitioned. Under
+// WithGangPlacement a template whose working set exceeds the largest
+// in-rotation device's memory tries the gang first. Quarantined devices
+// and the exclude set are skipped. Fresh submissions (migration=false)
+// register the batch for coalescing and the lead job for polling;
+// migrated batches are not coalescable. Failures are typed: ErrQueueFull,
+// core.ErrInfeasible, ErrRetryAfter (no device in rotation), ErrClosed.
 func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs []*Job,
-	exclude map[*device]bool, migrations int, migration bool) (*device, error) {
+	exclude map[*device]bool, migrations int, migration bool) (*batch, error) {
 
-	var order []*device
+	var fleet []*device // in pool order: a gang's partition-part order
 	for _, d := range p.devices {
-		if exclude[d] || !d.health.inRotation() {
-			continue
+		if !exclude[d] && d.health.inRotation() {
+			fleet = append(fleet, d)
 		}
-		order = append(order, d)
 	}
-	if len(order) == 0 {
+	if len(fleet) == 0 {
 		metricInc(p.obs, metricRejected, "reason", "no_device")
 		p.flight.note(flightShed, "reason", "no_device")
 		return nil, shedError("no device in rotation", p.cfg.health.ProbeInterval)
 	}
-	if p.cfg.residency && len(jobs) > 0 {
-		// Residency-affine placement: devices already holding pinned
-		// buffers for this fingerprint sort ahead of the least-loaded
-		// order so repeat submissions land where their weights live.
-		// Ties (and the no-affinity case) fall back to load.
-		prefix := pinPrefix(jobs[0].Fingerprint)
-		affinity := make(map[*device]int64, len(order))
-		for _, d := range order {
-			d.mu.Lock()
-			if d.pins != nil {
-				affinity[d] = d.pins.AffinityBytes(prefix)
-			}
-			d.mu.Unlock()
+	// Residency-affine placement: devices already holding pinned buffers
+	// for this fingerprint sort ahead of the least-loaded order so repeat
+	// submissions land where their weights live. Ties (and the
+	// no-affinity case, which is every case with residency off) fall back
+	// to load.
+	prefix := pinPrefix(jobs[0].Fingerprint)
+	order := append([]*device(nil), fleet...)
+	sort.SliceStable(order, func(a, b int) bool {
+		da, db := order[a].ledger.affinity(prefix) > 0, order[b].ledger.affinity(prefix) > 0
+		if da != db {
+			return da
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			da, db := affinity[order[a]], affinity[order[b]]
-			if (da > 0) != (db > 0) {
-				return da > 0
-			}
-			return order[a].load() < order[b].load()
-		})
-	} else {
-		sort.SliceStable(order, func(a, b int) bool { return order[a].load() < order[b].load() })
+		return order[a].load() < order[b].load()
+	})
+	try := func(members ...*device) (*batch, error) {
+		return p.tryPlace(ctx, g, accounting, jobs, members, migrations, migration)
 	}
 
 	// Under WithGangPlacement, oversized templates prefer a gang up
@@ -543,93 +528,42 @@ func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs 
 	// fleet's aggregate memory and concurrently running parts. A failed
 	// gang attempt (partition infeasible, every member queue full) falls
 	// through to the single-device paging path below.
-	triedGang := false
+	gangFirst := false
 	var gangErr error
-	if p.cfg.gangFirst && len(order) >= 2 {
+	if p.cfg.gangFirst && len(fleet) >= 2 {
 		var maxMem int64
-		for _, d := range order {
-			if d.spec.MemoryBytes > maxMem {
-				maxMem = d.spec.MemoryBytes
-			}
+		for _, d := range fleet {
+			maxMem = max(maxMem, d.spec.MemoryBytes)
 		}
-		if workingSetBytes(g) > maxMem {
-			triedGang = true
-			d, handled, err := p.placeGang(ctx, g, accounting, jobs, exclude, migrations, migration)
-			if handled && err == nil {
-				return d, nil
+		if gangFirst = workingSetBytes(g) > maxMem; gangFirst {
+			b, err := try(fleet...)
+			if err == nil {
+				return b, nil
 			}
 			gangErr = err
 		}
 	}
 
 	sawFull := false
-	var lastInfeasible error
+	lastInfeasible := core.ErrInfeasible
 	for _, d := range order {
-		compileStart := time.Now()
-		c, hit, err := d.svc.Compile(ctx, g)
-		if err != nil {
-			if errors.Is(err, core.ErrInfeasible) {
-				for _, j := range jobs {
-					j.trace.mark("placement-skip", map[string]string{
-						"device": d.spec.Name, "reason": "infeasible"})
-				}
-				lastInfeasible = err
-				continue // try a larger device
-			}
-			return nil, err // infrastructure failure or ctx cancelled
+		b, err := try(d)
+		switch {
+		case err == nil:
+			return b, nil
+		case errors.Is(err, core.ErrInfeasible):
+			lastInfeasible = err // try a larger device
+		case errors.Is(err, ErrQueueFull):
+			sawFull = true // try the next device
+		default:
+			return nil, err // infrastructure failure, ctx cancelled, pool closed
 		}
-		footprint := c.Plan.PeakFloats * 4
-		if footprint > d.spec.MemoryBytes {
-			for _, j := range jobs {
-				j.trace.mark("placement-skip", map[string]string{
-					"device": d.spec.Name, "reason": "footprint"})
-			}
-			lastInfeasible = fmt.Errorf("%w: plan peak %d B exceeds %s memory %d B",
-				core.ErrInfeasible, footprint, d.spec.Name, d.spec.MemoryBytes)
-			continue
-		}
-		b := &batch{
-			fp:         jobs[0].Fingerprint,
-			graph:      g,
-			compiled:   c,
-			footprint:  footprint,
-			accounting: accounting,
-			dev:        d,
-			migrations: migrations,
-			jobs:       jobs,
-		}
-		for _, j := range jobs {
-			j.setPlacement(b.placement(), migration)
-		}
-		if !migration {
-			jobs[0].cacheHit = hit // not yet visible to other goroutines
-		}
-
-		pushed, err := p.enqueueBatch(b, jobs, migration)
-		if err != nil {
-			return nil, err
-		}
-		if !pushed {
-			for _, j := range jobs {
-				j.trace.mark("placement-skip", map[string]string{
-					"device": d.spec.Name, "reason": "queue_full"})
-			}
-			sawFull = true // queue full — try the next device
-			continue
-		}
-		for _, j := range jobs {
-			j.trace.span(PhaseCompile, compileStart, b.enqueuedAt, map[string]string{
-				"device": d.spec.Name, "cache_hit": fmt.Sprint(hit)})
-			j.trace.mark("enqueue", map[string]string{"device": d.spec.Name})
-		}
-		return d, nil
 	}
-
 	if sawFull {
 		metricInc(p.obs, metricRejected, "reason", "queue_full")
 		return nil, fmt.Errorf("%w: all feasible devices at queue depth %d", ErrQueueFull, p.cfg.queueDepth)
 	}
-	if gangErr != nil && errors.Is(gangErr, ErrQueueFull) {
+	if errors.Is(gangErr, ErrQueueFull) {
 		// The preferred gang placement was feasible but backed up — that
 		// is backpressure, not infeasibility.
 		metricInc(p.obs, metricRejected, "reason", "queue_full")
@@ -637,54 +571,118 @@ func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs 
 	}
 
 	// No single device can host the template. Before declaring it
-	// infeasible, try a gang placement: the template partitioned across
-	// every in-rotation device, admitted on all of them atomically.
-	if !triedGang {
-		if d, handled, err := p.placeGang(ctx, g, accounting, jobs, exclude, migrations, migration); handled {
-			if err != nil {
-				switch {
-				case errors.Is(err, ErrQueueFull):
-					metricInc(p.obs, metricRejected, "reason", "queue_full")
-				case errors.Is(err, core.ErrInfeasible):
-					metricInc(p.obs, metricRejected, "reason", "infeasible")
-				}
-			}
-			return d, err
+	// infeasible, try the gang: the template partitioned across every
+	// in-rotation device, admitted on all of them atomically.
+	if !gangFirst && len(fleet) >= 2 {
+		b, err := try(fleet...)
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			metricInc(p.obs, metricRejected, "reason", "queue_full")
+		case errors.Is(err, core.ErrInfeasible):
+			metricInc(p.obs, metricRejected, "reason", "infeasible")
+			err = fmt.Errorf("serve: no single device can host template and partitioning across %d devices failed: %w",
+				len(fleet), err)
 		}
+		return b, err
 	}
-
 	metricInc(p.obs, metricRejected, "reason", "infeasible")
-	if lastInfeasible == nil {
-		lastInfeasible = core.ErrInfeasible
-	}
 	return nil, fmt.Errorf("serve: no device can host template: %w", lastInfeasible)
 }
 
-// enqueueBatch registers an assembled batch and pushes it onto its
-// device's queue under the pool mutex; pushed=false means that queue is
-// full (the caller picks another candidate). Fresh submissions register
+// tryPlace attempts one candidate placement: compile g for members,
+// check every member's share against its memory, and enqueue the new
+// batch on the first member with queue room (any member can hold the
+// queue slot; the member order — and the compiled artifact — stays fixed
+// regardless of which queue the batch waits in). The verdict is typed:
+// core.ErrInfeasible and ErrQueueFull send place on to its next
+// candidate, anything else is final.
+func (p *Pool) tryPlace(ctx context.Context, g *graph.Graph, accounting bool, jobs []*Job,
+	members []*device, migrations int, migration bool) (*batch, error) {
+
+	names := make([]string, len(members))
+	for i, m := range members {
+		names[i] = m.spec.Name
+	}
+	pl := Placement{Devices: names}
+	skip := func(device, reason string) {
+		for _, j := range jobs {
+			j.trace.mark("placement-skip", map[string]string{"device": device, "reason": reason})
+		}
+	}
+
+	compileStart := time.Now()
+	art, hit, err := p.compile(ctx, g, members)
+	if err != nil {
+		if errors.Is(err, core.ErrInfeasible) {
+			skip(pl.String(), "infeasible")
+		}
+		return nil, err
+	}
+	for i, m := range members {
+		if art.shares[i] > m.spec.MemoryBytes {
+			skip(m.spec.Name, "footprint")
+			return nil, fmt.Errorf("%w: plan peak %d B exceeds %s memory %d B",
+				core.ErrInfeasible, art.shares[i], m.spec.Name, m.spec.MemoryBytes)
+		}
+	}
+	pl.Bytes = append([]int64(nil), art.shares...) // job status must not alias the ledger's shares
+	b := &batch{
+		fp: jobs[0].Fingerprint, graph: g, accounting: accounting, migrations: migrations,
+		members: members, art: art, pl: pl, jobs: jobs,
+	}
+	for _, j := range jobs {
+		j.setPlacement(pl, migration)
+	}
+	if !migration {
+		jobs[0].cacheHit = hit // not yet visible to other goroutines
+	}
+
+	for _, leader := range members {
+		b.leader = leader
+		pushed, err := p.enqueue(b, migration)
+		if err != nil {
+			return nil, err
+		}
+		if !pushed {
+			skip(leader.spec.Name, "queue_full")
+			continue
+		}
+		art.tally.notePlaced()
+		for _, j := range jobs {
+			j.trace.span(PhaseCompile, compileStart, b.enqueuedAt, map[string]string{
+				"device": pl.String(), "cache_hit": fmt.Sprint(hit)})
+			j.trace.mark("enqueue", map[string]string{"device": leader.spec.Name})
+		}
+		return b, nil
+	}
+	return nil, fmt.Errorf("%w: %s at queue depth %d", ErrQueueFull, pl, p.cfg.queueDepth)
+}
+
+// enqueue registers an assembled batch and pushes it onto its leader's
+// queue under the pool mutex; pushed=false means that queue is full (the
+// caller picks another leader or candidate). Fresh submissions register
 // the batch for coalescing and the lead job for polling.
-func (p *Pool) enqueueBatch(b *batch, jobs []*Job, migration bool) (bool, error) {
+func (p *Pool) enqueue(b *batch, migration bool) (bool, error) {
 	b.enqueuedAt = time.Now()
 	p.mu.Lock()
 	if p.closed.Load() { // Close closes queues under this mutex
 		p.mu.Unlock()
 		return false, ErrClosed
 	}
-	if !b.dev.queue.tryPush(b) {
+	if !b.leader.queue.tryPush(b) {
 		p.mu.Unlock()
 		return false, nil
 	}
-	for _, j := range jobs {
+	for _, j := range b.jobs {
 		j.batch = b
 	}
 	if !migration {
 		p.pending[b.fp] = b
-		p.jobs[jobs[0].ID] = jobs[0]
+		p.jobs[b.jobs[0].ID] = b.jobs[0]
 	}
 	p.mu.Unlock()
-	b.queuedAdd()
-	metricGauge(p.obs, metricQueueDepth, float64(b.dev.queue.len()), "device", b.dev.spec.Name)
+	b.queued(+1)
+	metricGauge(p.obs, metricQueueDepth, float64(b.leader.queue.len()), "device", b.leader.spec.Name)
 	return true, nil
 }
 
@@ -719,18 +717,18 @@ func (p *Pool) abortQueued(j *Job, sentinel error, reason string) {
 			delete(p.pending, b.fp)
 		}
 	}
-	d := b.dev
+	d := b.leader
 	p.mu.Unlock()
 
 	err := fmt.Errorf("%w: queued %.0f ms on %s",
 		sentinel, time.Since(j.submitted).Seconds()*1e3, d.spec.Name)
-	if j.finish(nil, err) {
+	if j.finish(nil, nil, err) {
 		p.noteFailure(d, reason, false)
 		metricInc(p.obs, metricAborted, "reason", reason)
 		p.flight.note(flightAbort, "job", j.ID, "reason", reason, "device", d.spec.Name)
 	}
 	if empty && d.queue.remove(b) {
-		b.queuedSub() // a gang batch releases every member's share
+		b.queued(-1)
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", d.spec.Name)
 	}
 }
@@ -747,6 +745,25 @@ func (p *Pool) noteFailure(d *device, reason string, breakerCounts bool) {
 	}
 }
 
+// alive returns the jobs still worth executing on (or moving off) d:
+// already-finished ones (expired or cancelled eagerly) are dropped, and
+// ones whose caller gave up before execution started fail here.
+func (p *Pool) alive(d *device, jobs []*Job) []*Job {
+	live := jobs[:0:0]
+	for _, j := range jobs {
+		switch {
+		case j.terminal():
+		case j.cancelled():
+			if j.finish(nil, nil, fmt.Errorf("%w before execution on %s", ErrCancelled, d.spec.Name)) {
+				p.noteFailure(d, "cancelled", false)
+			}
+		default:
+			live = append(live, j)
+		}
+	}
+	return live
+}
+
 // pinPrefix namespaces a fingerprint's pin keys: enough of the hash to
 // make template-family collisions negligible, short enough to keep keys
 // readable in stats and dumps.
@@ -757,112 +774,41 @@ func pinPrefix(fp string) string {
 	return fp
 }
 
-// admit reserves device memory for a batch, blocking while concurrent
-// streams hold too much. With residency off (or a plan with nothing
-// shareable) it is the plain footprint reservation. With residency on
-// it first tries a pinned-set grant: take refs on the already-pinned
-// shareable buffers (these become the batch's elided resident set),
-// install the missing ones (paid for by this batch's own upload), and
-// reserve only the plan's transient peak — evicting unreferenced LRU
-// pins when that doesn't fit. If the grant cannot fit even after
-// eviction, every just-taken ref is released and admission falls back
-// to the plain path, so a stream never waits while holding pin refs
-// (all pins held by waiting streams would be unevictable, and two
-// starved streams could deadlock). The ledger invariant — committed =
-// Σ(batch reserves) + pins.Bytes() — holds at every exit.
-func (p *Pool) admit(d *device, b *batch) {
-	name := d.spec.Name
-	d.mu.Lock()
-	defer func() {
-		metricGauge(p.obs, metricCommittedBytes, float64(d.committed), "device", name)
-		if d.pins != nil {
-			metricGauge(p.obs, metricPinBytes, float64(d.pins.Bytes()), "device", name)
-		}
-		d.mu.Unlock()
-	}()
-
-	r := b.compiled.Residency
-	if d.pins != nil && r != nil && len(r.Shareable) > 0 {
-		prefix := pinPrefix(b.fp)
-		var held []string
-		var missing []int // indices into r.Shareable
-		resident := make(map[int]bool)
-		var missBytes int64
-		for i, rb := range r.Shareable {
-			key := gpu.PinKey(prefix, rb.Digest)
-			if _, ok := d.pins.Acquire(key); ok {
-				held = append(held, key)
-				resident[rb.ID] = true
-			} else {
-				missing = append(missing, i)
-				missBytes += rb.Bytes
-			}
-		}
-		need := r.TransientPeakBytes + missBytes
-		if deficit := d.committed + need - d.spec.MemoryBytes; deficit > 0 {
-			freed, n := d.pins.EvictLRU(deficit)
-			d.committed -= freed
-			d.pinEvictions += int64(n)
-			metricAdd(p.obs, metricPinEvictions, int64(n), "device", name)
-		}
-		if d.committed+need <= d.spec.MemoryBytes {
-			d.committed += need
-			for _, i := range missing {
-				rb := r.Shareable[i]
-				key := gpu.PinKey(prefix, rb.Digest)
-				d.pins.Install(key, rb.Bytes)
-				held = append(held, key)
-			}
-			hits := int64(len(r.Shareable) - len(missing))
-			d.pinHits += hits
-			d.pinMisses += int64(len(missing))
-			metricAdd(p.obs, metricPinHits, hits, "device", name)
-			metricAdd(p.obs, metricPinMisses, int64(len(missing)), "device", name)
-			b.reserve = r.TransientPeakBytes
-			b.pinned = held
-			b.resident = resident
-			return
-		}
-		// Under pressure the grant is abandoned, never waited on.
-		for _, key := range held {
-			d.pins.Release(key)
-		}
+// admit reserves the batch's device memory, blocking while concurrent
+// streams hold too much: the pinned-set grant when it applies and fits
+// (see ledger.grant), otherwise every member's share, atomically.
+func (p *Pool) admit(b *batch) {
+	if h, resident, ok := b.members[0].ledger.grant(b.art.residency, pinPrefix(b.fp)); ok {
+		b.holds, b.resident = []hold{h}, resident
+		return
 	}
-
-	// Plain path: evict idle pins before sleeping — eviction yields to
-	// admission, so a pool that fit its workloads before residency
-	// still fits them (zero OOM).
-	for d.committed+b.footprint > d.spec.MemoryBytes {
-		if d.pins != nil {
-			if freed, n := d.pins.EvictLRU(d.committed + b.footprint - d.spec.MemoryBytes); n > 0 {
-				d.committed -= freed
-				d.pinEvictions += int64(n)
-				metricAdd(p.obs, metricPinEvictions, int64(n), "device", name)
-				continue
-			}
-		}
-		d.cond.Wait()
+	ledgers := make([]*ledger, len(b.members))
+	for i, m := range b.members {
+		ledgers[i] = m.ledger
 	}
-	d.committed += b.footprint
-	b.reserve = b.footprint
+	b.holds = reserve(ledgers, b.art.shares)
 }
 
-// release returns a batch's reservation and pin refs to the device.
-// Refs released on a quarantined (cleared) pinned set delete their
-// doomed entries with no ledger change — Clear already wrote those
-// bytes off.
-func (p *Pool) release(d *device, b *batch) {
-	d.mu.Lock()
-	for _, key := range b.pinned {
-		d.pins.Release(key)
+// release returns the batch's holds to its members' ledgers.
+func (p *Pool) release(b *batch) {
+	for i, h := range b.holds {
+		b.members[i].ledger.release(h)
 	}
-	d.committed -= b.reserve
-	metricGauge(p.obs, metricCommittedBytes, float64(d.committed), "device", d.spec.Name)
-	if d.pins != nil {
-		metricGauge(p.obs, metricPinBytes, float64(d.pins.Bytes()), "device", d.spec.Name)
+}
+
+// take marks a dequeued (or drained) batch started — closing it to
+// coalescing — returns its shares to the queued-bytes load signal, and
+// snapshots its jobs.
+func (p *Pool) take(b *batch) []*Job {
+	p.mu.Lock()
+	b.started = true
+	if p.pending[b.fp] == b {
+		delete(p.pending, b.fp)
 	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	jobs := append([]*Job(nil), b.jobs...)
+	p.mu.Unlock()
+	b.queued(-1)
+	return jobs
 }
 
 // worker is one executor stream of one device.
@@ -877,14 +823,7 @@ func (p *Pool) worker(d *device, stream int) {
 		if !ok {
 			return
 		}
-		p.mu.Lock()
-		b.started = true
-		if p.pending[b.fp] == b {
-			delete(p.pending, b.fp)
-		}
-		jobs := append([]*Job(nil), b.jobs...)
-		p.mu.Unlock()
-		b.queuedSub()
+		jobs := p.take(b)
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", name)
 		if tr := p.obs.T(); tr != nil && !b.enqueuedAt.IsZero() {
 			// Queue lane: one span per batch covering its time in this
@@ -898,66 +837,37 @@ func (p *Pool) worker(d *device, stream int) {
 				"device": name, "stream": fmt.Sprint(stream)})
 		}
 
-		// A batch popped off a quarantined device (raced with the drain)
-		// is migrated, never executed there. A gang is only as healthy
-		// as its sickest member: one quarantined member re-places the
-		// whole gang.
-		if sick := b.sickMember(); sick != nil {
-			if b.gang != nil {
-				p.gangAborted.Add(1)
-				metricInc(p.obs, metricGangAborted)
-			}
+		// A batch popped with a quarantined member (raced with the drain,
+		// or a gang whose other member fell sick while it queued) is
+		// re-placed whole, never executed.
+		if sick := b.sick(); sick != nil {
+			b.art.tally.noteAborted()
 			p.migrate(sick, b, jobs, fmt.Errorf("%s quarantined", sick.spec.Name))
 			continue
 		}
 
-		// Reserve device memory (footprint, or transient peak plus pin
-		// refs under a residency grant; every member's share atomically
-		// for a gang); block while concurrent streams hold too much.
-		if b.gang != nil {
-			p.admitGang(b)
-		} else {
-			p.admit(d, b)
-		}
+		p.admit(b)
 
 		now := time.Now()
 		live := jobs[:0:0]
-		for _, j := range jobs {
-			switch {
-			case j.terminal():
-				// Already expired or cancelled eagerly.
-			case j.cancelled():
-				if j.finish(nil, fmt.Errorf("%w before execution on %s", ErrCancelled, name)) {
-					p.noteFailure(d, "cancelled", false)
-				}
-			case !j.deadline.IsZero() && now.After(j.deadline):
-				if j.finish(nil, fmt.Errorf("%w: queued %.0f ms on %s",
+		for _, j := range p.alive(d, jobs) {
+			if !j.deadline.IsZero() && now.After(j.deadline) {
+				if j.finish(nil, nil, fmt.Errorf("%w: queued %.0f ms on %s",
 					ErrDeadlineExceeded, now.Sub(j.submitted).Seconds()*1e3, name)) {
 					p.noteFailure(d, "deadline", false)
 				}
-			default:
-				if j.start(len(jobs), now) {
-					wait := now.Sub(j.submitted).Seconds()
-					metricObserve(p.obs, metricQueueWait, wait)
-					p.slo.observeQueue(j.Fingerprint, wait, j.ID)
-					live = append(live, j)
-				}
+			} else if j.start(len(jobs), now) {
+				wait := now.Sub(j.submitted).Seconds()
+				metricObserve(p.obs, metricQueueWait, wait)
+				p.slo.observeQueue(j.Fingerprint, wait, j.ID)
+				live = append(live, j)
 			}
 		}
 		if len(live) > 0 {
 			metricObserve(p.obs, metricBatchSize, float64(len(live)))
-			if b.gang != nil {
-				p.runGang(d, stream, b, live)
-			} else {
-				p.runBatch(d, stream, b, live)
-			}
+			p.run(b, stream, live)
 		}
-
-		if b.gang != nil {
-			p.releaseGang(b)
-		} else {
-			p.release(d, b)
-		}
+		p.release(b)
 	}
 }
 
@@ -1016,80 +926,62 @@ func batchContext(live []*Job) (context.Context, func()) {
 	return &poolCtx{Context: base, all: all}, stop
 }
 
-// runBatch executes the batch's live jobs under the resilient executor:
-// accounting batches simulate once and share the report; materialized
-// batches run each job's inputs against the shared compiled plan. A
-// terminal device fault quarantines the device and migrates the
-// unfinished jobs.
+// run executes the batch's live jobs. The batch is cut into execution
+// groups — an accounting batch simulates once and every live job shares
+// the report; a materialized batch runs each job's own inputs against the
+// shared compiled artifact — and every group goes through the same
+// execute → trace → settle → note-health sequence. A terminal device fault
+// quarantines the faulty member and re-places the unfinished jobs.
 //
-// With an observer attached, each execution runs through the traced
-// service entry points with a fresh sink tracer: the execution's
+// With an observer attached, each execution gets a fresh sink tracer: its
 // simulated-clock device timeline lands in every member job's lifecycle
-// trace, and the execution interval is drawn on the device worker's lane
-// of the pool Chrome trace. Without one, the sink is nil and the traced
-// entry points degrade to the untraced ones exactly.
-func (p *Pool) runBatch(d *device, stream int, b *batch, live []*Job) {
-	lane := fmt.Sprintf("worker:%s#%d", d.spec.Name, stream)
+// trace, and the execution interval is drawn on the leader's worker lane
+// of the pool Chrome trace. Without one the sink is nil and costs nothing.
+func (p *Pool) run(b *batch, stream int, live []*Job) {
+	l := b.leader
+	lane := fmt.Sprintf("worker:%s#%d", l.spec.Name, stream)
 	tr := p.obs.T()
+	size := 1
 	if b.accounting {
-		ctx, stop := batchContext(live)
+		size = len(live)
+	}
+	for at := 0; at < len(live); at += size {
+		group := p.alive(l, live[at:at+size]) // callers may give up while earlier groups run
+		if len(group) == 0 {
+			continue
+		}
+		ctx, stop := batchContext(group)
 		var sink *obs.Tracer
 		if p.obs != nil {
 			sink = obs.NewTracer()
 		}
 		t0 := time.Now()
 		laneStart := tr.NowSeconds()
-		rep, err := d.svc.Run(ctx, b.compiled, core.RunOptions{
-			Simulate: true, Resilient: true, Resident: b.resident, Sink: sink})
+		// Accounting jobs carry no inputs, so Inputs is nil exactly when
+		// Simulate is set.
+		out, err := b.art.run(ctx, core.RunOptions{
+			Inputs: group[0].inputs, Simulate: b.accounting, Resident: b.resident, Sink: sink})
 		stop()
 		wall := time.Since(t0)
-		tr.AddWall(lane, fmt.Sprintf("batch[%d] %s", len(live), shortFP(b.fp)),
-			"serve.exec", laneStart, tr.NowSeconds())
-		for _, j := range live {
+		label := shortFP(b.fp)
+		if b.accounting {
+			label = fmt.Sprintf("%s[%d] %s", b.art.kind, len(group), label)
+		}
+		tr.AddWall(lane, label, "serve.exec", laneStart, tr.NowSeconds())
+		for _, j := range group {
 			j.trace.span(PhaseAttempt, t0, t0.Add(wall), map[string]string{
-				"device": d.spec.Name, "stream": fmt.Sprint(stream),
+				"device": b.pl.String(), "stream": fmt.Sprint(stream),
 				"outcome": attemptOutcome(err)})
 			j.trace.addExec(sink)
 		}
 		if err != nil && exec.IsDeviceFault(err) {
-			p.escalate(d, b, live, err)
+			p.escalate(b, live[at:], err)
 			return
 		}
-		for _, j := range live {
-			p.settleOne(d, stream, b, j, rep, err, wall)
+		for _, j := range group {
+			p.settle(b, stream, j, out, err, wall)
 		}
-		p.noteHealth(d, rep, err)
-		return
-	}
-	for i, j := range live {
-		if j.cancelled() {
-			if j.finish(nil, fmt.Errorf("%w before execution on %s", ErrCancelled, d.spec.Name)) {
-				p.noteFailure(d, "cancelled", false)
-			}
-			continue
-		}
-		ctx, stop := batchContext(live[i : i+1])
-		var sink *obs.Tracer
-		if p.obs != nil {
-			sink = obs.NewTracer()
-		}
-		t0 := time.Now()
-		laneStart := tr.NowSeconds()
-		rep, err := d.svc.Run(ctx, b.compiled, core.RunOptions{
-			Inputs: j.inputs, Resilient: true, Resident: b.resident, Sink: sink})
-		stop()
-		wall := time.Since(t0)
-		tr.AddWall(lane, shortFP(b.fp), "serve.exec", laneStart, tr.NowSeconds())
-		j.trace.span(PhaseAttempt, t0, t0.Add(wall), map[string]string{
-			"device": d.spec.Name, "stream": fmt.Sprint(stream),
-			"outcome": attemptOutcome(err)})
-		j.trace.addExec(sink)
-		if err != nil && exec.IsDeviceFault(err) {
-			p.escalate(d, b, live[i:], err)
-			return
-		}
-		p.settleOne(d, stream, b, j, rep, err, wall)
-		p.noteHealth(d, rep, err)
+		p.noteHealth(b, out.rep, err)
 	}
 }
 
@@ -1105,108 +997,114 @@ func attemptOutcome(err error) string {
 	}
 }
 
-// settleOne finishes one job from its execution outcome. With residency
-// on, the stream clock advances by the Actual (elision-aware) time minus
-// the rolling-admission overlap: the next batch's lead prefetches for
-// still-missing buffers hide behind the previous batch's compute tail,
-// bounded by that tail and by the batch's own runtime. Charged stats —
-// what the job is billed — are never touched by either adjustment.
-func (p *Pool) settleOne(d *device, stream int, b *batch, j *Job, rep *exec.Report, err error, wall time.Duration) {
-	name := d.spec.Name
+// settle finishes one job from its execution outcome. The leader's stream
+// clock advances by the outcome's span — the report's actual (elision-
+// aware) time, or the joined makespan of concurrent parts — minus the
+// rolling-admission overlap: with residency on, the batch's lead
+// prefetches for still-missing buffers hide behind the previous batch's
+// compute tail on the same stream, bounded by that tail and by the batch's
+// own runtime. Every other member's device-seconds land in its gang busy
+// accounting (the batch never occupied one of that member's own streams).
+// Charged stats — what the job is billed — are never touched by either
+// adjustment.
+func (p *Pool) settle(b *batch, stream int, j *Job, out outcome, err error, wall time.Duration) {
+	l := b.leader
 	switch {
 	case err == nil:
-		d.mu.Lock()
-		d.completed++
-		if d.pins != nil {
-			sec := rep.Actual.TotalTime()
-			r := b.compiled.Residency
-			var ov float64
-			if r != nil {
-				ov = math.Min(r.LeadSec(b.resident), math.Min(d.streamTail[stream], sec))
-				d.streamTail[stream] = r.TailSec
-			}
-			sec -= ov
-			d.rollSec += ov
-			d.h2dCharged += rep.Stats.H2DFloats
-			d.h2dActual += rep.Actual.H2DFloats
-			d.elidedFloats += rep.ElidedH2DFloats
-			d.streamClock[stream] += sec
-			d.mu.Unlock()
-			if ov > 0 {
-				metricObserve(p.obs, metricRollOverlap, ov)
-			}
-			if rep.ElidedH2DFloats > 0 {
-				metricAdd(p.obs, metricElidedFloats, rep.ElidedH2DFloats)
-			}
-		} else {
-			d.streamClock[stream] += rep.Stats.TotalTime()
-			d.mu.Unlock()
+		var ov float64
+		l.mu.Lock()
+		l.completed++
+		if r := b.art.residency; r != nil && p.cfg.residency {
+			ov = math.Min(r.LeadSec(b.resident), math.Min(l.streamTail[stream], out.span))
+			l.streamTail[stream] = r.TailSec
 		}
-		metricInc(p.obs, metricCompleted, "device", name)
+		l.streamClock[stream] += out.span - ov
+		l.rollSec += ov
+		l.h2dCharged += out.rep.Stats.H2DFloats
+		l.h2dActual += out.rep.Actual.H2DFloats
+		l.elidedFloats += out.rep.ElidedH2DFloats
+		l.mu.Unlock()
+		for i, m := range b.members {
+			if m == l {
+				continue // its stream carried the span
+			}
+			sec := out.parts.Parts[i].Stats.TotalTime()
+			m.mu.Lock()
+			m.gangSec += sec
+			m.mu.Unlock()
+		}
+		if ov > 0 {
+			metricObserve(p.obs, metricRollOverlap, ov)
+		}
+		if out.rep.ElidedH2DFloats > 0 {
+			metricAdd(p.obs, metricElidedFloats, out.rep.ElidedH2DFloats)
+		}
+		b.art.tally.noteSettled(nil)
+		metricInc(p.obs, metricCompleted, "device", l.spec.Name)
 		metricObserve(p.obs, metricExecSeconds, wall.Seconds())
 		p.breaker.recordSuccess()
-		if j.finish(rep, nil) {
+		if j.finish(out.rep, out.parts, nil) {
 			p.slo.observeDone(j.Fingerprint, wall.Seconds(),
 				time.Since(j.submitted).Seconds(), j.ID)
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(nil, fmt.Errorf("%w mid-flight on %s: %v", ErrCancelled, name, err)) {
-			p.noteFailure(d, "cancelled", false)
+		if j.finish(nil, nil, fmt.Errorf("%w mid-flight on %s: %v", ErrCancelled, b.pl, err)) {
+			p.noteFailure(l, "cancelled", false)
 		}
 	default:
-		if j.finish(rep, err) {
-			p.noteFailure(d, "exec", true)
+		b.art.tally.noteSettled(err)
+		if j.finish(out.rep, out.parts, err) {
+			p.noteFailure(l, "exec", true)
 		}
 	}
 }
 
-// noteHealth feeds one execution outcome to the device's health state
-// machine (cancellations say nothing about the device).
-func (p *Pool) noteHealth(d *device, rep *exec.Report, err error) {
+// noteHealth feeds one execution outcome to the members' health state
+// machines (cancellations say nothing about a device).
+func (p *Pool) noteHealth(b *batch, rep *exec.Report, err error) {
 	switch {
 	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 	case err != nil:
-		d.health.noteDirty()
+		// Arity branch 3 of 3 — health evidence: a non-fault error from a
+		// multi-member execution cannot be attributed to any one member,
+		// so it is evidence against a device only when there is just one.
+		if len(b.members) == 1 {
+			b.leader.health.noteDirty()
+		}
 	case rep != nil && rep.Recovery != nil && !rep.Recovery.Clean():
-		d.health.noteDirty()
+		for _, m := range b.members {
+			m.health.noteDirty()
+		}
 	default:
-		d.health.noteClean()
+		for _, m := range b.members {
+			m.health.noteClean()
+		}
 	}
 }
 
-// escalate handles a terminal device fault: quarantine the device (first
-// escalation drains its queue onto healthy devices and starts the
-// prober) and migrate the failing batch's unfinished jobs.
-func (p *Pool) escalate(d *device, b *batch, jobs []*Job, cause error) {
+// escalate handles a terminal device fault inside an execution:
+// quarantine the faulty member (the first escalation writes its pinned
+// set off, drains its queue onto healthy devices and starts the prober)
+// and re-place the failing batch's unfinished jobs from scratch — on a
+// single device or a new gang, excluding the quarantined member.
+func (p *Pool) escalate(b *batch, jobs []*Job, cause error) {
+	// Arity branch 2 of 3 — fault attribution: a partitioned execution
+	// wraps its failure in an exec.PartError naming the part, and parts
+	// are parallel to members; a single-device fault carries none and is
+	// the leader's.
+	d := b.leader
+	var pe *exec.PartError
+	if errors.As(cause, &pe) {
+		d = b.members[pe.Part]
+	}
+	b.art.tally.noteAborted()
 	name := d.spec.Name
 	metricInc(p.obs, metricDeviceFault, "device", name)
 	p.flight.note(flightFault, "device", name, "cause", cause.Error())
 	if d.health.quarantine(cause.Error()) {
-		if d.pins != nil {
-			// A quarantined device's memory contents are suspect: write
-			// the whole pinned set off the ledger now. Entries still
-			// referenced by in-flight batches linger doomed until their
-			// final Release; re-admission after recovery re-installs
-			// from host copies.
-			d.mu.Lock()
-			if freed := d.pins.Clear(); freed > 0 {
-				d.committed -= freed
-				metricGauge(p.obs, metricPinBytes, float64(d.pins.Bytes()), "device", name)
-				metricGauge(p.obs, metricCommittedBytes, float64(d.committed), "device", name)
-				d.cond.Broadcast()
-			}
-			d.mu.Unlock()
-		}
+		d.ledger.writeOff()
 		for _, qb := range d.queue.drain() {
-			p.mu.Lock()
-			qb.started = true
-			if p.pending[qb.fp] == qb {
-				delete(p.pending, qb.fp)
-			}
-			qjobs := append([]*Job(nil), qb.jobs...)
-			p.mu.Unlock()
-			qb.queuedSub()
-			p.migrate(d, qb, qjobs, cause)
+			p.migrate(d, qb, p.take(qb), cause)
 		}
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", name)
 		p.wg.Add(1)
@@ -1215,24 +1113,13 @@ func (p *Pool) escalate(d *device, b *batch, jobs []*Job, cause error) {
 	p.migrate(d, b, jobs, cause)
 }
 
-// migrate re-places a batch's unfinished jobs onto a healthy device:
-// recompile for the new target (through its plan cache), re-check
+// migrate re-places a batch's unfinished jobs on healthy devices:
+// recompile for the new placement (through its plan cache), re-check
 // admission, enqueue. Jobs that cannot be placed fail with the typed
 // placement error; a batch that has already bounced MaxMigrations times
 // fails with the causing fault.
 func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
-	live := jobs[:0:0]
-	for _, j := range jobs {
-		switch {
-		case j.terminal():
-		case j.cancelled():
-			if j.finish(nil, fmt.Errorf("%w before execution on %s", ErrCancelled, from.spec.Name)) {
-				p.noteFailure(from, "cancelled", false)
-			}
-		default:
-			live = append(live, j)
-		}
-	}
+	live := p.alive(from, jobs)
 	if len(live) == 0 {
 		return
 	}
@@ -1240,7 +1127,7 @@ func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
 		p.flight.note(flightMigrFail,
 			"from", from.spec.Name, "jobs", fmt.Sprint(len(live)), "error", err.Error())
 		for _, j := range live {
-			if j.finish(nil, err) {
+			if j.finish(nil, nil, err) {
 				p.noteFailure(from, "migration", true)
 			}
 		}
@@ -1249,11 +1136,12 @@ func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
 		fail(fmt.Errorf("serve: batch migrated %d times without completing: %w", b.migrations, cause))
 		return
 	}
-	to, err := p.place(context.Background(), b.graph, b.accounting, live, map[*device]bool{from: true}, b.migrations+1, true)
+	nb, err := p.place(context.Background(), b.graph, b.accounting, live, map[*device]bool{from: true}, b.migrations+1, true)
 	if err != nil {
 		fail(fmt.Errorf("serve: migration off %s failed (original fault: %v): %w", from.spec.Name, cause, err))
 		return
 	}
+	to := nb.leader
 	from.mu.Lock()
 	from.migratedOut += int64(len(live))
 	from.mu.Unlock()
@@ -1424,28 +1312,25 @@ func (p *Pool) Stats() Stats {
 		health := d.health.current()
 		d.mu.Lock()
 		ds := DeviceStats{
-			Name:           d.spec.Name,
-			MemoryBytes:    d.spec.MemoryBytes,
-			QueueDepth:     d.queue.len(),
-			CommittedBytes: d.committed,
-			Completed:      d.completed,
-			Failed:         d.failed,
-			Health:         health.String(),
-			Quarantines:    d.health.quarantineCount(),
-			Probes:         d.probes,
-			MigratedOut:    d.migratedOut,
-			MigratedIn:     d.migratedIn,
+			Name:        d.spec.Name,
+			MemoryBytes: d.spec.MemoryBytes,
+			QueueDepth:  d.queue.len(),
+			Completed:   d.completed,
+			Failed:      d.failed,
+			Health:      health.String(),
+			Quarantines: d.health.quarantineCount(),
+			Probes:      d.probes,
+			MigratedOut: d.migratedOut,
+			MigratedIn:  d.migratedIn,
 		}
-		if d.pins != nil {
-			ds.PinnedBytes = d.pins.Bytes()
-			ds.PinnedBuffers = d.pins.Count()
-			ds.PinHits, ds.PinMisses, ds.PinEvictions = d.pinHits, d.pinMisses, d.pinEvictions
+		d.ledger.fill(&ds)
+		if p.cfg.residency {
 			st.Residency.Enabled = true
 			st.Residency.PinnedBytes += ds.PinnedBytes
 			st.Residency.PinnedBuffers += ds.PinnedBuffers
-			st.Residency.Hits += d.pinHits
-			st.Residency.Misses += d.pinMisses
-			st.Residency.Evictions += d.pinEvictions
+			st.Residency.Hits += ds.PinHits
+			st.Residency.Misses += ds.PinMisses
+			st.Residency.Evictions += ds.PinEvictions
 			st.Residency.ChargedH2DFloats += d.h2dCharged
 			st.Residency.ActualH2DFloats += d.h2dActual
 			st.Residency.ElidedH2DFloats += d.elidedFloats
@@ -1471,13 +1356,7 @@ func (p *Pool) Stats() Stats {
 	}
 	st.BreakerOpen, st.BreakerOpens = p.breaker.snapshot()
 	st.SLOs = p.slo.stats()
-	st.Gangs = GangStats{
-		Placed:    p.gangPlaced.Load(),
-		Completed: p.gangCompleted.Load(),
-		Failed:    p.gangFailed.Load(),
-		Aborted:   p.gangAborted.Load(),
-		CutFloats: p.gangCutFloats.Load(),
-	}
+	st.Gangs = p.gangs.stats()
 	if st.ModeledMakespanSec > 0 {
 		for i := range st.Devices {
 			streams := float64(p.cfg.streams)

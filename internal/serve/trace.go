@@ -180,7 +180,7 @@ func (j *Job) Trace() *JobTrace {
 		return nil
 	}
 	j.mu.Lock()
-	state, device := j.state, j.device
+	state, device := j.state, j.placement.Primary()
 	submitted, started, finished := j.submitted, j.started, j.finished
 	errText := ""
 	if j.err != nil {
