@@ -203,7 +203,7 @@ func main() {
 	}
 	pool := serve.NewPool(opts...)
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(pool)}
+	srv := serve.NewServer(*addr, pool)
 	go func() {
 		for _, s := range specs {
 			log.Printf("device %s: %d MB", s.Name, s.MemoryBytes>>20)

@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -17,11 +11,9 @@ import (
 // ServeRow is one workload's aggregate across every pool round of the
 // serving extension experiment.
 type ServeRow struct {
-	Template string  `json:"template"`
-	Input    string  `json:"input"`
-	Jobs     int     `json:"jobs"`
-	P50MS    float64 `json:"p50_latency_ms"`
-	P99MS    float64 `json:"p99_latency_ms"`
+	Template string `json:"template"`
+	Input    string `json:"input"`
+	Jobs     int    `json:"jobs"`
 	// ModeledSeconds is the per-execution simulated time on the device
 	// each job landed on (mean across jobs).
 	ModeledSeconds float64 `json:"modeled_seconds"`
@@ -40,7 +32,9 @@ type ServeDevice struct {
 // ServeResult is the serving extension experiment: a closed-loop load
 // generator drives the paper's eight workloads (accounting mode) through
 // a two-device pool, against a serial single-device baseline of the same
-// job sequence.
+// job sequence. Every number is modeled (simulated-clock, machine-
+// independent); measured serving latency is the repo benchmark's
+// serve_mixed workload (bench/README.md).
 type ServeResult struct {
 	Rows    []ServeRow    `json:"rows"`
 	Devices []ServeDevice `json:"devices"`
@@ -50,159 +44,78 @@ type ServeResult struct {
 	Streams int `json:"streams"`
 	Jobs    int `json:"jobs"`
 
-	// Wall-clock serving throughput. On a single-core host the pool
-	// cannot beat the serial wall time by much — the honest comparison
-	// there is the modeled speedup below.
-	SerialWallSec float64 `json:"serial_wall_seconds"`
-	PoolWallSec   float64 `json:"pool_wall_seconds"`
-	MeasuredRPS   float64 `json:"measured_rps"`
-
-	// Modeled (simulated-clock, machine-independent) comparison: the
-	// serial baseline executes every job back to back on one Tesla C870;
-	// the pool's makespan is its largest per-stream simulated clock.
+	// The serial baseline executes every job back to back on one Tesla
+	// C870; the pool's makespan is its largest per-stream simulated clock.
 	SerialModeledSec  float64 `json:"serial_modeled_seconds"`
 	PoolModeledSec    float64 `json:"pool_modeled_seconds"`
 	ModeledSpeedup    float64 `json:"modeled_speedup"`
 	ModeledThroughput float64 `json:"modeled_jobs_per_minute"`
 
-	Coalesced  int64 `json:"coalesced_batches"`
-	OOMFaults  int64 `json:"oom_faults"`
-	Rejected   int64 `json:"rejected"`
-	GoMaxProcs int   `json:"gomaxprocs"`
+	Coalesced int64 `json:"coalesced_batches"`
+	OOMFaults int64 `json:"oom_faults"`
+	Rejected  int64 `json:"rejected"`
 }
 
-// Serve runs the serving benchmark: rounds×8 paper workloads submitted by
-// a closed-loop client fleet to a C870+8800 pool (streams executor
+// Serve runs the serving experiment: 3 rounds of the 8 paper workloads
+// submitted by the closed-loop fleet to a C870+8800 pool (2 executor
 // streams per device), versus the same job list executed serially on a
 // single C870. Workloads run in accounting mode, so the paper-scale
 // footprints are exercised byte-exactly without materializing gigabytes.
-func Serve(clients, rounds, streams int) (*ServeResult, error) {
-	if clients <= 0 {
-		clients = 6
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	if streams <= 0 {
-		streams = 2
-	}
+// It returns an error if any job fails or any report's stats differ from
+// the fault-free reference for the device the job landed on: batching,
+// coalescing and the observer must not perturb modeled results.
+func Serve() (*ServeResult, error) {
+	const rounds, streams = 3, 2
 	workloads := PaperWorkloads()
-
-	// Serial baseline: one device, one stream, every job back to back.
-	serial := core.NewService(core.WithDevice(gpu.TeslaC870()))
-	serialWall := time.Now()
-	var serialModeled float64
-	for r := 0; r < rounds; r++ {
-		for _, w := range workloads {
-			g, err := w.Build()
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", w.Name, w.Input, err)
-			}
-			rep, err := serial.CompileAndSimulate(context.Background(), g)
-			if err != nil {
-				return nil, fmt.Errorf("serial %s %s: %w", w.Name, w.Input, err)
-			}
-			serialModeled += rep.Stats.TotalTime()
-		}
+	specs := []gpu.Spec{gpu.TeslaC870(), gpu.GeForce8800GTX()}
+	refs, err := faultFreeRefs(specs, workloads)
+	if err != nil {
+		return nil, err
 	}
 	res := &ServeResult{
-		Clients: clients, Rounds: rounds, Streams: streams,
-		Jobs:             rounds * len(workloads),
-		SerialWallSec:    time.Since(serialWall).Seconds(),
-		SerialModeledSec: serialModeled,
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
+		Clients: fleetClients, Rounds: rounds, Streams: streams,
+		Jobs: rounds * len(workloads),
+	}
+
+	// Serial baseline: one C870, one stream, every job back to back. The
+	// simulation is deterministic, so its modeled time is the C870
+	// references summed in job order.
+	c870 := specs[0].Name
+	for r := 0; r < rounds; r++ {
+		for wi := range workloads {
+			res.SerialModeledSec += refs[refKey{wi, c870}].stats.TotalTime()
+		}
 	}
 
 	// Pool: mixed capacities, bounded queues, coalescing on.
 	o := obs.New()
 	pool := serve.NewPool(
-		serve.WithDevices(gpu.TeslaC870(), gpu.GeForce8800GTX()),
+		serve.WithDevices(specs...),
 		serve.WithStreams(streams),
 		serve.WithQueueDepth(2*res.Jobs),
 		serve.WithObserver(o),
 	)
 	defer pool.Close()
 
-	type jobKey struct{ wi, round int }
-	type outcome struct {
-		key     jobKey
-		wallSec float64
-		modeled float64
-		err     error
-	}
-
-	// Closed-loop clients: each walks the job list round-robin from its
-	// own offset, submitting the next job only after the previous one
-	// finishes — the load pattern of the paper's batch-recognition
-	// drivers, not an open-loop flood.
-	var jobs []jobKey
-	for r := 0; r < rounds; r++ {
-		for wi := range workloads {
-			jobs = append(jobs, jobKey{wi, r})
-		}
-	}
-	assign := make([][]jobKey, clients)
-	for i, k := range jobs {
-		assign[i%clients] = append(assign[i%clients], k)
-	}
-
-	outcomes := make(chan outcome, len(jobs))
-	poolWall := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(mine []jobKey) {
-			defer wg.Done()
-			for _, k := range mine {
-				w := workloads[k.wi]
-				g, err := w.Build()
-				if err != nil {
-					outcomes <- outcome{key: k, err: err}
-					return
-				}
-				t0 := time.Now()
-				j, err := pool.Submit(context.Background(), serve.Request{Graph: g})
-				if err != nil {
-					outcomes <- outcome{key: k, err: err}
-					continue
-				}
-				rep, err := j.Wait(context.Background())
-				o := outcome{key: k, wallSec: time.Since(t0).Seconds(), err: err}
-				if err == nil {
-					o.modeled = rep.Stats.TotalTime()
-				}
-				outcomes <- o
-			}
-		}(assign[c])
-	}
-	wg.Wait()
-	close(outcomes)
-	res.PoolWallSec = time.Since(poolWall).Seconds()
-
-	perWorkload := make([][]outcome, len(workloads))
-	for o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("pool %s %s: %w",
-				workloads[o.key.wi].Name, workloads[o.key.wi].Input, o.err)
-		}
-		perWorkload[o.key.wi] = append(perWorkload[o.key.wi], o)
-	}
+	res.Rows = make([]ServeRow, len(workloads))
 	for wi, w := range workloads {
-		os := perWorkload[wi]
-		lat := make([]float64, len(os))
-		var modeled float64
-		for i, o := range os {
-			lat[i] = o.wallSec * 1e3
-			modeled += o.modeled
+		res.Rows[wi] = ServeRow{Template: w.Name, Input: w.Input}
+	}
+	for _, r := range runFleet(pool, workloads, rounds, fleetClients) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("pool %w", r.Err)
 		}
-		sort.Float64s(lat)
-		row := ServeRow{Template: w.Name, Input: w.Input, Jobs: len(os)}
-		if len(os) > 0 {
-			row.P50MS = lat[len(lat)/2]
-			row.P99MS = lat[(len(lat)*99)/100]
-			row.ModeledSeconds = modeled / float64(len(os))
+		row := &res.Rows[r.Workload]
+		device := r.Job.Status().Device
+		if want, ok := refs[refKey{r.Workload, device}]; !ok || !want.matches(r.Report.Stats) {
+			return nil, fmt.Errorf("pool %s %s on %s diverged from the fault-free reference",
+				row.Template, row.Input, device)
 		}
-		res.Rows = append(res.Rows, row)
+		row.Jobs++
+		row.ModeledSeconds += r.Report.Stats.TotalTime()
+	}
+	for wi := range res.Rows {
+		res.Rows[wi].ModeledSeconds /= float64(res.Rows[wi].Jobs)
 	}
 
 	st := pool.Stats()
@@ -210,9 +123,6 @@ func Serve(clients, rounds, streams int) (*ServeResult, error) {
 	if res.PoolModeledSec > 0 {
 		res.ModeledSpeedup = res.SerialModeledSec / res.PoolModeledSec
 		res.ModeledThroughput = float64(res.Jobs) / res.PoolModeledSec * 60
-	}
-	if res.PoolWallSec > 0 {
-		res.MeasuredRPS = float64(res.Jobs) / res.PoolWallSec
 	}
 	for _, d := range st.Devices {
 		res.Devices = append(res.Devices, ServeDevice{

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -33,18 +29,7 @@ import (
 // Invariants checked in every scenario: zero lost jobs (a submission
 // either completes or the harness fails), clean executions are
 // stat-identical to a fault-free reference run on the same device, and
-// modeled-time inflation from recovery stays bounded. Wall-clock numbers
-// are recorded but never asserted — they depend on the host.
-
-// ServeChaosRef is the fault-free reference for one (workload, device)
-// pair: the exact stats any clean execution must reproduce.
-type ServeChaosRef struct {
-	KernelLaunches int     `json:"kernel_launches"`
-	H2DCalls       int     `json:"h2d_calls"`
-	D2HCalls       int     `json:"d2h_calls"`
-	TotalFloats    int64   `json:"total_floats"`
-	SimSeconds     float64 `json:"sim_seconds"`
-}
+// modeled-time inflation from recovery stays bounded.
 
 // ServeChaosDevice is one device's post-scenario accounting.
 type ServeChaosDevice struct {
@@ -82,7 +67,6 @@ type ServeChaosScenario struct {
 	// P99InflationPct is the 99th-percentile modeled-time inflation.
 	P99InflationPct float64 `json:"p99_inflation_pct"`
 
-	WallSec      float64            `json:"wall_seconds"`
 	BreakerOpens int64              `json:"breaker_opens"`
 	Devices      []ServeChaosDevice `json:"devices"`
 	// PinnedBytes is the residency bytes surviving the scenario across
@@ -119,56 +103,24 @@ type chaosScenarioSpec struct {
 }
 
 // ServeChaos runs the chaos harness: rounds×8 paper workloads per
-// scenario, submitted by a closed-loop client fleet to a Tesla C870 +
-// GeForce 8800 GTX pool with scripted per-device fault injectors. It
-// returns an error (rather than a result) the moment any invariant
-// breaks — a lost job, a clean execution whose stats drifted, unbounded
-// inflation, or a device that failed to quarantine or recover on cue.
-func ServeChaos(seed int64, rounds, clients int) (*ServeChaosResult, error) {
-	return ServeChaosTraced(seed, rounds, clients, nil)
-}
-
-// ServeChaosTraced is ServeChaos with request tracing on: each scenario
-// runs under its own observer, and when traceOut is non-nil the
-// scenarios' pool tracers (worker, queue, and probe lanes plus the
-// simulated device timelines) are merged into one Chrome trace and
-// written to it.
-func ServeChaosTraced(seed int64, rounds, clients int, traceOut io.Writer) (*ServeChaosResult, error) {
+// scenario (rounds <= 0 picks 2), submitted by the closed-loop fleet to a
+// Tesla C870 + GeForce 8800 GTX pool with scripted per-device fault
+// injectors. It returns an error (rather than a result) the moment any
+// invariant breaks — a lost job, a clean execution whose stats drifted,
+// unbounded inflation, or a device that failed to quarantine or recover
+// on cue. Each scenario runs under its own observer; when traceOut is
+// non-nil the scenarios' pool tracers (worker, queue, and probe lanes
+// plus the simulated device timelines) are merged into one Chrome trace
+// and written to it.
+func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, error) {
 	if rounds <= 0 {
 		rounds = 2
 	}
-	if clients <= 0 {
-		clients = 6
-	}
 	workloads := PaperWorkloads()
 	specs := []gpu.Spec{gpu.TeslaC870(), gpu.GeForce8800GTX()}
-
-	// Fault-free references, one per (workload, device) pair. Infeasible
-	// pairs (template too big for the card even split) have no entry —
-	// the pool never places such a job there either.
-	refs := make(map[string]ServeChaosRef)
-	for _, spec := range specs {
-		svc := core.NewService(core.WithDevice(spec))
-		for _, w := range workloads {
-			g, err := w.Build()
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", w.Name, w.Input, err)
-			}
-			rep, err := svc.CompileAndSimulate(context.Background(), g)
-			if err != nil {
-				if errors.Is(err, core.ErrInfeasible) {
-					continue
-				}
-				return nil, fmt.Errorf("reference %s %s on %s: %w", w.Name, w.Input, spec.Name, err)
-			}
-			refs[w.Name+"|"+w.Input+"|"+spec.Name] = ServeChaosRef{
-				KernelLaunches: rep.Stats.KernelLaunches,
-				H2DCalls:       rep.Stats.H2DCalls,
-				D2HCalls:       rep.Stats.D2HCalls,
-				TotalFloats:    rep.Stats.TotalFloats(),
-				SimSeconds:     rep.Stats.TotalTime(),
-			}
-		}
+	refs, err := faultFreeRefs(specs, workloads)
+	if err != nil {
+		return nil, err
 	}
 
 	// The flapper and the permanently-lost device are the smaller
@@ -226,14 +178,14 @@ func ServeChaosTraced(seed int64, rounds, clients int, traceOut io.Writer) (*Ser
 		},
 	}
 
-	res := &ServeChaosResult{Seed: seed, Rounds: rounds, Clients: clients}
+	res := &ServeChaosResult{Seed: seed, Rounds: rounds, Clients: fleetClients}
 	var master *obs.Tracer
 	if traceOut != nil {
 		master = obs.NewTracer()
 	}
 	for _, sc := range scenarios {
 		o := obs.New()
-		out, err := runServeChaosScenario(sc, o, seed, rounds, clients, workloads, specs, refs)
+		out, err := runServeChaosScenario(sc, o, seed, rounds, workloads, specs, refs)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.name, err)
 		}
@@ -250,8 +202,8 @@ func ServeChaosTraced(seed int64, rounds, clients int, traceOut io.Writer) (*Ser
 	return res, nil
 }
 
-func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, rounds, clients int,
-	workloads []TemplateSpec, specs []gpu.Spec, refs map[string]ServeChaosRef) (ServeChaosScenario, error) {
+func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, rounds int,
+	workloads []TemplateSpec, specs []gpu.Spec, refs map[refKey]ref) (ServeChaosScenario, error) {
 
 	out := ServeChaosScenario{Name: sc.name, Description: sc.desc}
 	injs := sc.faults(seed)
@@ -278,94 +230,39 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 	pool := serve.NewPool(opts...)
 	defer pool.Close()
 
-	type outcome struct {
-		wi     int
-		status serve.Status
-		sim    float64
-		ref    ServeChaosRef
-		hasRef bool
-		match  bool
-		err    error
-	}
-	var jobs []int
-	for r := 0; r < rounds; r++ {
-		for wi := range workloads {
-			jobs = append(jobs, wi)
-		}
-	}
-	out.Jobs = len(jobs)
-	assign := make([][]int, clients)
-	for i, wi := range jobs {
-		assign[i%clients] = append(assign[i%clients], wi)
-	}
-
-	outcomes := make(chan outcome, len(jobs))
-	wall := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(mine []int) {
-			defer wg.Done()
-			for _, wi := range mine {
-				w := workloads[wi]
-				g, err := w.Build()
-				if err != nil {
-					outcomes <- outcome{wi: wi, err: err}
-					continue
-				}
-				j, err := pool.Submit(context.Background(), serve.Request{Graph: g})
-				if err != nil {
-					outcomes <- outcome{wi: wi, err: err}
-					continue
-				}
-				rep, err := j.Wait(context.Background())
-				oc := outcome{wi: wi, status: j.Status(), err: err}
-				if err == nil {
-					oc.sim = rep.Stats.TotalTime()
-					oc.ref, oc.hasRef = refs[w.Name+"|"+w.Input+"|"+oc.status.Device]
-					oc.match = oc.hasRef &&
-						rep.Stats.KernelLaunches == oc.ref.KernelLaunches &&
-						rep.Stats.H2DCalls == oc.ref.H2DCalls &&
-						rep.Stats.D2HCalls == oc.ref.D2HCalls &&
-						rep.Stats.TotalFloats() == oc.ref.TotalFloats &&
-						rep.Stats.TotalTime() == oc.ref.SimSeconds
-				}
-				outcomes <- oc
-			}
-		}(assign[c])
-	}
-	wg.Wait()
-	close(outcomes)
-	out.WallSec = time.Since(wall).Seconds()
+	results := runFleet(pool, workloads, rounds, fleetClients)
+	out.Jobs = len(results)
 
 	var inflations []float64
 	var firstLost error
-	for oc := range outcomes {
-		if oc.err != nil {
+	for _, r := range results {
+		if r.Err != nil {
 			out.Lost++
 			if firstLost == nil {
-				firstLost = fmt.Errorf("%s %s: %w", workloads[oc.wi].Name, workloads[oc.wi].Input, oc.err)
+				firstLost = r.Err
 			}
 			continue
 		}
 		out.Completed++
-		if oc.status.Migrated > 0 {
+		status := r.Job.Status()
+		if status.Migrated > 0 {
 			out.Migrated++
 		}
-		if oc.status.Recovered {
+		want, hasRef := refs[refKey{r.Workload, status.Device}]
+		if status.Recovered {
 			out.Recovered++
 		} else {
 			out.Clean++
-			if oc.hasRef {
-				if !oc.match {
+			if hasRef {
+				if !want.matches(r.Report.Stats) {
 					return out, fmt.Errorf("clean %s %s on %s diverged from fault-free reference",
-						workloads[oc.wi].Name, workloads[oc.wi].Input, oc.status.Device)
+						workloads[r.Workload].Name, workloads[r.Workload].Input, status.Device)
 				}
 				out.StatIdentical++
 			}
 		}
-		if oc.hasRef && oc.ref.SimSeconds > 0 {
-			inflations = append(inflations, oc.sim/oc.ref.SimSeconds)
+		if hasRef && want.stats.TotalTime() > 0 {
+			inflations = append(inflations, r.Report.Stats.TotalTime()/want.stats.TotalTime())
 		}
 	}
 	if out.Lost > 0 {
@@ -398,12 +295,12 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 		}
 	}
 
-	// Close before the final snapshot: with every worker gone, all batch
-	// reserves have been released, so each device's committed bytes must
-	// equal exactly its surviving pinned-set size (zero on a quarantined
-	// device — its pins were written off wholesale).
+	// Close before the final snapshot, so the ledger has drained.
 	pool.Close()
 	st := pool.Stats()
+	if err := ledgerDrained(st); err != nil {
+		return out, err
+	}
 	out.BreakerOpens = st.BreakerOpens
 	for _, d := range st.Devices {
 		recoveries := recoveries(d.Name)
@@ -427,10 +324,6 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 		}
 		if sc.wantRecovered == d.Name && recoveries == 0 {
 			return out, fmt.Errorf("%s was never probed back into rotation", d.Name)
-		}
-		if d.CommittedBytes != d.PinnedBytes {
-			return out, fmt.Errorf("%s leaked ledger bytes after drain: committed %d != pinned %d",
-				d.Name, d.CommittedBytes, d.PinnedBytes)
 		}
 		out.PinnedBytes += d.PinnedBytes
 	}

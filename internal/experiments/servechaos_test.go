@@ -8,7 +8,10 @@ import "testing"
 // unbounded modeled-time inflation, or a device that fails to quarantine
 // or recover on cue), so a passing run IS the assertion.
 func TestServeChaosInvariantsHold(t *testing.T) {
-	res, err := ServeChaos(1, 1, 4)
+	if testing.Short() {
+		t.Skip("fleet-scale: three scenarios of the eight paper workloads")
+	}
+	res, err := ServeChaos(1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -26,7 +22,6 @@ type SteadyFleet struct {
 	ModeledP50Sec      float64 `json:"modeled_p50_seconds"`
 	ModeledP99Sec      float64 `json:"modeled_p99_seconds"`
 	ModeledMakespanSec float64 `json:"modeled_makespan_seconds"`
-	WallSec            float64 `json:"wall_seconds"`
 
 	// H2DBytesPerJob is the mean device-transfer volume per measured
 	// job: charged bytes for the unpinned fleet, actual (elision-aware)
@@ -52,7 +47,6 @@ type SteadyResult struct {
 	WarmupRounds int `json:"warmup_rounds"`
 	Rounds       int `json:"rounds"` // measured rounds
 	Streams      int `json:"streams"`
-	GoMaxProcs   int `json:"gomaxprocs"`
 
 	Pinned   SteadyFleet `json:"pinned"`
 	Unpinned SteadyFleet `json:"unpinned"`
@@ -84,15 +78,20 @@ func steadySpecs() []gpu.Spec {
 	return []gpu.Spec{a, b}
 }
 
-// runSteadyFleet drives rounds+warmup cycles of the eight paper
+// steadyWarmup is the number of leading rounds that populate the pinned
+// sets and are excluded from both fleets' aggregates; steadyStreams is
+// the executor stream count per device.
+const steadyWarmup, steadyStreams = 1, 2
+
+// runSteadyFleet drives warmup+rounds cycles of the eight paper
 // workloads through one pool and aggregates the measured rounds.
-func runSteadyFleet(residency bool, clients, warmup, rounds, streams int) (*SteadyFleet, error) {
+func runSteadyFleet(residency bool, rounds int) (*SteadyFleet, error) {
 	workloads := PaperWorkloads()
-	total := (warmup + rounds) * len(workloads)
+	total := (steadyWarmup + rounds) * len(workloads)
 
 	opts := []serve.PoolOption{
 		serve.WithDevices(steadySpecs()...),
-		serve.WithStreams(streams),
+		serve.WithStreams(steadyStreams),
 		serve.WithQueueDepth(2 * total),
 		serve.WithObserver(obs.New()),
 	}
@@ -100,76 +99,22 @@ func runSteadyFleet(residency bool, clients, warmup, rounds, streams int) (*Stea
 		opts = append(opts, serve.WithResidency())
 	}
 	pool := serve.NewPool(opts...)
+	defer pool.Close()
 
-	type jobKey struct{ wi, round int }
-	type outcome struct {
-		key      jobKey
-		modeled  float64
-		h2d      int64 // actual (elision-aware) H2D floats
-		h2dFull  int64 // charged H2D floats
-		measured bool
-		err      error
-	}
-	var keys []jobKey
-	for r := 0; r < warmup+rounds; r++ {
-		for wi := range workloads {
-			keys = append(keys, jobKey{wi, r})
-		}
-	}
-	assign := make([][]jobKey, clients)
-	for i, k := range keys {
-		assign[i%clients] = append(assign[i%clients], k)
-	}
-
-	outcomes := make(chan outcome, len(keys))
-	wall := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(mine []jobKey) {
-			defer wg.Done()
-			for _, k := range mine {
-				w := workloads[k.wi]
-				g, err := w.Build()
-				if err != nil {
-					outcomes <- outcome{key: k, err: err}
-					return
-				}
-				j, err := pool.Submit(context.Background(), serve.Request{Graph: g})
-				if err != nil {
-					outcomes <- outcome{key: k, err: err}
-					continue
-				}
-				rep, err := j.Wait(context.Background())
-				o := outcome{key: k, measured: k.round >= warmup, err: err}
-				if err == nil {
-					o.modeled = rep.Actual.TotalTime()
-					o.h2d = rep.Actual.H2DFloats
-					o.h2dFull = rep.Stats.H2DFloats
-				}
-				outcomes <- o
-			}
-		}(assign[c])
-	}
-	wg.Wait()
-	close(outcomes)
-
-	fleet := &SteadyFleet{Residency: residency, WallSec: time.Since(wall).Seconds()}
+	fleet := &SteadyFleet{Residency: residency}
 	var lat []float64
-	var h2d, h2dFull int64
-	for o := range outcomes {
-		if o.err != nil {
-			pool.Close()
-			return nil, fmt.Errorf("%s %s: %w",
-				workloads[o.key.wi].Name, workloads[o.key.wi].Input, o.err)
+	var h2d, h2dFull int64 // actual (elision-aware) and charged H2D floats
+	for _, r := range runFleet(pool, workloads, steadyWarmup+rounds, fleetClients) {
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		if !o.measured {
+		if r.Round < steadyWarmup {
 			continue
 		}
 		fleet.Jobs++
-		lat = append(lat, o.modeled)
-		h2d += o.h2d
-		h2dFull += o.h2dFull
+		lat = append(lat, r.Report.Actual.TotalTime())
+		h2d += r.Report.Actual.H2DFloats
+		h2dFull += r.Report.Stats.H2DFloats
 	}
 	sort.Float64s(lat)
 	if len(lat) > 0 {
@@ -179,10 +124,12 @@ func runSteadyFleet(residency bool, clients, warmup, rounds, streams int) (*Stea
 		fleet.ChargedH2DBytesJob = 4 * float64(h2dFull) / float64(len(lat))
 	}
 
-	// Close before reading stats: with the workers gone, every batch
-	// reserve has been released and the ledger must hold only pins.
+	// Close before reading stats, so the ledger has drained.
 	pool.Close()
 	st := pool.Stats()
+	if err := ledgerDrained(st); err != nil {
+		return nil, err
+	}
 	fleet.ModeledMakespanSec = st.ModeledMakespanSec
 	fleet.PinnedBytes = st.Residency.PinnedBytes
 	fleet.PinHits = st.Residency.Hits
@@ -191,44 +138,32 @@ func runSteadyFleet(residency bool, clients, warmup, rounds, streams int) (*Stea
 	fleet.RollingOverlapSec = st.Residency.RollingOverlapSec
 	for _, d := range st.Devices {
 		fleet.Failed += d.Failed
-		if d.CommittedBytes != d.PinnedBytes {
-			return nil, fmt.Errorf("device %s leaked ledger bytes: committed %d != pinned %d",
-				d.Name, d.CommittedBytes, d.PinnedBytes)
-		}
 	}
 	return fleet, nil
 }
 
-// ServeSteady runs the steady-state serving benchmark: an identical
-// closed-loop schedule of the paper's eight workloads through a pinned
-// (residency on) and an unpinned pool, warmup excluded, and verifies the
-// headline claims — every job completes, per-job H2D volume drops by at
-// least 40%, and the modeled p99 strictly improves.
-func ServeSteady(clients, rounds, streams int) (*SteadyResult, error) {
-	if clients <= 0 {
-		clients = 6
-	}
+// ServeSteady runs the steady-state serving experiment: an identical
+// closed-loop schedule of the paper's eight workloads (rounds measured
+// rounds, <= 0 picks 3) through a pinned (residency on) and an unpinned
+// pool, warmup excluded, and verifies the headline claims — every job
+// completes, per-job H2D volume drops by at least 40%, and the modeled
+// p99 strictly improves.
+func ServeSteady(rounds int) (*SteadyResult, error) {
 	if rounds <= 0 {
 		rounds = 3
 	}
-	if streams <= 0 {
-		streams = 2
-	}
-	const warmup = 1
-
-	unpinned, err := runSteadyFleet(false, clients, warmup, rounds, streams)
+	unpinned, err := runSteadyFleet(false, rounds)
 	if err != nil {
 		return nil, fmt.Errorf("unpinned fleet: %w", err)
 	}
-	pinned, err := runSteadyFleet(true, clients, warmup, rounds, streams)
+	pinned, err := runSteadyFleet(true, rounds)
 	if err != nil {
 		return nil, fmt.Errorf("pinned fleet: %w", err)
 	}
 
 	res := &SteadyResult{
-		Clients: clients, WarmupRounds: warmup, Rounds: rounds, Streams: streams,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Pinned:     *pinned, Unpinned: *unpinned,
+		Clients: fleetClients, WarmupRounds: steadyWarmup, Rounds: rounds, Streams: steadyStreams,
+		Pinned: *pinned, Unpinned: *unpinned,
 		LedgerClean: true, // runSteadyFleet fails otherwise
 	}
 	if unpinned.H2DBytesPerJob > 0 {

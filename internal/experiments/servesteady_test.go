@@ -8,7 +8,10 @@ import "testing"
 // to improve on unpinned, or a device ledger that does not return to
 // exactly its pinned-set size after drain.
 func TestServeSteadyInvariantsHold(t *testing.T) {
-	res, err := ServeSteady(4, 1, 2)
+	if testing.Short() {
+		t.Skip("fleet-scale: two fleets of two rounds of the eight paper workloads")
+	}
+	res, err := ServeSteady(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,19 +155,13 @@ func timeSpMV(op graph.Operator, a, x, y *tensor.Tensor, trials, reps int) (floa
 // under each schedule and assert the framework's core invariant: bound
 // schedules change host wall time only, never outputs or modeled stats.
 //
-// n, avgNNZ, iters <= 0 pick the defaults (4096 rows, 48 nonzeros/row,
-// 10 iterations); CI passes small values.
-func Sparse(n, avgNNZ, iters int) (*SparseResult, error) {
+// The matrices have n rows (<= 0 picks 4096; CI passes a small value) of
+// 48 nonzeros on average, and the templates run 10 iterations.
+func Sparse(n int) (*SparseResult, error) {
 	if n <= 0 {
 		n = 4096
 	}
-	if avgNNZ <= 0 {
-		avgNNZ = 48
-	}
-	if iters <= 0 {
-		iters = 10
-	}
-	const skew = 0.85
+	const avgNNZ, iters, skew = 48, 10, 0.85
 	res := &SparseResult{
 		N: n, AvgNNZ: avgNNZ, Skew: skew, Iterations: iters,
 		GoMaxProcs: runtime.GOMAXPROCS(0),

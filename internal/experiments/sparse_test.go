@@ -18,7 +18,7 @@ import (
 // diverge from the static run, so success asserts the equivalence
 // invariant end to end.
 func TestSparseExperimentSmall(t *testing.T) {
-	res, err := Sparse(192, 8, 3)
+	res, err := Sparse(192)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,22 @@ func jobCode(j *Job) int {
 	}
 }
 
+// The front door's fixed limits. A JobRequest is under 200 bytes, so
+// 1 MiB is generous for any honest client and still keeps a hostile one
+// from streaming an unbounded body into the decoder; ten seconds to send
+// the request headers is the same kind of bound for a connection that
+// opens and then says nothing.
+const (
+	maxJobBodyBytes   = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
+// NewServer returns an http.Server for NewHandler(p) on addr with the
+// front door's connection limits set.
+func NewServer(addr string, p *Pool) *http.Server {
+	return &http.Server{Addr: addr, Handler: NewHandler(p), ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // NewHandler exposes the pool over HTTP JSON:
 //
 //	POST   /v1/jobs                  submit (Wait=true blocks for the report)
@@ -170,10 +186,10 @@ func jobCode(j *Job) int {
 //	                                 (?format=json for a JSON snapshot)
 //
 // Submit errors map to status codes: full queue 429, infeasible template
-// 422, bad request 400, closed pool 503, load shed 503 with a
-// Retry-After header (breaker open or no device in rotation). A job that
-// expired in the queue reads back (or returns on Wait) as 504; a
-// cancelled one as 499. Wait=true submissions adopt the HTTP request
+// 422, bad request 400, body over 1 MiB 413, closed pool 503, load shed
+// 503 with a Retry-After header (breaker open or no device in rotation).
+// A job that expired in the queue reads back (or returns on Wait) as 504;
+// a cancelled one as 499. Wait=true submissions adopt the HTTP request
 // context as the job context, so a dropped connection cancels the job.
 func NewHandler(p *Pool) http.Handler {
 	mux := http.NewServeMux()
@@ -192,8 +208,13 @@ func NewHandler(p *Pool) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var jr JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes)).Decode(&jr); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, code, fmt.Errorf("bad body: %w", err))
 			return
 		}
 		req, err := buildRequest(jr)

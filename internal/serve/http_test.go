@@ -104,6 +104,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp, _ := postJob(t, srv, `{"template":"edge","h":-1,"w":8}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad dims: status %d, want 400", resp.StatusCode)
 	}
+	oversized := `{"template":"` + strings.Repeat("a", maxJobBodyBytes) + `"}`
+	if resp, _ := postJob(t, srv, oversized); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over the limit: status %d, want 413", resp.StatusCode)
+	}
+	if s := NewServer("127.0.0.1:0", p); s.ReadHeaderTimeout != readHeaderTimeout || s.Handler == nil {
+		t.Fatalf("NewServer: ReadHeaderTimeout %v, handler %v; want %v and the pool handler",
+			s.ReadHeaderTimeout, s.Handler, readHeaderTimeout)
+	}
 	r, err := http.Get(srv.URL + "/v1/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
