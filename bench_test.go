@@ -612,6 +612,39 @@ func BenchmarkExecutorPipelined(b *testing.B) {
 	})
 }
 
+// BenchmarkLaunchMaterialized is one materialized exec.Run on the plan the
+// repository benchmark's exec_sequential workload runs (Small CNN 160×120,
+// 512 KiB arena, headroom 0.7, prefetch hoist): 1 610 launches through
+// launchMaterialized, 854 uploads, the free list and the lazily created
+// host arrays. -benchmem shows what internal/exec's
+// TestMaterializedRunAllocBudget gates.
+func BenchmarkLaunchMaterialized(b *testing.B) {
+	g, bufs, err := templates.CNN(templates.SmallCNN(160, 120))
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := workload.CNNInputs(bufs, 1)
+	spec := gpu.Custom("bench-arena", 512<<10)
+	spec.Headroom = 0.7
+	capacity := spec.PlannerCapacity()
+	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sched.Heuristic(g, capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan = sched.PrefetchH2D(plan, capacity*9/10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(context.Background(), g, plan, in, exec.Options{
+			Mode: exec.Materialized, Device: gpu.New(spec)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStepDeps measures the hazard-analysis pass that turns a linear
 // plan into the pipelined executor's dependency DAG, at paper scale.
 func BenchmarkStepDeps(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/gpu"
@@ -104,8 +106,10 @@ type Options struct {
 // partitioned run share one, which is how a cut buffer D2H'd by its
 // producing device becomes loadable on the consuming device.
 type hostState struct {
-	mu    sync.Mutex
-	arr   map[int]*tensor.Tensor // root arrays (materialized mode)
+	mu sync.Mutex
+	// arr holds the root arrays (materialized mode): template inputs from
+	// the start, every other root from the first D2H into it (see copy).
+	arr   map[int]*tensor.Tensor
 	valid map[int]bool
 	// serialize makes perform hold mu across real host-array copies.
 	// Single-device pipelined runs keep copies outside the lock (steps
@@ -118,6 +122,32 @@ type hostState struct {
 
 func newHostState() *hostState {
 	return &hostState{arr: make(map[int]*tensor.Tensor), valid: make(map[int]bool)}
+}
+
+// copy moves b's region between its host root array and the device tensor
+// dev, in the direction toHost selects. A root that is not a template
+// input is created, zeroed, by the first copy that touches it — in a plan
+// that is a D2H, since H2D only reads host-valid regions — so a run pays
+// for the roots it brings back, not for every intermediate of the graph.
+// mu covers the lookup always and the copy itself when serialize is set.
+func (hs *hostState) copy(b *graph.Buffer, dev *tensor.Tensor, toHost bool) {
+	hs.mu.Lock()
+	root := hs.arr[b.Root.ID]
+	if root == nil {
+		root = tensor.New(b.Root.Region.Rows, b.Root.Region.Cols)
+		hs.arr[b.Root.ID] = root
+	}
+	if hs.serialize {
+		defer hs.mu.Unlock()
+	} else {
+		hs.mu.Unlock()
+	}
+	host := regionView(root, b.Root.Region, b.Region)
+	if toHost {
+		host.CopyFrom(dev)
+	} else {
+		dev.CopyFrom(host)
+	}
 }
 
 // Report is the result of executing a plan.
@@ -174,6 +204,19 @@ type executor struct {
 	hs       *hostState
 	resident map[int]*devBuf
 
+	// free is the run's free list of device-tensor storage, keyed by float
+	// count and guarded by hs.mu: every tensor a step drops (StepFree, a
+	// launch's gather/scatter scratch, a rolled-back output) goes in, every
+	// tensor a step needs (newTensor) comes out when its size is there.
+	// It lives and dies with the run and never holds more than the arena
+	// does (freeFloats), so the host mirror of a device stays within twice
+	// its memory. Host root arrays — what Report.Outputs hands the caller
+	// — never enter it.
+	free       map[int][][]float32
+	freeFloats int64
+	// seen is account's scratch for de-duplicating a launch's buffers.
+	seen map[int]bool
+
 	// obs is opt.Obs; loaded marks buffers that have been device-resident
 	// once (transferred up or produced by a launch), distinguishing
 	// eviction-refetch from initial-load transfer volume in the metrics.
@@ -222,6 +265,8 @@ func newExecutor(g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*exe
 		rep:      &Report{},
 		hs:       opt.shared,
 		resident: make(map[int]*devBuf),
+		free:     make(map[int][][]float32),
+		seen:     make(map[int]bool),
 		accLive:  make(map[int]bool),
 		overlap:  opt.Overlap && dev.Spec.AsyncTransfer,
 		ready:    make(map[int]float64),
@@ -255,27 +300,82 @@ func newExecutor(g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*exe
 	return e, nil
 }
 
-// materializeHost allocates the host-side root arrays: template inputs
-// are cloned from the caller's tensors, everything else starts zeroed.
+// materializeHost clones the template inputs from the caller's tensors
+// into host root arrays; every other root is created by the first copy
+// into it (hostState.copy).
 func materializeHost(hs *hostState, g *graph.Graph, in Inputs) error {
 	for _, b := range g.Buffers() {
-		if !b.IsRoot() {
+		if !b.IsRoot() || !b.IsInput {
 			continue
 		}
-		if b.IsInput {
-			t, ok := in[b.ID]
-			if !ok {
-				return fmt.Errorf("exec: missing input tensor for %s", b)
-			}
-			if t.Rows() != b.Region.Rows || t.Cols() != b.Region.Cols {
-				return fmt.Errorf("exec: input %s shape %v, want %v", b, t, b.Shape())
-			}
-			hs.arr[b.ID] = t.Clone()
-		} else {
-			hs.arr[b.ID] = tensor.New(b.Region.Rows, b.Region.Cols)
+		t, ok := in[b.ID]
+		if !ok {
+			return fmt.Errorf("exec: missing input tensor for %s", b)
 		}
+		if t.Rows() != b.Region.Rows || t.Cols() != b.Region.Cols {
+			return fmt.Errorf("exec: input %s shape %v, want %v", b, t, b.Shape())
+		}
+		hs.arr[b.ID] = t.Clone()
 	}
 	return nil
+}
+
+// poisonRecycled makes recycle fill every tensor entering a free list with
+// NaN, so a step that read recycled storage before writing it could not
+// produce the reference outputs. Set by this package's TestMain only.
+var poisonRecycled bool
+
+// newTensor returns a rows×cols device tensor with unspecified contents,
+// recycled when the free list holds its size. Every caller either
+// overwrites all of it (an H2D copy, a gather — Arg.Covered guarantees
+// that) or hands it to a kernel as out, which every kernel in ops writes
+// in full.
+func (e *executor) newTensor(rows, cols int) *tensor.Tensor {
+	n := rows * cols
+	e.hs.mu.Lock()
+	l := e.free[n]
+	if len(l) == 0 {
+		e.hs.mu.Unlock()
+		return tensor.New(rows, cols)
+	}
+	e.free[n] = l[:len(l)-1]
+	e.freeFloats -= int64(n)
+	e.hs.mu.Unlock()
+	return tensor.FromSlice(rows, cols, l[len(l)-1])
+}
+
+// recycle puts the storage of a device tensor no step can reach any more
+// on the free list (a nil tensor, accounting mode's, is ignored).
+func (e *executor) recycle(t *tensor.Tensor) {
+	if t == nil {
+		return
+	}
+	if poisonRecycled {
+		t.Fill(float32(math.NaN()))
+	}
+	d := t.Data()
+	e.hs.mu.Lock()
+	if (e.freeFloats+int64(len(d)))*4 <= e.dev.Spec.MemoryBytes {
+		e.free[len(d)] = append(e.free[len(d)], d)
+		e.freeFloats += int64(len(d))
+	}
+	e.hs.mu.Unlock()
+}
+
+// regionView returns the part of t, a tensor holding region held of some
+// root, that is region want of the same root (want must lie inside held).
+func regionView(t *tensor.Tensor, held, want graph.Region) *tensor.Tensor {
+	return t.View(want.Row-held.Row, want.Col-held.Col, want.Rows, want.Cols)
+}
+
+// arg returns the i-th argument of n: its inputs, then its output. The
+// step loop walks arguments' Bufs through it instead of the allocating,
+// de-duplicating Node.Buffers accessors.
+func arg(n *graph.Node, i int) graph.Arg {
+	if i < len(n.In) {
+		return n.In[i]
+	}
+	return n.Out
 }
 
 func (e *executor) rec(kind gpu.EventKind, label, engine string, start, end float64) {
@@ -316,7 +416,7 @@ func (e *executor) observe(si int, step sched.Step, t0 float64) {
 		kind := n.Op.Kind()
 		m.Counter("exec.launches", "op", kind).Inc()
 		m.Histogram("exec.kernel.seconds", "op", kind).Observe(dev.Clock() - t0)
-		for _, b := range n.OutputBuffers() {
+		for _, b := range n.Out.Bufs {
 			// Outputs the launch allocated open residency intervals here;
 			// already-resident operands are a no-op. Device-produced buffers
 			// count as loaded: transferring one up again is a refetch.
@@ -411,14 +511,8 @@ func (e *executor) perform(si int, step sched.Step) error {
 		}
 		db := &devBuf{off: off}
 		if e.opt.Mode == Materialized {
-			if e.hs.serialize {
-				e.hs.mu.Lock()
-			}
-			root := e.hs.arr[b.Root.ID]
-			db.data = root.View(b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols).Clone()
-			if e.hs.serialize {
-				e.hs.mu.Unlock()
-			}
+			db.data = e.newTensor(b.Region.Rows, b.Region.Cols)
+			e.hs.copy(b, db.data, false)
 		}
 		e.hs.mu.Lock()
 		e.resident[b.ID] = db
@@ -436,14 +530,7 @@ func (e *executor) perform(si int, step sched.Step) error {
 			return fmt.Errorf("exec: step %d: %w", si, err)
 		}
 		if e.opt.Mode == Materialized {
-			if e.hs.serialize {
-				e.hs.mu.Lock()
-			}
-			root := e.hs.arr[b.Root.ID]
-			root.View(b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols).CopyFrom(db.data)
-			if e.hs.serialize {
-				e.hs.mu.Unlock()
-			}
+			e.hs.copy(b, db.data, true)
 		}
 		e.hs.mu.Lock()
 		e.hs.valid[b.ID] = true
@@ -463,6 +550,7 @@ func (e *executor) perform(si int, step sched.Step) error {
 		e.hs.mu.Lock()
 		delete(e.resident, b.ID)
 		e.hs.mu.Unlock()
+		e.recycle(db.data)
 
 	case sched.StepLaunch:
 		n := step.Node
@@ -471,14 +559,16 @@ func (e *executor) perform(si int, step sched.Step) error {
 		// back to a retryable state.
 		var fresh []int
 		rollback := func() {
-			e.hs.mu.Lock()
 			for _, id := range fresh {
-				_ = dev.FreeMem(e.resident[id].off)
+				e.hs.mu.Lock()
+				db := e.resident[id]
+				_ = dev.FreeMem(db.off)
 				delete(e.resident, id)
+				e.hs.mu.Unlock()
+				e.recycle(db.data)
 			}
-			e.hs.mu.Unlock()
 		}
-		for _, b := range n.OutputBuffers() {
+		for _, b := range n.Out.Bufs {
 			e.hs.mu.Lock()
 			_, ok := e.resident[b.ID]
 			e.hs.mu.Unlock()
@@ -492,27 +582,36 @@ func (e *executor) perform(si int, step sched.Step) error {
 			}
 			db := &devBuf{off: off}
 			if e.opt.Mode == Materialized {
-				db.data = tensor.New(b.Region.Rows, b.Region.Cols)
+				db.data = e.newTensor(b.Region.Rows, b.Region.Cols)
+				if !n.Out.Region.Contains(b.Region) {
+					// Only part of b is this launch's to write; the rest
+					// reads as zero, as on a fresh allocation.
+					db.data.Fill(0)
+				}
 			}
 			e.hs.mu.Lock()
 			e.resident[b.ID] = db
 			e.hs.mu.Unlock()
 			fresh = append(fresh, b.ID)
 		}
-		// Snapshot the operand buffers under the lock: the kernel runs
-		// outside it, and unrelated steps may mutate the resident map
-		// meanwhile. Dependencies guarantee the snapshotted entries
-		// themselves are stable until this step completes.
-		snapshot := make(map[int]*devBuf, len(n.Buffers()))
+		// Resolve the operand tensors under the lock, in argument order:
+		// the kernel runs outside it, and unrelated steps may mutate the
+		// resident map meanwhile. Dependencies guarantee the resolved
+		// entries themselves are stable until this step completes.
+		var data []*tensor.Tensor
 		var missing *graph.Buffer
 		e.hs.mu.Lock()
-		for _, b := range n.Buffers() {
-			db, ok := e.resident[b.ID]
-			if !ok {
-				missing = b
-				break
+		for i := 0; i <= len(n.In) && missing == nil; i++ {
+			for _, b := range arg(n, i).Bufs {
+				db, ok := e.resident[b.ID]
+				if !ok {
+					missing = b
+					break
+				}
+				if db.data != nil {
+					data = append(data, db.data)
+				}
 			}
-			snapshot[b.ID] = db
 		}
 		e.hs.mu.Unlock()
 		if missing != nil {
@@ -524,12 +623,13 @@ func (e *executor) perform(si int, step sched.Step) error {
 			return fmt.Errorf("exec: step %d: %w", si, err)
 		}
 		if e.opt.Mode == Materialized {
-			if err := launchMaterialized(n, snapshot); err != nil {
+			if err := e.launchMaterialized(n, data); err != nil {
+				rollback()
 				return fmt.Errorf("exec: step %d: %w", si, err)
 			}
 		}
 		e.hs.mu.Lock()
-		for _, b := range n.OutputBuffers() {
+		for _, b := range n.Out.Bufs {
 			e.hs.valid[b.ID] = false // GPU now holds the only valid copy
 		}
 		e.hs.mu.Unlock()
@@ -610,11 +710,18 @@ func (e *executor) account(si int, step sched.Step) {
 
 	case sched.StepLaunch:
 		n := step.Node
+		// The kernel's memory traffic: each distinct buffer once.
 		var bytes int64
-		for _, b := range n.Buffers() {
-			bytes += b.Bytes()
+		clear(e.seen)
+		for i := 0; i <= len(n.In); i++ {
+			for _, b := range arg(n, i).Bufs {
+				if !e.seen[b.ID] {
+					e.seen[b.ID] = true
+					bytes += b.Bytes()
+				}
+			}
 		}
-		for _, b := range n.OutputBuffers() {
+		for _, b := range n.Out.Bufs {
 			if !e.accLive[b.ID] {
 				e.accLive[b.ID] = true
 				e.accResident += b.Bytes()
@@ -628,13 +735,15 @@ func (e *executor) account(si int, step sched.Step) {
 		dev.AccountLaunch(flops, n.Out.Region.Size(), bytes)
 		if e.overlap {
 			start := e.compFree
-			for _, b := range n.InputBuffers() {
-				if r, ok := e.ready[b.ID]; ok && r > start {
-					start = r
+			for _, a := range n.In {
+				for _, b := range a.Bufs {
+					if r, ok := e.ready[b.ID]; ok && r > start {
+						start = r
+					}
 				}
 			}
 			e.compFree = start + dev.KernelTime(flops, n.Out.Region.Size(), bytes)
-			for _, b := range n.OutputBuffers() {
+			for _, b := range n.Out.Bufs {
 				e.ready[b.ID] = e.compFree
 			}
 			e.rec(gpu.EventKernel, n.Name, "compute", start, e.compFree)
@@ -718,7 +827,8 @@ func (e *executor) capture() *Report {
 
 // finish runs the end-of-plan invariant checks and seals the report.
 func (e *executor) finish() (*Report, error) {
-	for _, b := range e.g.OutputBuffers() {
+	outs := e.g.OutputBuffers()
+	for _, b := range outs {
 		e.hs.mu.Lock()
 		valid := e.hs.valid[b.ID]
 		e.hs.mu.Unlock()
@@ -734,18 +844,20 @@ func (e *executor) finish() (*Report, error) {
 	}
 	e.capture()
 	if e.opt.Mode == Materialized {
-		e.rep.Outputs = templateOutputs(e.g, e.hs)
+		e.rep.Outputs = templateOutputs(outs, e.hs)
 	}
 	return e.rep, nil
 }
 
-// templateOutputs assembles the template's outputs from the host root
-// arrays, one entry per distinct root buffer.
-func templateOutputs(g *graph.Graph, hs *hostState) Outputs {
+// templateOutputs assembles the template's outputs (g.OutputBuffers) from
+// the host root arrays, one entry per distinct root buffer.
+func templateOutputs(bufs []*graph.Buffer, hs *hostState) Outputs {
 	outs := make(Outputs)
-	for _, b := range g.OutputBuffers() {
+	hs.mu.Lock() // a sibling part may still be creating roots
+	for _, b := range bufs {
 		outs[b.Root.ID] = hs.arr[b.Root.ID]
 	}
+	hs.mu.Unlock()
 	return outs
 }
 
@@ -817,27 +929,47 @@ func drive(ctx context.Context, e *executor, inEdge map[int]int, outEdges map[in
 	return e.finish()
 }
 
-// launchMaterialized assembles the node's logical argument tensors from
-// the resident device buffers, runs the kernel, and scatters the result
-// into the resident output buffers.
-func launchMaterialized(n *graph.Node, resident map[int]*devBuf) error {
+// launchMaterialized runs the node's kernel on the resident device
+// tensors, data listing them in argument order (see perform). An argument
+// one buffer covers is passed as a View of that buffer, and the kernel
+// writes straight into the resident output when the output is one buffer
+// of exactly its region: no copy either way. Only an argument assembled
+// from several buffers (a halo spanning chunks, an output scattered over
+// parts) goes through a scratch tensor, gathered before and scattered
+// after the kernel, and the scratch returns to the free list.
+func (e *executor) launchMaterialized(n *graph.Node, data []*tensor.Tensor) error {
+	var scratch []*tensor.Tensor
+	defer func() {
+		for _, t := range scratch {
+			e.recycle(t)
+		}
+	}()
 	ins := make([]*tensor.Tensor, len(n.In))
 	inRegs := make([]graph.Region, len(n.In))
 	for i, a := range n.In {
-		t := tensor.New(a.Region.Rows, a.Region.Cols)
-		for _, b := range a.Bufs {
-			iv, ok := a.Region.Intersect(b.Region)
-			if !ok {
-				continue
-			}
-			src := resident[b.ID].data.View(
-				iv.Row-b.Region.Row, iv.Col-b.Region.Col, iv.Rows, iv.Cols)
-			t.View(iv.Row-a.Region.Row, iv.Col-a.Region.Col, iv.Rows, iv.Cols).CopyFrom(src)
-		}
-		ins[i] = t
+		bufs := data[:len(a.Bufs)]
+		data = data[len(a.Bufs):]
 		inRegs[i] = a.Region
+		// (A buffer the node also writes is still copied: the kernel must
+		// not see its own output through an input.)
+		if b := a.Bufs[0]; len(a.Bufs) == 1 && b.Region.Contains(a.Region) && !slices.Contains(n.Out.Bufs, b) {
+			ins[i] = regionView(bufs[0], b.Region, a.Region)
+			continue
+		}
+		ins[i] = e.newTensor(a.Region.Rows, a.Region.Cols)
+		scratch = append(scratch, ins[i])
+		for j, b := range a.Bufs {
+			if iv, ok := a.Region.Intersect(b.Region); ok {
+				regionView(ins[i], a.Region, iv).CopyFrom(regionView(bufs[j], b.Region, iv))
+			}
+		}
 	}
-	out := tensor.New(n.Out.Region.Rows, n.Out.Region.Cols)
+	out := data[0]
+	direct := len(n.Out.Bufs) == 1 && n.Out.Bufs[0].Region == n.Out.Region
+	if !direct {
+		out = e.newTensor(n.Out.Region.Rows, n.Out.Region.Cols)
+		scratch = append(scratch, out)
+	}
 	if rr, ok := n.Op.(graph.RegionRunner); ok {
 		if err := rr.RunRegion(ins, inRegs, out, n.Out.Region); err != nil {
 			return fmt.Errorf("node %s: %w", n, err)
@@ -845,13 +977,13 @@ func launchMaterialized(n *graph.Node, resident map[int]*devBuf) error {
 	} else if err := n.Op.Run(ins, out); err != nil {
 		return fmt.Errorf("node %s: %w", n, err)
 	}
-	for _, b := range n.Out.Bufs {
-		iv, ok := n.Out.Region.Intersect(b.Region)
-		if !ok {
-			continue
+	if direct {
+		return nil
+	}
+	for j, b := range n.Out.Bufs {
+		if iv, ok := n.Out.Region.Intersect(b.Region); ok {
+			regionView(data[j], b.Region, iv).CopyFrom(regionView(out, n.Out.Region, iv))
 		}
-		src := out.View(iv.Row-n.Out.Region.Row, iv.Col-n.Out.Region.Col, iv.Rows, iv.Cols)
-		resident[b.ID].data.View(iv.Row-b.Region.Row, iv.Col-b.Region.Col, iv.Rows, iv.Cols).CopyFrom(src)
 	}
 	return nil
 }

@@ -235,7 +235,7 @@ func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPl
 		return pr, firstErr
 	}
 	if opt.Mode == Materialized {
-		pr.Outputs = templateOutputs(g, shared)
+		pr.Outputs = templateOutputs(g.OutputBuffers(), shared)
 	}
 	return pr, nil
 }

@@ -169,6 +169,9 @@ func (e *executor) snapshot(next int) *checkpoint {
 func (e *executor) restore(cp *checkpoint) (int64, error) {
 	e.obs.R().CloseAll(e.dev.Clock()) // device reset drops all allocations
 	e.dev.Recover()
+	for _, db := range e.resident {
+		e.recycle(db.data)
+	}
 	e.resident = make(map[int]*devBuf)
 	// Rewind host validity in place (the resilient driver always owns a
 	// private host state, but the map identity is kept regardless).
@@ -215,7 +218,8 @@ func (e *executor) restore(cp *checkpoint) (int64, error) {
 		}
 		db := &devBuf{off: off}
 		if t, ok := cp.data[id]; ok {
-			db.data = t.Clone()
+			db.data = e.newTensor(t.Rows(), t.Cols())
+			db.data.CopyFrom(t)
 		}
 		e.resident[id] = db
 		e.accLive[id] = true

@@ -70,23 +70,48 @@ func (c *Conv2D) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
 		return fmt.Errorf("ops: conv2d image %v inconsistent with output %v and kernel %dx%d",
 			img, out, c.Kh, c.Kw)
 	}
-	c.rows(oh, nil, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			orow := out.Row(r)
-			for col := 0; col < ow; col++ {
-				var acc float32
-				for kr := 0; kr < c.Kh; kr++ {
-					irow := img.Row(r + kr)
-					krow := ker.Row(kr)
-					for kc := 0; kc < c.Kw; kc++ {
-						acc += irow[col+kc] * krow[kc]
-					}
-				}
-				orow[col] = acc
+	c.rows(oh, nil, func(r0, r1 int) { convRows(img, ker, out, 0, 0, r0, r1) })
+	return nil
+}
+
+// convRows is the convolution kernel both Conv2D and Conv2DSame run: for
+// output rows [r0, r1),
+//
+//	out[r][c] = Σ ker[kr][kc] · img[r+dr+kr][c+dc+kc]
+//
+// with taps outside img reading as zero. Each output row is zeroed and
+// every tap (kr, kc) is then added into it as one row-axpy, its column
+// range clipped once per tap rather than tested per element. Taps are
+// applied in ascending (kr, kc) order, so every element sees exactly the
+// float32 additions, in the order, of a per-pixel accumulator that starts
+// at +0 and skips out-of-image taps: results are bit-identical to that
+// loop, and whatever out held before is overwritten.
+func convRows(img, ker, out *tensor.Tensor, dr, dc, r0, r1 int) {
+	for r := r0; r < r1; r++ {
+		orow := out.Row(r)
+		clear(orow)
+		ir := r + dr
+		for kr := max(0, -ir); kr < min(ker.Rows(), img.Rows()-ir); kr++ {
+			irow := img.Row(ir + kr)
+			for kc, k := range ker.Row(kr) {
+				axpyShift(orow, irow, dc+kc, k)
 			}
 		}
-	})
-	return nil
+	}
+}
+
+// axpyShift adds k·x[c+off] into o[c] for every c whose source index lies
+// inside x: one kernel tap applied to a whole output row.
+func axpyShift(o, x []float32, off int, k float32) {
+	lo, hi := max(0, -off), min(len(o), len(x)-off)
+	if lo >= hi {
+		return
+	}
+	o = o[lo:hi]
+	x = x[lo+off:][:len(o)]
+	for i := range o {
+		o[i] += x[i] * k
+	}
 }
 
 // FLOPs implements graph.Operator: one multiply-add per kernel tap per

@@ -89,33 +89,12 @@ func (c *Conv2DSame) RunRegion(in []*tensor.Tensor, inRegs []graph.Region, out *
 	if img.Rows() != inRegs[0].Rows || img.Cols() != inRegs[0].Cols {
 		return fmt.Errorf("ops: conv2d-same image tensor %v != region %v", img, inRegs[0])
 	}
-	pt, pl := c.PadTop(), c.PadLeft()
-	c.rows(out.Rows(), nil, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			absR := outReg.Row + r
-			orow := out.Row(r)
-			for col := 0; col < out.Cols(); col++ {
-				absC := outReg.Col + col
-				var acc float32
-				for kr := 0; kr < c.Kh; kr++ {
-					ir := absR - pt + kr - inRegs[0].Row
-					if ir < 0 || ir >= img.Rows() {
-						continue
-					}
-					irow := img.Row(ir)
-					krow := ker.Row(kr)
-					for kc := 0; kc < c.Kw; kc++ {
-						ic := absC - pl + kc - inRegs[0].Col
-						if ic < 0 || ic >= img.Cols() {
-							continue
-						}
-						acc += irow[ic] * krow[kc]
-					}
-				}
-				orow[col] = acc
-			}
-		}
-	})
+	// Output (r, c) sits at root (outReg.Row+r, outReg.Col+c); its first
+	// tap reads root (…−PadTop, …−PadLeft), i.e. image-tensor index
+	// (r+dr, c+dc).
+	dr := outReg.Row - c.PadTop() - inRegs[0].Row
+	dc := outReg.Col - c.PadLeft() - inRegs[0].Col
+	c.rows(out.Rows(), nil, func(r0, r1 int) { convRows(img, ker, out, dr, dc, r0, r1) })
 	return nil
 }
 

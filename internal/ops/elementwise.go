@@ -52,9 +52,9 @@ func (e *elementwise) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
 	}
 	e.rows(out.Rows(), nil, func(r0, r1 int) {
 		buf := make([]float32, len(in))
+		rows := make([][]float32, len(in))
 		for r := r0; r < r1; r++ {
 			orow := out.Row(r)
-			rows := make([][]float32, len(in))
 			for i, t := range in {
 				rows[i] = t.Row(r)
 			}

@@ -49,6 +49,40 @@ func BenchmarkConv2DRowSharding(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DSameRegion runs the zero-padded 5×5 convolution the CNN
+// templates are made of over regions of a 160×120 image, as split parts
+// do: an interior band (no tap clipped), the top band (kernel rows
+// clipped) and the whole image (every border).
+func BenchmarkConv2DSameRegion(b *testing.B) {
+	const h, w, k = 160, 120, 5
+	rng := rand.New(rand.NewSource(1))
+	root, ker := randTensor(rng, h, w), randTensor(rng, k, k)
+	op := NewConv2DSame(k, k)
+	full := []graph.Region{{Rows: h, Cols: w}, {Rows: k, Cols: k}}
+	for _, c := range []struct {
+		name string
+		out  graph.Region
+	}{
+		{"interior-32rows", graph.Region{Row: 64, Rows: 32, Cols: w}},
+		{"top-32rows", graph.Region{Rows: 32, Cols: w}},
+		{"whole-image", full[0]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			inReg, _ := op.InputRegion(0, c.out, full)
+			in := []*tensor.Tensor{root.View(inReg.Row, inReg.Col, inReg.Rows, inReg.Cols), ker}
+			inRegs := []graph.Region{inReg, full[1]}
+			out := tensor.New(c.out.Rows, c.out.Cols)
+			b.ReportAllocs()
+			b.SetBytes(c.out.Size() * 4)
+			for i := 0; i < b.N; i++ {
+				if err := op.RunRegion(in, inRegs, out, c.out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDefaultScheduleThreshold pins the default sharding policy: row
 // counts below MinRowsPerWorker run inline on the calling goroutine,
 // larger counts cover the range exactly once across shards.

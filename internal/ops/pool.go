@@ -57,16 +57,20 @@ func (s *Subsample) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
 	inv := 1 / float32(s.K*s.K)
 	s.rows(out.Rows(), nil, func(r0, r1 int) {
 		for r := r0; r < r1; r++ {
+			// Row-wise like convRows: each element still sums its window
+			// from +0 in ascending (kr, kc) order, then scales.
 			orow := out.Row(r)
-			for c := range orow {
-				var acc float32
-				for kr := 0; kr < s.K; kr++ {
-					xrow := x.Row(r*s.K + kr)
-					for kc := 0; kc < s.K; kc++ {
-						acc += xrow[c*s.K+kc]
+			clear(orow)
+			for kr := 0; kr < s.K; kr++ {
+				xrow := x.Row(r*s.K + kr)
+				for c := range orow {
+					for _, v := range xrow[c*s.K : (c+1)*s.K] {
+						orow[c] += v
 					}
 				}
-				orow[c] = acc * inv
+			}
+			for c := range orow {
+				orow[c] *= inv
 			}
 		}
 	})

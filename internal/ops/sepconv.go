@@ -87,43 +87,11 @@ func (c *SeparableConv2D) RunRegion(in []*tensor.Tensor, inRegs []graph.Region, 
 	// width of the input region (the horizontal pass still needs the
 	// column halo).
 	scratch := tensor.New(outReg.Rows, img.Cols())
-	c.rows(outReg.Rows, nil, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			absR := outReg.Row + r
-			srow := scratch.Row(r)
-			for cc := 0; cc < img.Cols(); cc++ {
-				var acc float32
-				for k := 0; k < c.K; k++ {
-					ir := absR - p + k - inRegs[0].Row
-					if ir < 0 || ir >= img.Rows() {
-						continue
-					}
-					acc += img.Row(ir)[cc] * col.Row(k)[0]
-				}
-				srow[cc] = acc
-			}
-		}
-	})
+	dr := outReg.Row - p - inRegs[0].Row
+	c.rows(outReg.Rows, nil, func(r0, r1 int) { convRows(img, col, scratch, dr, 0, r0, r1) })
 	// Horizontal pass.
-	rk := row.Row(0)
-	c.rows(outReg.Rows, nil, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			srow := scratch.Row(r)
-			orow := out.Row(r)
-			for cc := 0; cc < out.Cols(); cc++ {
-				absC := outReg.Col + cc
-				var acc float32
-				for k := 0; k < c.K; k++ {
-					ic := absC - p + k - inRegs[0].Col
-					if ic < 0 || ic >= len(srow) {
-						continue
-					}
-					acc += srow[ic] * rk[k]
-				}
-				orow[cc] = acc
-			}
-		}
-	})
+	dc := outReg.Col - p - inRegs[0].Col
+	c.rows(outReg.Rows, nil, func(r0, r1 int) { convRows(scratch, row, out, 0, dc, r0, r1) })
 	return nil
 }
 

@@ -154,7 +154,9 @@ func (t *Tensor) AlmostEqual(o *Tensor, tol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum elementwise absolute difference between t
-// and o, or +Inf if the shapes differ.
+// and o, or +Inf if the shapes differ or a NaN on one side faces a number
+// on the other (so Equal never passes a NaN off as a match; NaN against
+// NaN and an infinity against itself count as identical).
 func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 	if t.rows != o.rows || t.cols != o.cols {
 		return math.Inf(1)
@@ -166,6 +168,8 @@ func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 			d := math.Abs(float64(tr[i]) - float64(or[i]))
 			if d > max {
 				max = d
+			} else if d != d && tr[i] != or[i] && (tr[i] == tr[i] || or[i] == or[i]) {
+				return math.Inf(1)
 			}
 		}
 	}

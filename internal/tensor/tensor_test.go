@@ -172,6 +172,23 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
+// A NaN must never compare equal to a number (|NaN − x| > max is false,
+// which used to let it through); identical non-finite values still match.
+func TestEqualTreatsNaNAsDifference(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	a := FromSlice(1, 4, []float32{1, nan, inf, -inf})
+	if !a.Equal(a.Clone()) {
+		t.Fatal("identical NaN/Inf elements must compare equal")
+	}
+	for i, v := range []float32{nan, 2, nan, nan} {
+		b := a.Clone()
+		b.Set(0, i, v)
+		if a.Equal(b) || b.Equal(a) || !math.IsInf(a.MaxAbsDiff(b), 1) {
+			t.Fatalf("element %d: %v against %v must not compare equal", i, a.At(0, i), v)
+		}
+	}
+}
+
 // Property: a view of a view addresses the same elements as the composed
 // view of the parent.
 func TestViewCompositionProperty(t *testing.T) {
