@@ -492,6 +492,7 @@ func BenchmarkConvKernel(b *testing.B) {
 // paper's largest configuration (large CNN at 6400x4800 for the 768 MB
 // GeForce).
 func BenchmarkSplitPassLargeCNN(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g, _, err := templates.CNN(templates.LargeCNN(6400, 4800))
 		if err != nil {
@@ -508,6 +509,7 @@ func BenchmarkSplitPassLargeCNN(b *testing.B) {
 func BenchmarkHeuristicPlanLargeCNN(b *testing.B) {
 	spec := gpu.GeForce8800GTX()
 	var floats int64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g, _, err := templates.CNN(templates.LargeCNN(6400, 4800))
 		if err != nil {
@@ -657,6 +659,7 @@ func BenchmarkStepDeps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var edges int
 	for i := 0; i < b.N; i++ {
@@ -686,21 +689,6 @@ func BenchmarkTensorConv(b *testing.B) {
 	}
 }
 
-// BenchmarkTopoSortLargeCNN measures graph-analysis cost at paper scale
-// (7.4k operators).
-func BenchmarkTopoSortLargeCNN(b *testing.B) {
-	g, _, err := templates.CNN(templates.LargeCNN(640, 480))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.TopoSort(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkVerifyLargeCNN measures static plan verification at paper
 // scale.
 func BenchmarkVerifyLargeCNN(b *testing.B) {
@@ -713,6 +701,7 @@ func BenchmarkVerifyLargeCNN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sched.Verify(g, plan, capacity); err != nil {

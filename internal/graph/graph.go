@@ -15,7 +15,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/loadbalance"
@@ -169,23 +171,30 @@ func (a Arg) Covered() bool {
 	// Splits in this library partition along rows only, so every buffer
 	// must span the arg's column range; coverage then reduces to a 1-D
 	// interval sweep over rows (clipped to the region).
+	spans := func(b *Buffer) bool {
+		return b.Region.Col <= a.Region.Col && b.Region.Col+b.Region.Cols >= a.Region.Col+a.Region.Cols
+	}
+	if len(a.Bufs) == 1 { // the sweep over one interval
+		r := a.Bufs[0].Region
+		return spans(a.Bufs[0]) && r.Row <= a.Region.Row &&
+			max(a.Region.Row, r.Row+r.Rows) >= a.Region.Row+a.Region.Rows
+	}
 	type iv struct{ lo, hi int }
-	rows := make([]iv, 0, len(a.Bufs))
+	var stack [8]iv
+	rows := stack[:0]
 	for _, b := range a.Bufs {
-		if b.Region.Col > a.Region.Col || b.Region.Col+b.Region.Cols < a.Region.Col+a.Region.Cols {
-			return false // does not span the arg's column range
+		if !spans(b) {
+			return false
 		}
 		rows = append(rows, iv{b.Region.Row, b.Region.Row + b.Region.Rows})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].lo < rows[j].lo })
+	slices.SortFunc(rows, func(x, y iv) int { return cmp.Compare(x.lo, y.lo) })
 	cur := a.Region.Row
 	for _, v := range rows {
 		if v.lo > cur {
 			return false
 		}
-		if v.hi > cur {
-			cur = v.hi
-		}
+		cur = max(cur, v.hi)
 	}
 	return cur >= a.Region.Row+a.Region.Rows
 }
@@ -267,36 +276,38 @@ type Node struct {
 	Out  Arg
 }
 
-// Buffers returns the distinct buffers the node touches (inputs first).
-func (n *Node) Buffers() []*Buffer {
-	seen := make(map[int]bool)
-	var out []*Buffer
-	add := func(bs []*Buffer) {
-		for _, b := range bs {
-			if !seen[b.ID] {
-				seen[b.ID] = true
-				out = append(out, b)
-			}
-		}
-	}
+// Buffers returns the distinct buffers the node touches (inputs first), in
+// first-seen order.
+func (n *Node) Buffers() []*Buffer { return appendDistinct(n.InputBuffers(), n.Out.Bufs) }
+
+// InputBuffers returns the distinct buffers read by the node, in
+// first-seen order.
+func (n *Node) InputBuffers() []*Buffer {
+	refs := len(n.Out.Bufs) // room for Buffers to append the outputs
 	for _, a := range n.In {
-		add(a.Bufs)
+		refs += len(a.Bufs)
 	}
-	add(n.Out.Bufs)
+	if refs == len(n.Out.Bufs) {
+		return nil
+	}
+	out := make([]*Buffer, 0, refs)
+	for _, a := range n.In {
+		out = appendDistinct(out, a.Bufs)
+	}
 	return out
 }
 
-// InputBuffers returns the distinct buffers read by the node.
-func (n *Node) InputBuffers() []*Buffer {
-	seen := make(map[int]bool)
-	var out []*Buffer
-	for _, a := range n.In {
-		for _, b := range a.Bufs {
-			if !seen[b.ID] {
-				seen[b.ID] = true
-				out = append(out, b)
+// appendDistinct appends the buffers of bs whose IDs out lacks. A node has
+// a handful of buffers, so scanning out beats building a set.
+func appendDistinct(out, bs []*Buffer) []*Buffer {
+next:
+	for _, b := range bs {
+		for _, o := range out {
+			if o.ID == b.ID {
+				continue next
 			}
 		}
+		out = append(out, b)
 	}
 	return out
 }
@@ -424,41 +435,51 @@ func (g *Graph) Buffers() []*Buffer {
 // Buffer returns the buffer with the given ID, or nil.
 func (g *Graph) Buffer(id int) *Buffer { return g.buffers[id] }
 
+// NumBufferIDs returns an exclusive upper bound on the IDs of g's buffers:
+// IDs are dense, so every buffer a node of g (or of a Subgraph view of it)
+// references has an ID in [0, NumBufferIDs()). Passes use it to size
+// ID-indexed state.
+func (g *Graph) NumBufferIDs() int { return len(g.buffers) }
+
 // LiveBuffers returns the buffers referenced by at least one node, sorted
 // by ID. After splitting, replaced parents are no longer live.
 func (g *Graph) LiveBuffers() []*Buffer {
-	seen := make(map[int]bool)
-	var out []*Buffer
-	for _, n := range g.Nodes {
-		for _, b := range n.Buffers() {
-			if !seen[b.ID] {
-				seen[b.ID] = true
-				out = append(out, b)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return g.liveWhere(func(*Buffer) bool { return true })
 }
 
 // InputBuffers returns live buffers marked as template inputs.
 func (g *Graph) InputBuffers() []*Buffer {
-	var out []*Buffer
-	for _, b := range g.LiveBuffers() {
-		if b.IsInput {
-			out = append(out, b)
-		}
-	}
-	return out
+	return g.liveWhere(func(b *Buffer) bool { return b.IsInput })
 }
 
 // OutputBuffers returns live buffers marked as template outputs.
 func (g *Graph) OutputBuffers() []*Buffer {
-	var out []*Buffer
-	for _, b := range g.LiveBuffers() {
-		if b.IsOutput {
+	return g.liveWhere(func(b *Buffer) bool { return b.IsOutput })
+}
+
+// liveWhere returns the live buffers satisfying keep, ascending by ID, or
+// nil if there are none.
+func (g *Graph) liveWhere(keep func(*Buffer) bool) []*Buffer {
+	byID := make([]*Buffer, g.NumBufferIDs())
+	mark := func(bs []*Buffer) {
+		for _, b := range bs {
+			byID[b.ID] = b
+		}
+	}
+	for _, n := range g.Nodes {
+		for _, a := range n.In {
+			mark(a.Bufs)
+		}
+		mark(n.Out.Bufs)
+	}
+	out := byID[:0]
+	for _, b := range byID {
+		if b != nil && keep(b) {
 			out = append(out, b)
 		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

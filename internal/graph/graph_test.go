@@ -207,6 +207,28 @@ func TestProducerConsumersDeps(t *testing.T) {
 	if len(dependents[g.Nodes[0].ID]) != 1 || len(dependents[g.Nodes[2].ID]) != 0 {
 		t.Fatal("Dependents wrong")
 	}
+
+	// Fan-out: every consumer of one producer, listed in g.Nodes order
+	// (not ID order, not map order), on every call.
+	s := Shape{Rows: 4, Cols: 4}
+	src := g.NewBuffer("src", s)
+	p := g.MustAddNode("p", &fakeOp{n: 1}, []Arg{SingleArg(bufs[0])}, SingleArg(src))
+	for i := 0; i < 8; i++ {
+		g.MustAddNode("c", &fakeOp{n: 1}, []Arg{SingleArg(src)}, SingleArg(g.NewBuffer("o", s)))
+	}
+	g.Nodes[len(g.Nodes)-1], g.Nodes[len(g.Nodes)-8] = g.Nodes[len(g.Nodes)-8], g.Nodes[len(g.Nodes)-1]
+	want := g.Nodes[len(g.Nodes)-8:]
+	for i := 0; i < 5; i++ {
+		got := g.Dependents()[p.ID]
+		if len(got) != len(want) {
+			t.Fatalf("producer has %d dependents, want %d", len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("dependent %d is %s, want %s (g.Nodes order)", j, got[j], want[j])
+			}
+		}
+	}
 }
 
 func TestStats(t *testing.T) {

@@ -10,21 +10,27 @@ import "fmt"
 //   - the node dependency relation is acyclic;
 //   - template outputs are produced.
 func (g *Graph) Validate() error {
-	prod := make(map[int]*Node)
-	for _, n := range g.Nodes {
+	prod := make([]int32, g.NumBufferIDs()) // buffer ID -> producer position, -1 if none
+	for i := range prod {
+		prod[i] = -1
+	}
+	for i, n := range g.Nodes {
 		if len(n.Out.Bufs) == 0 {
 			return fmt.Errorf("graph: node %s has no output buffers", n)
 		}
 		for _, b := range n.Out.Bufs {
-			if p, ok := prod[b.ID]; ok && p != n {
-				return fmt.Errorf("graph: buffer %s produced by both %s and %s", b, p, n)
+			if p := prod[b.ID]; p >= 0 && int(p) != i {
+				return fmt.Errorf("graph: buffer %s produced by both %s and %s", b, g.Nodes[p], n)
 			}
-			prod[b.ID] = n
+			prod[b.ID] = int32(i)
 		}
 	}
 	for _, n := range g.Nodes {
-		args := append(append([]Arg(nil), n.In...), n.Out)
-		for ai, a := range args {
+		for ai := 0; ai <= len(n.In); ai++ {
+			a := n.Out // arg len(n.In) is the output
+			if ai < len(n.In) {
+				a = n.In[ai]
+			}
 			if len(a.Bufs) == 0 {
 				return fmt.Errorf("graph: node %s arg %d is empty", n, ai)
 			}
@@ -44,20 +50,20 @@ func (g *Graph) Validate() error {
 					n, ai, a.Region)
 			}
 		}
-		for _, b := range n.InputBuffers() {
-			if _, ok := prod[b.ID]; !ok && !b.IsInput && !b.Root.IsInput {
-				return fmt.Errorf("graph: node %s reads %s which has no producer and is not an input",
-					n, b)
+		for _, a := range n.In {
+			for _, b := range a.Bufs {
+				if prod[b.ID] < 0 && !b.IsInput && !b.Root.IsInput {
+					return fmt.Errorf("graph: node %s reads %s which has no producer and is not an input",
+						n, b)
+				}
 			}
 		}
 	}
 	for _, b := range g.OutputBuffers() {
-		if _, ok := prod[b.ID]; !ok {
+		if prod[b.ID] < 0 {
 			return fmt.Errorf("graph: template output %s is never produced", b)
 		}
 	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.topoSort(g.deps(prod))
+	return err
 }

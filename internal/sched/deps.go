@@ -7,7 +7,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -31,7 +31,12 @@ type hostAccess struct {
 	step   int
 	region graph.Region
 	write  bool
+	prev   int // index of the root's previous access + 1; 0 ends the list
 }
+
+// reader is one step reading a buffer's device copy; prev chains the
+// buffer's earlier readers like hostAccess.prev.
+type reader struct{ step, prev int }
 
 // StepDeps derives each step's true dependencies from buffer lifetimes
 // and the allocator capacity argument. The hazard rules:
@@ -63,31 +68,50 @@ func StepDeps(p *Plan) (*Deps, error) {
 	n := len(p.Steps)
 	d := &Deps{Deps: make([][]int, n)}
 
-	resident := make(map[int]bool)        // buffer ID -> device copy live
-	writer := make(map[int]int)           // buffer ID -> step that produced the device copy
-	readers := make(map[int][]int)        // buffer ID -> steps reading the device copy since writer
-	hostAcc := make(map[int][]hostAccess) // root ID -> host-region accesses
+	// Per-buffer state is indexed by buffer ID (host accesses by root
+	// ID); the reader and host-access lists are chains through two flat
+	// arrays, so no per-buffer list is allocated or cleared.
+	nb := p.bufferIDs()
+	resident := make([]bool, nb) // device copy live
+	writer := make([]int, nb)    // step that produced the device copy
+	lastReader := make([]int, nb)
+	lastAcc := make([]int, nb)
+	var readers []reader
+	var accs []hostAccess
+	// deps collects every step's dependencies; each step's sorted,
+	// deduplicated list is a capped sub-slice of it.
+	deps := make([]int, 0, 4*n)
 	lastFree := -1
 	lastSync := -1
 	var unitLaunches []int
 
-	// hostDeps returns the prior conflicting accesses of b's root region.
-	hostDeps := func(b *graph.Buffer, i int, write bool) []int {
-		var out []int
-		for _, a := range hostAcc[b.Root.ID] {
-			if !a.write && !write {
-				continue // read-read never conflicts
-			}
-			if _, ok := a.region.Intersect(b.Region); ok {
-				out = append(out, a.step)
+	// readersOf appends the steps reading b's device copy since its writer.
+	readersOf := func(b *graph.Buffer) {
+		for r := lastReader[b.ID]; r != 0; r = readers[r-1].prev {
+			deps = append(deps, readers[r-1].step)
+		}
+	}
+	read := func(b *graph.Buffer, i int) {
+		readers = append(readers, reader{step: i, prev: lastReader[b.ID]})
+		lastReader[b.ID] = len(readers)
+	}
+	// hostDeps appends the prior conflicting accesses of b's root region
+	// and records this one.
+	hostDeps := func(b *graph.Buffer, i int, write bool) {
+		root := b.Root.ID
+		for a := lastAcc[root]; a != 0; a = accs[a-1].prev {
+			if acc := accs[a-1]; acc.write || write { // read-read never conflicts
+				if _, ok := acc.region.Intersect(b.Region); ok {
+					deps = append(deps, acc.step)
+				}
 			}
 		}
-		hostAcc[b.Root.ID] = append(hostAcc[b.Root.ID], hostAccess{step: i, region: b.Region, write: write})
-		return out
+		accs = append(accs, hostAccess{step: i, region: b.Region, write: write, prev: lastAcc[root]})
+		lastAcc[root] = len(accs)
 	}
 
 	for i, s := range p.Steps {
-		var deps []int
+		first := len(deps)
 		switch s.Kind {
 		case StepH2D:
 			b := s.Buf
@@ -95,10 +119,10 @@ func StepDeps(p *Plan) (*Deps, error) {
 				return nil, fmt.Errorf("sched: step %d: H2D of already-resident %s", i, b)
 			}
 			deps = append(deps, lastFree) // capacity chain (covers the prior lifetime's free too)
-			deps = append(deps, hostDeps(b, i, false)...)
+			hostDeps(b, i, false)
 			resident[b.ID] = true
 			writer[b.ID] = i
-			delete(readers, b.ID)
+			lastReader[b.ID] = 0
 
 		case StepD2H:
 			b := s.Buf
@@ -106,8 +130,8 @@ func StepDeps(p *Plan) (*Deps, error) {
 				return nil, fmt.Errorf("sched: step %d: D2H of non-resident %s", i, b)
 			}
 			deps = append(deps, writer[b.ID])
-			deps = append(deps, hostDeps(b, i, true)...)
-			readers[b.ID] = append(readers[b.ID], i)
+			hostDeps(b, i, true)
+			read(b, i)
 
 		case StepFree:
 			b := s.Buf
@@ -115,28 +139,29 @@ func StepDeps(p *Plan) (*Deps, error) {
 				return nil, fmt.Errorf("sched: step %d: free of non-resident %s", i, b)
 			}
 			deps = append(deps, writer[b.ID])
-			deps = append(deps, readers[b.ID]...)
+			readersOf(b)
 			deps = append(deps, lastFree) // free chain: total order over frees
-			delete(resident, b.ID)
-			delete(writer, b.ID)
-			delete(readers, b.ID)
+			resident[b.ID] = false
+			lastReader[b.ID] = 0
 			lastFree = i
 
 		case StepLaunch:
 			nd := s.Node
-			for _, b := range nd.InputBuffers() {
-				if !resident[b.ID] {
-					return nil, fmt.Errorf("sched: step %d: launch %s with non-resident input %s", i, nd, b)
+			for _, a := range nd.In {
+				for _, b := range a.Bufs {
+					if !resident[b.ID] {
+						return nil, fmt.Errorf("sched: step %d: launch %s with non-resident input %s", i, nd, b)
+					}
+					deps = append(deps, writer[b.ID])
 				}
-				deps = append(deps, writer[b.ID])
 			}
 			allocates := false
-			for _, b := range nd.OutputBuffers() {
+			for _, b := range nd.Out.Bufs {
 				if resident[b.ID] {
 					// Overwrite of a live buffer: wait for its producer
 					// and for every reader still entitled to the old value.
 					deps = append(deps, writer[b.ID])
-					deps = append(deps, readers[b.ID]...)
+					readersOf(b)
 				} else {
 					allocates = true
 				}
@@ -144,13 +169,15 @@ func StepDeps(p *Plan) (*Deps, error) {
 			if allocates {
 				deps = append(deps, lastFree) // capacity chain
 			}
-			for _, b := range nd.InputBuffers() {
-				readers[b.ID] = append(readers[b.ID], i)
+			for _, a := range nd.In {
+				for _, b := range a.Bufs {
+					read(b, i)
+				}
 			}
-			for _, b := range nd.OutputBuffers() {
+			for _, b := range nd.Out.Bufs {
 				resident[b.ID] = true
 				writer[b.ID] = i
-				delete(readers, b.ID)
+				lastReader[b.ID] = 0
 			}
 			unitLaunches = append(unitLaunches, i)
 
@@ -158,21 +185,26 @@ func StepDeps(p *Plan) (*Deps, error) {
 			deps = append(deps, lastSync)
 			deps = append(deps, unitLaunches...)
 			lastSync = i
-			unitLaunches = nil
+			unitLaunches = unitLaunches[:0]
 
 		default:
 			return nil, fmt.Errorf("sched: step %d: unknown kind %v", i, s.Kind)
 		}
 
-		d.Deps[i] = dedupDeps(deps, i)
-		d.Edges += len(d.Deps[i])
+		own := dedupDeps(deps[first:], i)
+		deps = deps[:first+len(own)]
+		if len(own) > 0 {
+			d.Deps[i] = own[:len(own):len(own)]
+		}
+		d.Edges += len(own)
 	}
 	return d, nil
 }
 
-// dedupDeps sorts, deduplicates, and drops sentinel (-1) and self entries.
+// dedupDeps sorts, deduplicates, and drops sentinel (-1) and self entries
+// in place.
 func dedupDeps(deps []int, self int) []int {
-	sort.Ints(deps)
+	slices.Sort(deps)
 	out := deps[:0]
 	prev := -1
 	for _, dep := range deps {
@@ -181,9 +213,6 @@ func dedupDeps(deps []int, self int) []int {
 		}
 		out = append(out, dep)
 		prev = dep
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

@@ -31,12 +31,8 @@ func (e ExactSearch) Run(g *graph.Graph) (*Plan, int, error) {
 		return nil, 0, fmt.Errorf("sched: exact search limited to %d nodes, graph has %d",
 			maxNodes, len(g.Nodes))
 	}
-	deps := g.Deps()
-	dependents := g.Dependents()
-	indeg := make(map[int]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n.ID] = len(deps[n.ID])
-	}
+	walk, _ := newKahn(g)
+	indeg, dependents := walk.indeg, walk.dependents
 
 	var best *Plan
 	bestCost := int64(math.MaxInt64)

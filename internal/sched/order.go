@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -14,9 +16,9 @@ import (
 // between adjacent offloads. Implemented as a post-order DFS over the
 // dependency graph starting from the nodes that produce template outputs.
 func DepthFirstOrder(g *graph.Graph) ([]*graph.Node, error) {
-	deps := g.Deps()
-	var order []*graph.Node
-	state := make(map[int]int) // 0 unvisited, 1 visiting, 2 done
+	deps := g.Deps() // fresh per call, so its lists may be sorted in place
+	order := make([]*graph.Node, 0, len(g.Nodes))
+	state := make([]uint8, nodeIDBound(g)) // by node ID: 0 unvisited, 1 visiting, 2 done
 
 	var visit func(n *graph.Node) error
 	visit = func(n *graph.Node) error {
@@ -27,8 +29,8 @@ func DepthFirstOrder(g *graph.Graph) ([]*graph.Node, error) {
 			return nil
 		}
 		state[n.ID] = 1
-		ds := append([]*graph.Node(nil), deps[n.ID]...)
-		sort.Slice(ds, func(i, j int) bool { return ds[i].ID < ds[j].ID })
+		ds := deps[n.ID]
+		slices.SortFunc(ds, func(a, b *graph.Node) int { return cmp.Compare(a.ID, b.ID) })
 		for _, d := range ds {
 			if err := visit(d); err != nil {
 				return err
@@ -56,16 +58,14 @@ func DepthFirstOrder(g *graph.Graph) ([]*graph.Node, error) {
 
 // outputNodes returns producers of template outputs, by node ID.
 func outputNodes(g *graph.Graph) []*graph.Node {
-	prod := g.Producer()
-	seen := make(map[int]bool)
+	prod := producerByID(g)
 	var out []*graph.Node
 	for _, b := range g.OutputBuffers() {
-		if p, ok := prod[b.ID]; ok && !seen[p.ID] {
-			seen[p.ID] = true
+		if p := prod[b.ID]; p != nil && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *graph.Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -78,25 +78,12 @@ func outputNodes(g *graph.Graph) []*graph.Node {
 // without capacity eviction; the actual transfer schedule still comes from
 // ScheduleTransfers.
 func GreedyMemoryAwareOrder(g *graph.Graph) ([]*graph.Node, error) {
-	deps := g.Deps()
-	dependents := g.Dependents()
-	consumers := g.Consumers()
-	indeg := make(map[int]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n.ID] = len(deps[n.ID])
-	}
+	walk, ready := newKahn(g)
 	remainingUses := map[int]int{}
-	for id, cs := range consumers {
+	for id, cs := range g.Consumers() {
 		remainingUses[id] = len(cs)
 	}
 	resident := map[int]bool{}
-
-	var ready []*graph.Node
-	for _, n := range g.Nodes {
-		if indeg[n.ID] == 0 {
-			ready = append(ready, n)
-		}
-	}
 
 	score := func(n *graph.Node) (int64, int64) {
 		var inCost, freed int64
@@ -139,12 +126,7 @@ func GreedyMemoryAwareOrder(g *graph.Graph) ([]*graph.Node, error) {
 		for _, b := range n.OutputBuffers() {
 			resident[b.ID] = true
 		}
-		for _, m := range dependents[n.ID] {
-			indeg[m.ID]--
-			if indeg[m.ID] == 0 {
-				ready = append(ready, m)
-			}
-		}
+		ready = walk.done(n, ready)
 	}
 	if len(order) != len(g.Nodes) {
 		return nil, fmt.Errorf("sched: cycle detected")
@@ -156,30 +138,14 @@ func GreedyMemoryAwareOrder(g *graph.Graph) ([]*graph.Node, error) {
 // all ready nodes level by level. It tends to keep many intermediate
 // buffers live at once, the opposite of the depth-first heuristic.
 func BFSOrder(g *graph.Graph) ([]*graph.Node, error) {
-	deps := g.Deps()
-	dependents := g.Dependents()
-	indeg := make(map[int]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n.ID] = len(deps[n.ID])
-	}
-	var level []*graph.Node
-	for _, n := range g.Nodes {
-		if indeg[n.ID] == 0 {
-			level = append(level, n)
-		}
-	}
+	walk, level := newKahn(g)
 	var order []*graph.Node
 	for len(level) > 0 {
 		sort.Slice(level, func(i, j int) bool { return level[i].ID < level[j].ID })
 		var next []*graph.Node
 		for _, n := range level {
 			order = append(order, n)
-			for _, m := range dependents[n.ID] {
-				indeg[m.ID]--
-				if indeg[m.ID] == 0 {
-					next = append(next, m)
-				}
-			}
+			next = walk.done(n, next)
 		}
 		level = next
 	}
@@ -190,21 +156,12 @@ func BFSOrder(g *graph.Graph) ([]*graph.Node, error) {
 }
 
 // RandomTopoOrder returns a uniformly random topological order (ablation
-// baseline showing schedule sensitivity).
+// baseline showing schedule sensitivity). The order is a function of the
+// graph and the seed: Graph.Dependents lists consumers in g.Nodes order,
+// so the ready list evolves identically on every call.
 func RandomTopoOrder(g *graph.Graph, seed int64) ([]*graph.Node, error) {
 	rng := rand.New(rand.NewSource(seed))
-	deps := g.Deps()
-	dependents := g.Dependents()
-	indeg := make(map[int]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n.ID] = len(deps[n.ID])
-	}
-	var ready []*graph.Node
-	for _, n := range g.Nodes {
-		if indeg[n.ID] == 0 {
-			ready = append(ready, n)
-		}
-	}
+	walk, ready := newKahn(g)
 	var order []*graph.Node
 	for len(ready) > 0 {
 		i := rng.Intn(len(ready))
@@ -212,15 +169,41 @@ func RandomTopoOrder(g *graph.Graph, seed int64) ([]*graph.Node, error) {
 		ready[i] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		order = append(order, n)
-		for _, m := range dependents[n.ID] {
-			indeg[m.ID]--
-			if indeg[m.ID] == 0 {
-				ready = append(ready, m)
-			}
-		}
+		ready = walk.done(n, ready)
 	}
 	if len(order) != len(g.Nodes) {
 		return nil, fmt.Errorf("sched: cycle detected")
 	}
 	return order, nil
+}
+
+// kahn is the bookkeeping of a topological walk: how many unscheduled
+// producers each node (by ID) waits for, and who waits on whom.
+type kahn struct {
+	indeg      map[int]int
+	dependents map[int][]*graph.Node
+}
+
+// newKahn returns a walk over g and its initially ready nodes, in g.Nodes
+// order.
+func newKahn(g *graph.Graph) (*kahn, []*graph.Node) {
+	deps := g.Deps()
+	k := &kahn{indeg: make(map[int]int, len(g.Nodes)), dependents: g.Dependents()}
+	var ready []*graph.Node
+	for _, n := range g.Nodes {
+		if k.indeg[n.ID] = len(deps[n.ID]); k.indeg[n.ID] == 0 {
+			ready = append(ready, n)
+		}
+	}
+	return k, ready
+}
+
+// done records n as scheduled and appends the dependents it made ready.
+func (k *kahn) done(n *graph.Node, ready []*graph.Node) []*graph.Node {
+	for _, m := range k.dependents[n.ID] {
+		if k.indeg[m.ID]--; k.indeg[m.ID] == 0 {
+			ready = append(ready, m)
+		}
+	}
+	return ready
 }

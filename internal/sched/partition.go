@@ -99,16 +99,6 @@ func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 	finish := make(map[int]float64, len(g.Nodes))
 	free := make([]float64, k)
 	for _, n := range order {
-		var bytes int64
-		for _, b := range n.Buffers() {
-			bytes += b.Bytes()
-		}
-		inShapes := make([]graph.Shape, len(n.In))
-		for i, a := range n.In {
-			inShapes[i] = a.Shape()
-		}
-		flops := n.Op.FLOPs(inShapes, n.Out.Shape())
-
 		bestP, bestF := 0, math.Inf(1)
 		for p := 0; p < k; p++ {
 			start := free[p]
@@ -125,7 +115,8 @@ func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 					start = f
 				}
 			}
-			fin := start + devs[p].KernelTime(flops, n.Out.Region.Size(), bytes)
+			sec, _ := kernelTime(devs[p], n)
+			fin := start + sec
 			if fin < bestF {
 				bestP, bestF = p, fin
 			}
@@ -168,15 +159,8 @@ func PartitionStripeAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 		bw := math.Min(s.H2DBandwidth, s.D2HBandwidth)
 		var t float64
 		for _, n := range g.Nodes {
-			var bytes int64
-			for _, b := range n.Buffers() {
-				bytes += b.Bytes()
-			}
-			inShapes := make([]graph.Shape, len(n.In))
-			for i, a := range n.In {
-				inShapes[i] = a.Shape()
-			}
-			t += dev.KernelTime(n.Op.FLOPs(inShapes, n.Out.Shape()), n.Out.Region.Size(), bytes)
+			sec, bytes := kernelTime(dev, n)
+			t += sec
 			t += float64(bytes) / bw
 		}
 		if t <= 0 {
@@ -331,17 +315,9 @@ func PartitionChainAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 			clusters = append(clusters, c)
 		}
 		c.nodes = append(c.nodes, i)
-		var bytes int64
-		for _, b := range n.Buffers() {
-			bytes += b.Bytes()
-		}
-		inShapes := make([]graph.Shape, len(n.In))
-		for j, a := range n.In {
-			inShapes[j] = a.Shape()
-		}
-		flops := n.Op.FLOPs(inShapes, n.Out.Shape())
 		for p := 0; p < k; p++ {
-			c.w[p] += devs[p].KernelTime(flops, n.Out.Region.Size(), bytes) + float64(bytes)/bw[p]
+			sec, bytes := kernelTime(devs[p], n)
+			c.w[p] += sec + float64(bytes)/bw[p]
 		}
 	}
 	if len(clusters) < k {
@@ -438,10 +414,6 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 	pp := &PartitionedPlan{Parts: make([]PartPlan, k)}
 	for p := 0; p < k; p++ {
 		sub := g.Subgraph(partNodes[p])
-		units := make([][]*graph.Node, len(partNodes[p]))
-		for i, n := range partNodes[p] {
-			units[i] = []*graph.Node{n}
-		}
 		capacity := specs[p].PlannerCapacity()
 		popt := Options{
 			Capacity:    capacity,
@@ -451,7 +423,7 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 			HostValid:   hostValid[p],
 			Ship:        ship[p],
 		}
-		plan, err := ScheduleUnits(sub, units, popt)
+		plan, err := ScheduleTransfers(sub, partNodes[p], popt)
 		if err != nil {
 			return nil, fmt.Errorf("sched: partition part %d (%s): %w", p, specs[p].Name, err)
 		}
@@ -582,16 +554,8 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 			}
 			return sec
 		case StepLaunch:
-			n := s.Node
-			var bytes int64
-			for _, b := range n.Buffers() {
-				bytes += b.Bytes()
-			}
-			inShapes := make([]graph.Shape, len(n.In))
-			for i, a := range n.In {
-				inShapes[i] = a.Shape()
-			}
-			return dev.KernelTime(n.Op.FLOPs(inShapes, n.Out.Shape()), n.Out.Region.Size(), bytes)
+			sec, _ := kernelTime(dev, s.Node)
+			return sec
 		case StepSync:
 			return pp.Parts[p].Spec.SyncOverhead
 		}

@@ -11,9 +11,9 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
+	"repro/internal/gpu"
 	"repro/internal/graph"
 )
 
@@ -82,23 +82,84 @@ type Plan struct {
 // residency reporting, so they can never disagree about the plan's
 // working set.
 func (p *Plan) Buffers() []*graph.Buffer {
-	seen := map[int]*graph.Buffer{}
+	byID := make([]*graph.Buffer, p.bufferIDs())
+	p.eachBuffer(func(b *graph.Buffer) { byID[b.ID] = b })
+	out := byID[:0]
+	for _, b := range byID {
+		if b != nil {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// eachBuffer calls f on every buffer reference of the plan's steps, in
+// step order: a transfer or free target, or each buffer of a launch.
+func (p *Plan) eachBuffer(f func(*graph.Buffer)) {
 	for _, s := range p.Steps {
 		if s.Buf != nil {
-			seen[s.Buf.ID] = s.Buf
+			f(s.Buf)
 		}
 		if s.Node != nil {
-			for _, b := range s.Node.Buffers() {
-				seen[b.ID] = b
+			for _, a := range s.Node.In {
+				for _, b := range a.Bufs {
+					f(b)
+				}
+			}
+			for _, b := range s.Node.Out.Bufs {
+				f(b)
 			}
 		}
 	}
-	out := make([]*graph.Buffer, 0, len(seen))
-	for _, b := range seen {
-		out = append(out, b)
+}
+
+// bufferIDs returns an exclusive upper bound on the IDs of the buffers
+// the plan references and of their roots, for sizing ID-indexed state.
+func (p *Plan) bufferIDs() int {
+	nb := 0
+	p.eachBuffer(func(b *graph.Buffer) {
+		nb = max(nb, b.ID+1)
+		if b.Root != nil {
+			nb = max(nb, b.Root.ID+1)
+		}
+	})
+	return nb
+}
+
+// producerByID returns, indexed by buffer ID, the node of g writing each
+// buffer (the last one, as Graph.Producer reports), or nil.
+func producerByID(g *graph.Graph) []*graph.Node {
+	prod := make([]*graph.Node, g.NumBufferIDs())
+	for _, n := range g.Nodes {
+		for _, b := range n.Out.Bufs {
+			prod[b.ID] = n
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return prod
+}
+
+// nodeIDBound returns an exclusive upper bound on g's node IDs, for
+// sizing ID-indexed state.
+func nodeIDBound(g *graph.Graph) int {
+	bound := 0
+	for _, n := range g.Nodes {
+		bound = max(bound, n.ID+1)
+	}
+	return bound
+}
+
+// kernelTime returns dev's modeled duration of launching n — the cost the
+// executor charges — and the bytes n touches.
+func kernelTime(dev *gpu.Device, n *graph.Node) (float64, int64) {
+	var bytes int64
+	for _, b := range n.Buffers() {
+		bytes += b.Bytes()
+	}
+	in := make([]graph.Shape, len(n.In))
+	for i, a := range n.In {
+		in[i] = a.Shape()
+	}
+	return dev.KernelTime(n.Op.FLOPs(in, n.Out.Shape()), n.Out.Region.Size(), bytes), bytes
 }
 
 // TransferFloats returns the host→device and device→host float volumes of

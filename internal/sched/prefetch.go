@@ -90,21 +90,8 @@ func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 
 	out := &Plan{Steps: steps, Order: plan.Order}
 	// Recompute the peak (hoisting can only raise it, still <= capacity).
-	var cur int64
-	for _, s := range steps {
-		switch s.Kind {
-		case StepH2D:
-			cur += s.Buf.Size()
-		case StepFree:
-			cur -= s.Buf.Size()
-		case StepLaunch:
-			for _, b := range s.Node.OutputBuffers() {
-				cur += b.Size()
-			}
-		}
-		if cur > out.PeakFloats {
-			out.PeakFloats = cur
-		}
+	for _, r := range residency() {
+		out.PeakFloats = max(out.PeakFloats, r)
 	}
 	return out
 }

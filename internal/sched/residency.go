@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -96,6 +97,9 @@ func (r *Residency) LeadSec(resident map[int]bool) float64 {
 	return s
 }
 
+// digestSep precedes each integer of a shareable buffer's digest key.
+var digestSep = [...]string{"ord=", ";reg=", ",", ",", ",", ";rootreg=", ",", ",", ","}
+
 // AnalyzeResidency classifies the plan's buffers and extracts its
 // rolling-admission shape for the given device. A buffer is shareable
 // when it is a region of a template input root, is never an output of
@@ -105,8 +109,9 @@ func (r *Residency) LeadSec(resident map[int]bool) float64 {
 func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 	dev := gpu.New(spec) // duration helpers are pure functions of the spec
 
-	written := make(map[int]bool) // launch output or D2H target
-	h2dSteps := make(map[int][]int)
+	nb := p.bufferIDs()
+	written := make([]bool, nb) // launch output or D2H target
+	h2dSteps := make([][]int, nb)
 	lastH2D := -1
 	for i, s := range p.Steps {
 		switch s.Kind {
@@ -116,14 +121,15 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 		case StepD2H:
 			written[s.Buf.ID] = true
 		case StepLaunch:
-			for _, b := range s.Node.OutputBuffers() {
+			for _, b := range s.Node.Out.Bufs {
 				written[b.ID] = true
 			}
 		}
 	}
 
 	res := &Residency{}
-	shareable := make(map[int]bool)
+	shareable := make([]bool, nb)
+	var key []byte
 	// plan.Buffers() is the canonical ascending-ID walk; its ordinal
 	// positions are identical across compilations of equal-fingerprint
 	// graphs (equal fingerprints compile to identical plans), which is
@@ -133,10 +139,13 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 		if len(steps) == 0 || written[b.ID] || b.Root == nil || !b.Root.IsInput {
 			continue
 		}
-		h := sha256.Sum256([]byte(fmt.Sprintf("ord=%d;reg=%d,%d,%d,%d;rootreg=%d,%d,%d,%d;est=%s",
-			ord, b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols,
-			b.Root.Region.Row, b.Root.Region.Col, b.Root.Region.Rows, b.Root.Region.Cols,
-			b.Root.EstDigest)))
+		key = key[:0] // "ord=%d;reg=%d,%d,%d,%d;rootreg=%d,%d,%d,%d;est=%s"
+		for i, v := range [...]int{ord, b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols,
+			b.Root.Region.Row, b.Root.Region.Col, b.Root.Region.Rows, b.Root.Region.Cols} {
+			key = strconv.AppendInt(append(key, digestSep[i]...), int64(v), 10)
+		}
+		key = append(append(key, ";est="...), b.Root.EstDigest...)
+		h := sha256.Sum256(key)
 		res.Shareable = append(res.Shareable, ResidentBuf{
 			ID:     b.ID,
 			Name:   b.Name,
@@ -152,38 +161,27 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 	// Transient peak: replay the plan-order residency counting only
 	// non-shareable buffers (the shareable set is accounted once,
 	// pinned, by the serving ledger).
-	live := make(map[int]int64)
+	live := make([]int64, nb) // bytes of each resident non-shareable buffer
 	var resident, peak int64
-	bump := func() {
-		if resident > peak {
-			peak = resident
+	enter := func(b *graph.Buffer) {
+		if !shareable[b.ID] && live[b.ID] == 0 {
+			live[b.ID] = b.Bytes()
+			resident += live[b.ID]
 		}
 	}
 	for _, s := range p.Steps {
 		switch s.Kind {
 		case StepH2D:
-			b := s.Buf
-			if shareable[b.ID] {
-				continue
-			}
-			if _, ok := live[b.ID]; !ok {
-				live[b.ID] = b.Bytes()
-				resident += b.Bytes()
-				bump()
-			}
+			enter(s.Buf)
+			peak = max(peak, resident)
 		case StepLaunch:
-			for _, b := range s.Node.OutputBuffers() {
-				if _, ok := live[b.ID]; !ok && !shareable[b.ID] {
-					live[b.ID] = b.Bytes()
-					resident += b.Bytes()
-				}
+			for _, b := range s.Node.Out.Bufs {
+				enter(b)
 			}
-			bump()
+			peak = max(peak, resident)
 		case StepFree:
-			if sz, ok := live[s.Buf.ID]; ok {
-				resident -= sz
-				delete(live, s.Buf.ID)
-			}
+			resident -= live[s.Buf.ID]
+			live[s.Buf.ID] = 0
 		}
 	}
 	res.TransientPeakBytes = peak
@@ -219,16 +217,8 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 	for i := lastH2D + 1; i < len(p.Steps); i++ {
 		switch s := p.Steps[i]; s.Kind {
 		case StepLaunch:
-			n := s.Node
-			var bytes int64
-			for _, b := range n.Buffers() {
-				bytes += b.Bytes()
-			}
-			inShapes := make([]graph.Shape, len(n.In))
-			for j, a := range n.In {
-				inShapes[j] = a.Shape()
-			}
-			res.TailSec += dev.KernelTime(n.Op.FLOPs(inShapes, n.Out.Shape()), n.Out.Region.Size(), bytes)
+			sec, _ := kernelTime(dev, s.Node)
+			res.TailSec += sec
 		case StepSync:
 			res.TailSec += spec.SyncOverhead
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,38 @@ func TestBFSAndRandomOrders(t *testing.T) {
 		if !g.IsTopoOrder(r) {
 			t.Fatalf("random order (seed %d) not topological", seed)
 		}
+	}
+}
+
+// TestRandomTopoOrderReproducible: a seed names one order. The Small CNN
+// fans every input plane out to a dozen convolutions, so a consumer list
+// in map order would reshuffle the ready list from call to call.
+func TestRandomTopoOrderReproducible(t *testing.T) {
+	g, _, err := templates.CNN(templates.SmallCNN(64, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := RandomTopoOrder(g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := RandomTopoOrder(g, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range first {
+			if again[j] != first[j] {
+				t.Fatalf("rerun %d: position %d is %s, first run had %s", i, j, again[j], first[j])
+			}
+		}
+	}
+	other, err := RandomTopoOrder(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(other, first) {
+		t.Fatal("seeds 7 and 8 give the same order")
 	}
 }
 

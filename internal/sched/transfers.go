@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -69,8 +70,8 @@ type Options struct {
 // topological.
 func ScheduleTransfers(g *graph.Graph, order []*graph.Node, opt Options) (*Plan, error) {
 	units := make([][]*graph.Node, len(order))
-	for i, n := range order {
-		units[i] = []*graph.Node{n}
+	for i := range order {
+		units[i] = order[i : i+1 : i+1]
 	}
 	return ScheduleUnits(g, units, opt)
 }
@@ -97,31 +98,40 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		SetArgf("units", "%d", len(units)).
 		SetArgf("capacity_floats", "%d", opt.Capacity)
 
+	// Per-buffer state is indexed by buffer ID. The per-unit sets are
+	// stamps: pinned[id] == t+1 means "pinned in unit t", so no set is
+	// cleared or reallocated between units.
+	nb := g.NumBufferIDs()
+	pinned := make([]int32, nb)
+	producedHere := make([]int32, nb)
+
 	// Static use positions per buffer, at unit granularity ("latest time
 	// of use" is computable statically once the schedule is known).
-	usePos := make(map[int][]int)
+	usePos := make([][]int, nb)
 	for t, u := range units {
-		seen := map[int]bool{}
 		for _, n := range u {
-			for _, b := range n.InputBuffers() {
-				if !seen[b.ID] {
-					seen[b.ID] = true
-					usePos[b.ID] = append(usePos[b.ID], t)
+			for _, a := range n.In {
+				for _, b := range a.Bufs {
+					if us := usePos[b.ID]; len(us) == 0 || us[len(us)-1] != t {
+						usePos[b.ID] = append(us, t)
+					}
 				}
 			}
 		}
 	}
 	nextUse := func(id, t int) int {
-		for _, p := range usePos[id] {
-			if p > t {
-				return p
-			}
+		us := usePos[id]
+		if i, _ := slices.BinarySearch(us, t+1); i < len(us) {
+			return us[i]
 		}
 		return math.MaxInt
 	}
 
-	resident := make(map[int]*res)
-	validHost := make(map[int]bool)
+	// slots[id] is buffer id's device state (buf == nil when it is not
+	// resident); onDevice lists the resident slots for victim scans.
+	slots := make([]res, nb)
+	var onDevice []*res
+	validHost := make([]bool, nb)
 	for _, b := range g.LiveBuffers() {
 		if b.IsInput || b.Root.IsInput || opt.HostValid[b.ID] {
 			validHost[b.ID] = true
@@ -136,10 +146,18 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 	emit := func(k StepKind, b *graph.Buffer, n *graph.Node) {
 		plan.Steps = append(plan.Steps, Step{Kind: k, Buf: b, Node: n})
 	}
+	load := func(b *graph.Buffer, dirty bool, t int) {
+		used += b.Size()
+		slots[b.ID] = res{buf: b, dirty: dirty, loadedAt: t, usedAt: t, at: len(onDevice)}
+		onDevice = append(onDevice, &slots[b.ID])
+	}
 	free := func(r *res) {
 		used -= r.buf.Size()
-		delete(resident, r.buf.ID)
 		emit(StepFree, r.buf, nil)
+		last := onDevice[len(onDevice)-1]
+		onDevice[r.at], last.at = last, r.at
+		onDevice = onDevice[:len(onDevice)-1]
+		*r = res{}
 	}
 	evict := func(r *res, t int) {
 		liveLater := nextUse(r.buf.ID, t) != math.MaxInt || r.buf.IsOutput || opt.Ship[r.buf.ID]
@@ -156,35 +174,40 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		free(r)
 	}
 
+	var unitBufs, ins []*graph.Buffer
 	for t, unit := range units {
 		// The unit's operand sets: everything any member touches is pinned
 		// for the unit's duration; buffers produced within the unit need
 		// space but no inbound transfer.
-		pinned := make(map[int]bool)
-		producedHere := make(map[int]bool)
-		var unitBufs []*graph.Buffer
-		var ins []*graph.Buffer
-		for _, n := range unit {
-			for _, b := range n.OutputBuffers() {
-				producedHere[b.ID] = true
-			}
-		}
-		for _, n := range unit {
-			for _, b := range n.Buffers() {
-				if !pinned[b.ID] {
-					pinned[b.ID] = true
+		stamp := int32(t + 1)
+		unitBufs, ins = unitBufs[:0], ins[:0]
+		pin := func(bs []*graph.Buffer) {
+			for _, b := range bs {
+				if pinned[b.ID] != stamp {
+					pinned[b.ID] = stamp
 					unitBufs = append(unitBufs, b)
 				}
 			}
-			for _, b := range n.InputBuffers() {
-				if !producedHere[b.ID] {
-					ins = append(ins, b)
+		}
+		for _, n := range unit {
+			for _, b := range n.Out.Bufs {
+				producedHere[b.ID] = stamp
+			}
+		}
+		for _, n := range unit {
+			for _, a := range n.In {
+				pin(a.Bufs)
+				for _, b := range a.Bufs {
+					if producedHere[b.ID] != stamp {
+						ins = append(ins, b)
+					}
 				}
 			}
+			pin(n.Out.Bufs)
 		}
 		var need int64
 		for _, b := range unitBufs {
-			if _, ok := resident[b.ID]; !ok {
+			if slots[b.ID].buf == nil {
 				need += b.Size()
 			}
 		}
@@ -192,8 +215,8 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		// Reclaim space: free dead residents first, then evict by policy.
 		for used+need > opt.Capacity {
 			var victim, dead *res
-			for _, r := range resident {
-				if pinned[r.buf.ID] {
+			for _, r := range onDevice {
+				if pinned[r.buf.ID] == stamp {
 					continue
 				}
 				if nextUse(r.buf.ID, t) == math.MaxInt && !r.buf.IsOutput && !opt.Ship[r.buf.ID] {
@@ -217,30 +240,20 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 			evict(victim, t)
 		}
 
-		seenIn := map[int]bool{}
 		for _, b := range ins {
-			if seenIn[b.ID] {
-				continue
-			}
-			seenIn[b.ID] = true
-			if r, ok := resident[b.ID]; ok {
+			if r := &slots[b.ID]; r.buf != nil {
 				r.usedAt = t
-				continue
-			}
-			if producedHere[b.ID] {
 				continue
 			}
 			if !validHost[b.ID] {
 				return nil, fmt.Errorf("sched: unit %d input %s is on neither host nor GPU", t, b)
 			}
 			emit(StepH2D, b, nil)
-			used += b.Size()
-			resident[b.ID] = &res{buf: b, loadedAt: t, usedAt: t}
+			load(b, false, t)
 		}
 		for _, b := range unitBufs {
-			if producedHere[b.ID] {
-				used += b.Size()
-				resident[b.ID] = &res{buf: b, dirty: true, loadedAt: t, usedAt: t}
+			if producedHere[b.ID] == stamp {
+				load(b, true, t)
 				validHost[b.ID] = false // GPU will hold the only valid copy
 			}
 		}
@@ -258,8 +271,8 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		// serialize the whole partition.
 		if len(opt.Ship) > 0 {
 			for _, b := range unitBufs {
-				if producedHere[b.ID] && opt.Ship[b.ID] && !validHost[b.ID] {
-					if r, ok := resident[b.ID]; ok {
+				if producedHere[b.ID] == stamp && opt.Ship[b.ID] && !validHost[b.ID] {
+					if r := &slots[b.ID]; r.buf != nil {
 						m.Counter("sched.ship_d2h").Inc()
 						emit(StepD2H, b, nil)
 						validHost[b.ID] = true
@@ -271,11 +284,8 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 
 		if !opt.NoEagerFree {
 			for _, b := range unitBufs {
-				r, ok := resident[b.ID]
-				if !ok {
-					continue
-				}
-				if nextUse(b.ID, t) != math.MaxInt {
+				r := &slots[b.ID]
+				if r.buf == nil || nextUse(b.ID, t) != math.MaxInt {
 					continue
 				}
 				m.Counter("sched.eager_frees").Inc()
@@ -287,8 +297,6 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 						emit(StepD2H, b, nil)
 						validHost[b.ID] = true
 					}
-					free(r)
-					continue
 				}
 				free(r)
 			}
@@ -297,8 +305,8 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 
 	// Drain: outputs still on the GPU go home; everything is freed.
 	for _, b := range g.LiveBuffers() {
-		r, ok := resident[b.ID]
-		if !ok {
+		r := &slots[b.ID]
+		if r.buf == nil {
 			continue
 		}
 		if (b.IsOutput || opt.Ship[b.ID]) && !validHost[b.ID] {
@@ -332,6 +340,7 @@ type res struct {
 	dirty    bool // device copy newer than host
 	loadedAt int  // step index when brought to GPU (FIFO)
 	usedAt   int  // last touch (LRU)
+	at       int  // index in the resident list
 }
 
 // betterVictim reports whether a is a better eviction victim than b under

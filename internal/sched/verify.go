@@ -32,23 +32,26 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 	if capacity <= 0 {
 		return fmt.Errorf("sched: verify: capacity %d must be positive", capacity)
 	}
-	resident := map[int]bool{}
-	validHost := map[int]bool{}
-	launched := map[int]bool{}
-	live := map[int]bool{}
+	// State is indexed by buffer ID (live[id] says the graph references
+	// it) and by node ID (inGraph), so a plan step naming a buffer or node
+	// from another graph fails the range check instead of indexing.
+	nb := g.NumBufferIDs()
+	live := make([]bool, nb)
+	resident := make([]bool, nb)
+	validHost := make([]bool, nb)
+	prod := producerByID(g)
 	for _, b := range g.LiveBuffers() {
 		live[b.ID] = true
-		if b.IsInput || b.Root.IsInput || hostValid[b.ID] {
-			validHost[b.ID] = true
-		}
+		validHost[b.ID] = b.IsInput || b.Root.IsInput || hostValid[b.ID]
 	}
-	nodes := map[int]bool{}
+	nodeIDs := nodeIDBound(g)
+	inGraph := make([]bool, nodeIDs)
+	launched := make([]bool, nodeIDs)
 	for _, n := range g.Nodes {
-		nodes[n.ID] = true
+		inGraph[n.ID] = true
 	}
-	prod := g.Producer()
-	deps := g.Deps()
 	var used int64
+	nResident := 0
 
 	for si, s := range plan.Steps {
 		// Buffer and node references must point into this graph: a plan
@@ -59,14 +62,14 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 			if s.Buf == nil {
 				return fmt.Errorf("sched: step %d: %s with nil buffer", si, s.Kind)
 			}
-			if !live[s.Buf.ID] {
+			if s.Buf.ID < 0 || s.Buf.ID >= nb || !live[s.Buf.ID] {
 				return fmt.Errorf("sched: step %d: %s of %s not in the graph", si, s.Kind, s.Buf)
 			}
 		case StepLaunch:
 			if s.Node == nil {
 				return fmt.Errorf("sched: step %d: launch with nil node", si)
 			}
-			if !nodes[s.Node.ID] {
+			if s.Node.ID < 0 || s.Node.ID >= nodeIDs || !inGraph[s.Node.ID] {
 				return fmt.Errorf("sched: step %d: launch of %s not in the graph", si, s.Node)
 			}
 		}
@@ -80,6 +83,7 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 				return fmt.Errorf("sched: step %d: H2D of %s without a valid host copy", si, b)
 			}
 			resident[b.ID] = true
+			nResident++
 			used += b.Size()
 		case StepD2H:
 			b := s.Buf
@@ -88,7 +92,7 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 			}
 			// The device copy is only meaningful if the producer ran (or
 			// the buffer was loaded from the host).
-			if p, ok := prod[b.ID]; ok && !launched[p.ID] {
+			if p := prod[b.ID]; p != nil && !launched[p.ID] {
 				return fmt.Errorf("sched: step %d: D2H of %s before its producer %s", si, b, p)
 			}
 			validHost[b.ID] = true
@@ -97,26 +101,41 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 			if !resident[b.ID] {
 				return fmt.Errorf("sched: step %d: free of non-resident %s", si, b)
 			}
-			delete(resident, b.ID)
+			resident[b.ID] = false
+			nResident--
 			used -= b.Size()
 		case StepLaunch:
 			n := s.Node
 			if launched[n.ID] {
 				return fmt.Errorf("sched: step %d: node %s launched twice", si, n)
 			}
-			for _, d := range deps[n.ID] {
-				if !launched[d.ID] {
-					return fmt.Errorf("sched: step %d: node %s before its dependency %s", si, n, d)
+			// Its dependencies are the other producers of what it reads,
+			// in Graph.Deps order. (An ID out of range is another graph's
+			// buffer, which the residency check below rejects.)
+			for _, a := range n.In {
+				for _, b := range a.Bufs {
+					if b.ID >= nb {
+						continue
+					}
+					if d := prod[b.ID]; d != nil && d.ID != n.ID && !launched[d.ID] {
+						return fmt.Errorf("sched: step %d: node %s before its dependency %s", si, n, d)
+					}
 				}
 			}
-			for _, b := range n.InputBuffers() {
-				if !resident[b.ID] {
-					return fmt.Errorf("sched: step %d: launch %s with non-resident input %s", si, n, b)
+			for _, a := range n.In {
+				for _, b := range a.Bufs {
+					if b.ID >= nb || !resident[b.ID] {
+						return fmt.Errorf("sched: step %d: launch %s with non-resident input %s", si, n, b)
+					}
 				}
 			}
-			for _, b := range n.OutputBuffers() {
+			for _, b := range n.Out.Bufs {
+				if b.ID >= nb {
+					return fmt.Errorf("sched: step %d: launch of %s not in the graph", si, n)
+				}
 				if !resident[b.ID] {
 					resident[b.ID] = true
+					nResident++
 					used += b.Size()
 				}
 				validHost[b.ID] = false
@@ -147,8 +166,8 @@ func VerifyPart(g *graph.Graph, plan *Plan, capacity int64, hostValid, ship map[
 			return fmt.Errorf("sched: cut buffer %s never reached the host", b)
 		}
 	}
-	if len(resident) != 0 {
-		return fmt.Errorf("sched: %d buffers left resident at plan end", len(resident))
+	if nResident != 0 {
+		return fmt.Errorf("sched: %d buffers left resident at plan end", nResident)
 	}
 	return nil
 }
