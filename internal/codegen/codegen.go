@@ -1,9 +1,8 @@
 // Package codegen is the final stage of the framework (paper §3.1): it
 // takes the optimized execution plan and produces a hybrid CPU/GPU program
-// that uses a lower-level framework. Two backends are provided: a
-// CUDA-style C source (the paper's target) and a Go source that replays
-// the plan through this repository's runtime library. Both are generated
-// from the same plan, so the schedule and transfer sequence are identical.
+// that uses a lower-level framework — a CUDA-style C source (the paper's
+// target) with one kernel launch per offload unit and the plan's transfer
+// sequence, plus reference C stubs for the operator entry points it calls.
 package codegen
 
 import (
@@ -15,7 +14,7 @@ import (
 	"repro/internal/sched"
 )
 
-// sanitize converts a buffer or node name to a C/Go identifier.
+// sanitize converts a buffer or node name to a C identifier.
 func sanitize(name string) string {
 	var b strings.Builder
 	for _, r := range name {
@@ -166,41 +165,5 @@ func KernelStubs(plan *sched.Plan) string {
 		}
 		b.WriteString("}\n\n")
 	}
-	return b.String()
-}
-
-// Go renders the plan as a standalone Go program that replays it through
-// the repository's runtime library (graph construction elided: the plan is
-// re-derived from the same template parameters, then executed step for
-// step on the simulated device). This is the "simple run-time library to
-// orchestrate execution" alternative the paper mentions at the end of
-// §3.3.
-func Go(g *graph.Graph, plan *sched.Plan, pkg, templateName string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// Code generated for template %q. DO NOT EDIT.\n", templateName)
-	fmt.Fprintf(&b, "package %s\n\n", pkg)
-	b.WriteString("import (\n\t\"fmt\"\n)\n\n")
-	fmt.Fprintf(&b, "// Plan%s is the optimized execution plan: the exact sequence of\n", sanitize(templateName))
-	b.WriteString("// offload operations and host<->GPU transfers derived by the framework.\n")
-	fmt.Fprintf(&b, "var Plan%s = []struct {\n\tOp     string\n\tTarget string\n\tFloats int64\n}{\n", sanitize(templateName))
-	for _, s := range plan.Steps {
-		switch s.Kind {
-		case sched.StepH2D:
-			fmt.Fprintf(&b, "\t{Op: \"h2d\", Target: %q, Floats: %d},\n", bufSym(s.Buf), s.Buf.Size())
-		case sched.StepD2H:
-			fmt.Fprintf(&b, "\t{Op: \"d2h\", Target: %q, Floats: %d},\n", bufSym(s.Buf), s.Buf.Size())
-		case sched.StepFree:
-			fmt.Fprintf(&b, "\t{Op: \"free\", Target: %q},\n", bufSym(s.Buf))
-		case sched.StepLaunch:
-			fmt.Fprintf(&b, "\t{Op: \"launch\", Target: %q},\n", sanitize(s.Node.Name))
-		}
-	}
-	b.WriteString("}\n\n")
-	fmt.Fprintf(&b, "// Describe%s prints the plan summary.\n", sanitize(templateName))
-	fmt.Fprintf(&b, "func Describe%s() {\n", sanitize(templateName))
-	h2d, d2h := plan.TransferFloats()
-	fmt.Fprintf(&b, "\tfmt.Printf(\"plan: %%d steps, %d floats H2D, %d floats D2H\\n\", len(Plan%s))\n",
-		h2d, d2h, sanitize(templateName))
-	b.WriteString("}\n")
 	return b.String()
 }

@@ -1,8 +1,6 @@
 package codegen
 
 import (
-	"go/parser"
-	"go/token"
 	"strings"
 	"testing"
 
@@ -89,35 +87,6 @@ func TestCUDAPreservesStepOrder(t *testing.T) {
 		if gotKinds[i] != wantKinds[i] {
 			t.Fatalf("memcpy %d is %s, want %s", i, gotKinds[i], wantKinds[i])
 		}
-	}
-}
-
-func TestGoBackendParses(t *testing.T) {
-	g, err := templates.EdgeDetectFig3(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sched.Heuristic(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := Go(g, plan, "generated", "fig3")
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
-		t.Fatalf("generated Go does not parse: %v\n%s", err, src)
-	}
-	h2d, d2h, free, launch := plan.Counts()
-	if got := strings.Count(src, `Op: "h2d"`); got != h2d {
-		t.Fatalf("h2d entries = %d, want %d", got, h2d)
-	}
-	if got := strings.Count(src, `Op: "d2h"`); got != d2h {
-		t.Fatalf("d2h entries = %d, want %d", got, d2h)
-	}
-	if got := strings.Count(src, `Op: "free"`); got != free {
-		t.Fatalf("free entries = %d, want %d", got, free)
-	}
-	if got := strings.Count(src, `Op: "launch"`); got != launch {
-		t.Fatalf("launch entries = %d, want %d", got, launch)
 	}
 }
 

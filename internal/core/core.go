@@ -432,11 +432,6 @@ func (c *Compiled) GenerateCUDA(templateName string) string {
 	return codegen.CUDA(c.Graph, c.Plan, templateName)
 }
 
-// GenerateGo emits a Go replay of the plan.
-func (c *Compiled) GenerateGo(pkg, templateName string) string {
-	return codegen.Go(c.Graph, c.Plan, pkg, templateName)
-}
-
 // GenerateKernelStubs emits reference C implementations of the operator
 // entry points the generated CUDA program links against.
 func (c *Compiled) GenerateKernelStubs() string {

@@ -148,10 +148,6 @@ func TestEngineCodegen(t *testing.T) {
 	if !strings.Contains(cu, "cudaMemcpy") || !strings.Contains(cu, "execute_edge") {
 		t.Fatal("CUDA output incomplete")
 	}
-	gosrc := c.GenerateGo("gen", "edge")
-	if !strings.Contains(gosrc, "package gen") {
-		t.Fatal("Go output incomplete")
-	}
 }
 
 func TestPlannerStrings(t *testing.T) {

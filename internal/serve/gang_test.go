@@ -321,7 +321,13 @@ func TestGangDeadlineReleasesAllMemberReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := p.Submit(context.Background(), Request{Graph: g, Deadline: 30 * time.Millisecond})
+	// The deadline counts from submission, admission compile included:
+	// compile the gang once up front so a slow cold compile cannot spend
+	// it before the job is even queued.
+	if _, _, err := p.compile(context.Background(), g, p.devices); err != nil {
+		t.Fatal(err)
+	}
+	j, err := p.Submit(context.Background(), Request{Graph: g, Deadline: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

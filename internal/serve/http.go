@@ -130,12 +130,11 @@ func buildRequest(jr JobRequest) (Request, error) {
 // Request.Ctx, or DELETE /v1/jobs/{id}).
 const StatusClientClosedRequest = 499
 
-// jobCode maps a job's terminal error to its HTTP status: nil (or still
-// in flight) 200, cancelled 499, queue-deadline expiry 504, shed 503,
-// migration ran out of queue room 429 or of feasible devices 422,
+// errCode maps a submission's or a job's error to its HTTP status: nil
+// (or still in flight) 200, cancelled 499, queue-deadline expiry 504,
+// shed or closed pool 503, no queue room 429, no feasible placement 422,
 // anything else 500.
-func jobCode(j *Job) int {
-	err := j.Err()
+func errCode(err error) int {
 	switch {
 	case err == nil:
 		return http.StatusOK
@@ -143,7 +142,7 @@ func jobCode(j *Job) int {
 		return StatusClientClosedRequest
 	case errors.Is(err, ErrDeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrRetryAfter):
+	case errors.Is(err, ErrRetryAfter) || errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
@@ -227,24 +226,11 @@ func NewHandler(p *Pool) http.Handler {
 			req.Ctx = r.Context()
 		}
 		j, err := p.Submit(r.Context(), req)
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrQueueFull):
-			writeErr(w, http.StatusTooManyRequests, err)
-			return
-		case errors.Is(err, core.ErrInfeasible):
-			writeErr(w, http.StatusUnprocessableEntity, err)
-			return
-		case errors.Is(err, ErrRetryAfter):
-			after, _ := RetryAfter(err)
-			w.Header().Set("Retry-After", fmt.Sprint(int64((after+time.Second-1)/time.Second)))
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
+		if err != nil {
+			if after, ok := RetryAfter(err); ok {
+				w.Header().Set("Retry-After", fmt.Sprint(int64((after+time.Second-1)/time.Second)))
+			}
+			writeErr(w, errCode(err), err)
 			return
 		}
 		if !jr.Wait {
@@ -255,7 +241,7 @@ func NewHandler(p *Pool) http.Handler {
 			writeErr(w, http.StatusGatewayTimeout, err)
 			return
 		}
-		writeJSON(w, jobCode(j), jobResponse(j))
+		writeJSON(w, errCode(j.Err()), jobResponse(j))
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -264,7 +250,7 @@ func NewHandler(p *Pool) http.Handler {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, jobCode(j), jobResponse(j))
+		writeJSON(w, errCode(j.Err()), jobResponse(j))
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {

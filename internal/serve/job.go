@@ -215,19 +215,9 @@ func (j *Job) Status() Status {
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	switch j.state {
-	case StateQueued:
-		s.QueueWaitMS = time.Since(j.submitted).Seconds() * 1e3
-	case StateRunning:
-		s.QueueWaitMS = j.started.Sub(j.submitted).Seconds() * 1e3
-	case StateDone, StateFailed:
-		if !j.started.IsZero() {
-			s.QueueWaitMS = j.started.Sub(j.submitted).Seconds() * 1e3
-			s.ExecMS = j.finished.Sub(j.started).Seconds() * 1e3
-		} else {
-			// Expired in the queue: never started.
-			s.QueueWaitMS = j.finished.Sub(j.submitted).Seconds() * 1e3
-		}
+	s.QueueWaitMS, s.ExecMS = j.timings()
+	if j.state == StateRunning {
+		s.ExecMS = 0 // reported once the job ends
 	}
 	if j.rep != nil {
 		s.ModeledSeconds = j.rep.Stats.TotalTime()
@@ -242,6 +232,21 @@ func (j *Job) Status() Status {
 		s.ModeledSeconds = j.prep.Makespan
 	}
 	return s
+}
+
+// timings returns the job's queue wait and execution time in milliseconds
+// (j.mu held); execution time runs on while the job is in flight. Status
+// and Trace both report these, so the two agree exactly.
+func (j *Job) timings() (queueMS, execMS float64) {
+	switch {
+	case j.state == StateQueued:
+		return time.Since(j.submitted).Seconds() * 1e3, 0
+	case j.started.IsZero(): // died in the queue
+		return j.finished.Sub(j.submitted).Seconds() * 1e3, 0
+	case j.state == StateRunning:
+		return j.started.Sub(j.submitted).Seconds() * 1e3, time.Since(j.started).Seconds() * 1e3
+	}
+	return j.started.Sub(j.submitted).Seconds() * 1e3, j.finished.Sub(j.started).Seconds() * 1e3
 }
 
 // start transitions the job to running as its batch is picked up; false
@@ -269,11 +274,11 @@ func (j *Job) setPlacement(pl Placement, migration bool) {
 	j.mu.Unlock()
 }
 
-// finish completes the job (err == nil) or fails it and wakes waiters;
-// prep carries the per-part detail of a partitioned execution (nil
-// otherwise). The first finisher wins (eager expiry, cancellation, and the
-// worker may race); false means the job was already terminal.
-func (j *Job) finish(rep *exec.Report, prep *exec.PartitionReport, err error) bool {
+// conclude records the job's terminal state — done (err == nil) or failed —
+// at this instant; prep carries the per-part detail of a partitioned
+// execution (nil otherwise). The first caller wins; false means the job was
+// already terminal. Waiters stay asleep until the winner publishes.
+func (j *Job) conclude(rep *exec.Report, prep *exec.PartitionReport, err error) bool {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed {
 		j.mu.Unlock()
@@ -289,6 +294,10 @@ func (j *Job) finish(rep *exec.Report, prep *exec.PartitionReport, err error) bo
 	}
 	j.finished = time.Now()
 	j.mu.Unlock()
-	close(j.done)
 	return true
 }
+
+// publish wakes the job's waiters. The caller whose conclude won calls it
+// exactly once, after the pool's queues, ledgers and counters reflect the
+// job.
+func (j *Job) publish() { close(j.done) }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -100,6 +101,8 @@ type outcome struct {
 	// by a successful execution: the report's actual (elision-aware) time,
 	// or the joined makespan of concurrently running parts.
 	span float64
+	// wall is the execution's host wall time, set by the pool's run.
+	wall time.Duration
 }
 
 // compile compiles g for a placement on members (through the first

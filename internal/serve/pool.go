@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,7 @@ type batch struct {
 	fp         string
 	graph      *graph.Graph // original template; migration recompiles it
 	accounting bool
-	migrations int       // how many placements already gave up on this batch
+	moved      move      // how the batch came to be placed
 	enqueuedAt time.Time // when the batch entered its leader's queue (trace lane)
 
 	// The placement: members lists the k ≥ 1 devices it spans (partition-
@@ -96,14 +97,25 @@ type batch struct {
 	jobs    []*Job
 	started bool
 
-	// Admission state, set by admit and consumed by release (worker-local
-	// after admission; no extra locking): holds is what the batch holds on
-	// each member's ledger, parallel to members; resident maps the buffer
-	// IDs whose H2D the executor elides (pin hits of a pinned-set grant
-	// only — freshly installed pins are paid for by this batch's own
-	// upload).
-	holds    []hold
-	resident map[int]bool
+	// Worker-local once taken (no extra locking): the admitting leader
+	// stream; what the batch holds on each member's ledger (parallel to
+	// members, set by admit, returned by release); the buffer IDs whose H2D
+	// the executor elides (pin hits of a pinned-set grant only — fresh pins
+	// are paid for by this batch's own upload); and the jobs settled on the
+	// batch's behalf, which release publishes.
+	stream    int
+	holds     []hold
+	resident  map[int]bool
+	concluded []*Job
+}
+
+// move is how a batch came to be placed: the zero value for a fresh
+// submission, otherwise the device its jobs left, why, and how many
+// placements have given up on them so far.
+type move struct {
+	from  *device
+	cause error
+	count int
 }
 
 // queued charges (sign +1) or returns (-1) every member's share on its
@@ -466,7 +478,7 @@ func (p *Pool) Submit(ctx context.Context, req Request) (*Job, error) {
 	}
 	p.mu.Unlock()
 
-	b, err := p.place(ctx, req.Graph, accounting, []*Job{j}, nil, 0, false)
+	b, err := p.place(ctx, req.Graph, accounting, []*Job{j}, move{})
 	if err != nil {
 		return nil, err
 	}
@@ -485,16 +497,15 @@ func (p *Pool) Submit(ctx context.Context, req Request) (*Job, error) {
 // feasible placement at all, single-device or partitioned. Under
 // WithGangPlacement a template whose working set exceeds the largest
 // in-rotation device's memory tries the gang first. Quarantined devices
-// and the exclude set are skipped. Fresh submissions (migration=false)
-// register the batch for coalescing and the lead job for polling;
-// migrated batches are not coalescable. Failures are typed: ErrQueueFull,
-// core.ErrInfeasible, ErrRetryAfter (no device in rotation), ErrClosed.
-func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs []*Job,
-	exclude map[*device]bool, migrations int, migration bool) (*batch, error) {
-
+// and the device a migration leaves (mv.from) are skipped. Fresh
+// submissions register the batch for coalescing and the lead job for
+// polling; migrated batches are not coalescable. Failures are typed:
+// ErrQueueFull, core.ErrInfeasible, ErrRetryAfter (no device in
+// rotation), ErrClosed.
+func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs []*Job, mv move) (*batch, error) {
 	var fleet []*device // in pool order: a gang's partition-part order
 	for _, d := range p.devices {
-		if !exclude[d] && d.health.inRotation() {
+		if d != mv.from && d.health.inRotation() {
 			fleet = append(fleet, d)
 		}
 	}
@@ -518,7 +529,7 @@ func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs 
 		return order[a].load() < order[b].load()
 	})
 	try := func(members ...*device) (*batch, error) {
-		return p.tryPlace(ctx, g, accounting, jobs, members, migrations, migration)
+		return p.tryPlace(ctx, g, accounting, jobs, members, mv)
 	}
 
 	// Under WithGangPlacement, oversized templates prefer a gang up
@@ -597,7 +608,7 @@ func (p *Pool) place(ctx context.Context, g *graph.Graph, accounting bool, jobs 
 // core.ErrInfeasible and ErrQueueFull send place on to its next
 // candidate, anything else is final.
 func (p *Pool) tryPlace(ctx context.Context, g *graph.Graph, accounting bool, jobs []*Job,
-	members []*device, migrations int, migration bool) (*batch, error) {
+	members []*device, mv move) (*batch, error) {
 
 	names := make([]string, len(members))
 	for i, m := range members {
@@ -627,63 +638,46 @@ func (p *Pool) tryPlace(ctx context.Context, g *graph.Graph, accounting bool, jo
 	}
 	pl.Bytes = append([]int64(nil), art.shares...) // job status must not alias the ledger's shares
 	b := &batch{
-		fp: jobs[0].Fingerprint, graph: g, accounting: accounting, migrations: migrations,
+		fp: jobs[0].Fingerprint, graph: g, accounting: accounting, moved: mv,
 		members: members, art: art, pl: pl, jobs: jobs,
-	}
-	for _, j := range jobs {
-		j.setPlacement(pl, migration)
-	}
-	if !migration {
-		jobs[0].cacheHit = hit // not yet visible to other goroutines
 	}
 
 	for _, leader := range members {
 		b.leader = leader
-		pushed, err := p.enqueue(b, migration)
-		if err != nil {
-			return nil, err
+		b.enqueuedAt = time.Now()
+		p.mu.Lock()
+		if p.closed.Load() { // Close closes queues under this mutex
+			p.mu.Unlock()
+			return nil, ErrClosed
 		}
-		if !pushed {
+		if !leader.queue.tryPush(b) {
+			p.mu.Unlock()
 			skip(leader.spec.Name, "queue_full")
 			continue
 		}
+		// A worker takes the batch under this mutex, so everything that
+		// records the placement lands before any of its jobs can settle.
+		b.queued(+1)
 		art.tally.notePlaced()
 		for _, j := range jobs {
+			j.batch = b
+			j.setPlacement(pl, mv.from != nil)
 			j.trace.span(PhaseCompile, compileStart, b.enqueuedAt, map[string]string{
 				"device": pl.String(), "cache_hit": fmt.Sprint(hit)})
 			j.trace.mark("enqueue", map[string]string{"device": leader.spec.Name})
 		}
+		if mv.from == nil {
+			jobs[0].cacheHit = hit // polling finds the job under this mutex
+			p.pending[b.fp] = b
+			p.jobs[jobs[0].ID] = jobs[0]
+		} else {
+			p.noteMoved(b)
+		}
+		p.mu.Unlock()
+		metricGauge(p.obs, metricQueueDepth, float64(leader.queue.len()), "device", leader.spec.Name)
 		return b, nil
 	}
 	return nil, fmt.Errorf("%w: %s at queue depth %d", ErrQueueFull, pl, p.cfg.queueDepth)
-}
-
-// enqueue registers an assembled batch and pushes it onto its leader's
-// queue under the pool mutex; pushed=false means that queue is full (the
-// caller picks another leader or candidate). Fresh submissions register
-// the batch for coalescing and the lead job for polling.
-func (p *Pool) enqueue(b *batch, migration bool) (bool, error) {
-	b.enqueuedAt = time.Now()
-	p.mu.Lock()
-	if p.closed.Load() { // Close closes queues under this mutex
-		p.mu.Unlock()
-		return false, ErrClosed
-	}
-	if !b.leader.queue.tryPush(b) {
-		p.mu.Unlock()
-		return false, nil
-	}
-	for _, j := range b.jobs {
-		j.batch = b
-	}
-	if !migration {
-		p.pending[b.fp] = b
-		p.jobs[b.jobs[0].ID] = b.jobs[0]
-	}
-	p.mu.Unlock()
-	b.queued(+1)
-	metricGauge(p.obs, metricQueueDepth, float64(b.leader.queue.len()), "device", b.leader.spec.Name)
-	return true, nil
 }
 
 // Job returns a submitted job by ID (nil when unknown).
@@ -694,25 +688,24 @@ func (p *Pool) Job(id string) *Job {
 }
 
 // abortQueued removes a still-queued job eagerly (deadline expiry or
-// cancellation), freeing its batch's queue slot immediately when no
-// live jobs remain. In-flight and finished jobs are left alone — the
-// execution context owns cancellation there.
+// cancellation). When no live jobs remain, the batch is given up: closed
+// to coalescing and to workers, its queue slot and queued bytes returned
+// before the job is published. In-flight and finished jobs are left
+// alone — the execution context owns cancellation there.
 func (p *Pool) abortQueued(j *Job, sentinel error, reason string) {
 	p.mu.Lock()
-	b := j.batch
-	if b == nil || b.started {
+	b, i := j.batch, -1
+	if b != nil && !b.started {
+		i = slices.Index(b.jobs, j)
+	}
+	if i < 0 {
 		p.mu.Unlock()
 		return
 	}
-	for i, jj := range b.jobs {
-		if jj == j {
-			b.jobs = append(b.jobs[:i], b.jobs[i+1:]...)
-			break
-		}
-	}
+	b.jobs = slices.Delete(b.jobs, i, i+1)
 	empty := len(b.jobs) == 0
 	if empty {
-		b.started = true // no more coalescing into a dead batch
+		b.started = true // take skips it from now on
 		if p.pending[b.fp] == b {
 			delete(p.pending, b.fp)
 		}
@@ -720,43 +713,105 @@ func (p *Pool) abortQueued(j *Job, sentinel error, reason string) {
 	d := b.leader
 	p.mu.Unlock()
 
-	err := fmt.Errorf("%w: queued %.0f ms on %s",
-		sentinel, time.Since(j.submitted).Seconds()*1e3, d.spec.Name)
-	if j.finish(nil, nil, err) {
-		p.noteFailure(d, reason, false)
-		metricInc(p.obs, metricAborted, "reason", reason)
-		p.flight.note(flightAbort, "job", j.ID, "reason", reason, "device", d.spec.Name)
-	}
-	if empty && d.queue.remove(b) {
+	won := p.settleJob(nil, j, d, outcome{}, fmt.Errorf("%w: queued %.0f ms on %s",
+		sentinel, time.Since(j.submitted).Seconds()*1e3, d.spec.Name), reason)
+	if empty {
+		d.queue.remove(b) // a worker that popped it first finds nothing to take
 		b.queued(-1)
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", d.spec.Name)
 	}
-}
-
-// noteFailure accounts one failed job; breakerCounts marks failures that
-// feed the circuit breaker (the pool's fault, not the caller's).
-func (p *Pool) noteFailure(d *device, reason string, breakerCounts bool) {
-	metricInc(p.obs, metricFailed, "reason", reason)
-	d.mu.Lock()
-	d.failed++
-	d.mu.Unlock()
-	if breakerCounts {
-		p.breaker.recordFailure()
+	if won {
+		j.publish()
 	}
 }
 
-// alive returns the jobs still worth executing on (or moving off) d:
-// already-finished ones (expired or cancelled eagerly) are dropped, and
-// ones whose caller gave up before execution started fail here.
-func (p *Pool) alive(d *device, jobs []*Job) []*Job {
+// settleJob is the one terminal transition, however a job ends: it
+// concludes j — done with out when err is nil, else failed for reason
+// (cancelled, deadline, exec, migration) and counted against d — and, if
+// this call won, moves every counter, metric, SLO and flight event the job
+// touches. It never wakes waiters: j joins b.concluded for release, or,
+// with a nil b (aborted out of its queue), abortQueued publishes it.
+func (p *Pool) settleJob(b *batch, j *Job, d *device, out outcome, err error, reason string) bool {
+	if !j.conclude(out.rep, out.parts, err) {
+		return false
+	}
+	if b == nil {
+		metricInc(p.obs, metricAborted, "reason", reason)
+		p.flight.note(flightAbort, "job", j.ID, "reason", reason, "device", d.spec.Name)
+	} else {
+		b.concluded = append(b.concluded, j)
+	}
+	if err != nil {
+		metricInc(p.obs, metricFailed, "reason", reason)
+		d.mu.Lock()
+		d.failed++
+		d.mu.Unlock()
+		if reason == "exec" {
+			b.art.tally.noteSettled(err)
+		}
+		if reason == "exec" || reason == "migration" { // the pool's fault, not the caller's
+			p.breaker.recordFailure()
+		}
+		return true
+	}
+
+	// Success: the leader's stream clock advances by the outcome's span less
+	// the rolling-admission overlap (lead prefetches hidden behind the stream
+	// predecessor's compute tail); other members' device-seconds go to their
+	// gang busy time. Charged stats — what the job is billed — never change.
+	l, stream := b.leader, b.stream
+	var ov float64
+	l.mu.Lock()
+	l.completed++
+	if r := b.art.residency; r != nil && p.cfg.residency {
+		ov = math.Min(r.LeadSec(b.resident), math.Min(l.streamTail[stream], out.span))
+		l.streamTail[stream] = r.TailSec
+	}
+	l.streamClock[stream] += out.span - ov
+	l.rollSec += ov
+	l.h2dCharged += out.rep.Stats.H2DFloats
+	l.h2dActual += out.rep.Actual.H2DFloats
+	l.elidedFloats += out.rep.ElidedH2DFloats
+	l.mu.Unlock()
+	for i, m := range b.members {
+		if m == l {
+			continue // its stream carried the span
+		}
+		sec := out.parts.Parts[i].Stats.TotalTime()
+		m.mu.Lock()
+		m.gangSec += sec
+		m.mu.Unlock()
+	}
+	if ov > 0 {
+		metricObserve(p.obs, metricRollOverlap, ov)
+	}
+	if out.rep.ElidedH2DFloats > 0 {
+		metricAdd(p.obs, metricElidedFloats, out.rep.ElidedH2DFloats)
+	}
+	b.art.tally.noteSettled(nil)
+	metricInc(p.obs, metricCompleted, "device", l.spec.Name)
+	metricObserve(p.obs, metricExecSeconds, out.wall.Seconds())
+	p.breaker.recordSuccess()
+	p.slo.observeDone(j.Fingerprint, out.wall.Seconds(), time.Since(j.submitted).Seconds(), j.ID)
+	return true
+}
+
+// alive returns the jobs still worth executing on (or moving off) d, and
+// is where a dequeued job dies: already-terminal ones (aborted out of the
+// queue) are dropped, ones whose caller gave up fail with ErrCancelled,
+// and ones whose queue-wait deadline passed before now fail with
+// ErrDeadlineExceeded — settled on b. A zero now (the checks between
+// execution groups and before migration) expires nothing.
+func (p *Pool) alive(b *batch, d *device, jobs []*Job, now time.Time) []*Job {
 	live := jobs[:0:0]
 	for _, j := range jobs {
 		switch {
 		case j.terminal():
 		case j.cancelled():
-			if j.finish(nil, nil, fmt.Errorf("%w before execution on %s", ErrCancelled, d.spec.Name)) {
-				p.noteFailure(d, "cancelled", false)
-			}
+			p.settleJob(b, j, d, outcome{}, fmt.Errorf("%w before execution on %s", ErrCancelled, d.spec.Name), "cancelled")
+		case !j.deadline.IsZero() && now.After(j.deadline):
+			p.settleJob(b, j, d, outcome{}, fmt.Errorf("%w: queued %.0f ms on %s",
+				ErrDeadlineExceeded, now.Sub(j.submitted).Seconds()*1e3, d.spec.Name), "deadline")
 		default:
 			live = append(live, j)
 		}
@@ -789,18 +844,29 @@ func (p *Pool) admit(b *batch) {
 	b.holds = reserve(ledgers, b.art.shares)
 }
 
-// release returns the batch's holds to its members' ledgers.
+// release ends the batch's claim on the pool: its holds go back to its
+// members' ledgers, then every job settled on its behalf is published —
+// the last step. Calling it again publishes only what settled since.
 func (p *Pool) release(b *batch) {
 	for i, h := range b.holds {
 		b.members[i].ledger.release(h)
 	}
+	for _, j := range b.concluded {
+		j.publish()
+	}
+	b.holds, b.concluded = nil, nil
 }
 
 // take marks a dequeued (or drained) batch started — closing it to
 // coalescing — returns its shares to the queued-bytes load signal, and
-// snapshots its jobs.
+// snapshots its jobs. A batch abortQueued gave up yields none: its shares
+// went back there.
 func (p *Pool) take(b *batch) []*Job {
 	p.mu.Lock()
+	if b.started {
+		p.mu.Unlock()
+		return nil
+	}
 	b.started = true
 	if p.pending[b.fp] == b {
 		delete(p.pending, b.fp)
@@ -817,13 +883,19 @@ func (p *Pool) worker(d *device, stream int) {
 	name := d.spec.Name
 	for {
 		if p.cfg.gate != nil {
-			<-p.cfg.gate
+			select { // Close opens the gate too
+			case <-p.cfg.gate:
+			case <-p.stop:
+			}
 		}
 		b, ok := d.queue.pop()
 		if !ok {
 			return
 		}
 		jobs := p.take(b)
+		if len(jobs) == 0 {
+			continue // given up by abortQueued
+		}
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", name)
 		if tr := p.obs.T(); tr != nil && !b.enqueuedAt.IsZero() {
 			// Queue lane: one span per batch covering its time in this
@@ -843,20 +915,17 @@ func (p *Pool) worker(d *device, stream int) {
 		if sick := b.sick(); sick != nil {
 			b.art.tally.noteAborted()
 			p.migrate(sick, b, jobs, fmt.Errorf("%s quarantined", sick.spec.Name))
+			p.release(b)
 			continue
 		}
 
+		b.stream = stream
 		p.admit(b)
 
 		now := time.Now()
 		live := jobs[:0:0]
-		for _, j := range p.alive(d, jobs) {
-			if !j.deadline.IsZero() && now.After(j.deadline) {
-				if j.finish(nil, nil, fmt.Errorf("%w: queued %.0f ms on %s",
-					ErrDeadlineExceeded, now.Sub(j.submitted).Seconds()*1e3, name)) {
-					p.noteFailure(d, "deadline", false)
-				}
-			} else if j.start(len(jobs), now) {
+		for _, j := range p.alive(b, d, jobs, now) {
+			if j.start(len(jobs), now) {
 				wait := now.Sub(j.submitted).Seconds()
 				metricObserve(p.obs, metricQueueWait, wait)
 				p.slo.observeQueue(j.Fingerprint, wait, j.ID)
@@ -865,7 +934,7 @@ func (p *Pool) worker(d *device, stream int) {
 		}
 		if len(live) > 0 {
 			metricObserve(p.obs, metricBatchSize, float64(len(live)))
-			p.run(b, stream, live)
+			p.run(b, live)
 		}
 		p.release(b)
 	}
@@ -937,16 +1006,16 @@ func batchContext(live []*Job) (context.Context, func()) {
 // simulated-clock device timeline lands in every member job's lifecycle
 // trace, and the execution interval is drawn on the leader's worker lane
 // of the pool Chrome trace. Without one the sink is nil and costs nothing.
-func (p *Pool) run(b *batch, stream int, live []*Job) {
+func (p *Pool) run(b *batch, live []*Job) {
 	l := b.leader
-	lane := fmt.Sprintf("worker:%s#%d", l.spec.Name, stream)
+	lane := fmt.Sprintf("worker:%s#%d", l.spec.Name, b.stream)
 	tr := p.obs.T()
 	size := 1
 	if b.accounting {
 		size = len(live)
 	}
 	for at := 0; at < len(live); at += size {
-		group := p.alive(l, live[at:at+size]) // callers may give up while earlier groups run
+		group := p.alive(b, l, live[at:at+size], time.Time{}) // callers may give up while earlier groups run
 		if len(group) == 0 {
 			continue
 		}
@@ -962,15 +1031,15 @@ func (p *Pool) run(b *batch, stream int, live []*Job) {
 		out, err := b.art.run(ctx, core.RunOptions{
 			Inputs: group[0].inputs, Simulate: b.accounting, Resident: b.resident, Sink: sink})
 		stop()
-		wall := time.Since(t0)
+		out.wall = time.Since(t0)
 		label := shortFP(b.fp)
 		if b.accounting {
 			label = fmt.Sprintf("%s[%d] %s", b.art.kind, len(group), label)
 		}
 		tr.AddWall(lane, label, "serve.exec", laneStart, tr.NowSeconds())
 		for _, j := range group {
-			j.trace.span(PhaseAttempt, t0, t0.Add(wall), map[string]string{
-				"device": b.pl.String(), "stream": fmt.Sprint(stream),
+			j.trace.span(PhaseAttempt, t0, t0.Add(out.wall), map[string]string{
+				"device": b.pl.String(), "stream": fmt.Sprint(b.stream),
 				"outcome": attemptOutcome(err)})
 			j.trace.addExec(sink)
 		}
@@ -978,10 +1047,18 @@ func (p *Pool) run(b *batch, stream int, live []*Job) {
 			p.escalate(b, live[at:], err)
 			return
 		}
-		for _, j := range group {
-			p.settle(b, stream, j, out, err, wall)
+		reason := "exec"
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// The callers gave up; that says nothing about the devices.
+			reason, out = "cancelled", outcome{}
+			err = fmt.Errorf("%w mid-flight on %s: %v", ErrCancelled, b.pl, err)
 		}
-		p.noteHealth(b, out.rep, err)
+		for _, j := range group {
+			p.settleJob(b, j, l, out, err, reason)
+		}
+		if reason != "cancelled" {
+			p.noteHealth(b, out.rep, err)
+		}
 	}
 }
 
@@ -997,73 +1074,10 @@ func attemptOutcome(err error) string {
 	}
 }
 
-// settle finishes one job from its execution outcome. The leader's stream
-// clock advances by the outcome's span — the report's actual (elision-
-// aware) time, or the joined makespan of concurrent parts — minus the
-// rolling-admission overlap: with residency on, the batch's lead
-// prefetches for still-missing buffers hide behind the previous batch's
-// compute tail on the same stream, bounded by that tail and by the batch's
-// own runtime. Every other member's device-seconds land in its gang busy
-// accounting (the batch never occupied one of that member's own streams).
-// Charged stats — what the job is billed — are never touched by either
-// adjustment.
-func (p *Pool) settle(b *batch, stream int, j *Job, out outcome, err error, wall time.Duration) {
-	l := b.leader
-	switch {
-	case err == nil:
-		var ov float64
-		l.mu.Lock()
-		l.completed++
-		if r := b.art.residency; r != nil && p.cfg.residency {
-			ov = math.Min(r.LeadSec(b.resident), math.Min(l.streamTail[stream], out.span))
-			l.streamTail[stream] = r.TailSec
-		}
-		l.streamClock[stream] += out.span - ov
-		l.rollSec += ov
-		l.h2dCharged += out.rep.Stats.H2DFloats
-		l.h2dActual += out.rep.Actual.H2DFloats
-		l.elidedFloats += out.rep.ElidedH2DFloats
-		l.mu.Unlock()
-		for i, m := range b.members {
-			if m == l {
-				continue // its stream carried the span
-			}
-			sec := out.parts.Parts[i].Stats.TotalTime()
-			m.mu.Lock()
-			m.gangSec += sec
-			m.mu.Unlock()
-		}
-		if ov > 0 {
-			metricObserve(p.obs, metricRollOverlap, ov)
-		}
-		if out.rep.ElidedH2DFloats > 0 {
-			metricAdd(p.obs, metricElidedFloats, out.rep.ElidedH2DFloats)
-		}
-		b.art.tally.noteSettled(nil)
-		metricInc(p.obs, metricCompleted, "device", l.spec.Name)
-		metricObserve(p.obs, metricExecSeconds, wall.Seconds())
-		p.breaker.recordSuccess()
-		if j.finish(out.rep, out.parts, nil) {
-			p.slo.observeDone(j.Fingerprint, wall.Seconds(),
-				time.Since(j.submitted).Seconds(), j.ID)
-		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(nil, nil, fmt.Errorf("%w mid-flight on %s: %v", ErrCancelled, b.pl, err)) {
-			p.noteFailure(l, "cancelled", false)
-		}
-	default:
-		b.art.tally.noteSettled(err)
-		if j.finish(out.rep, out.parts, err) {
-			p.noteFailure(l, "exec", true)
-		}
-	}
-}
-
-// noteHealth feeds one execution outcome to the members' health state
-// machines (cancellations say nothing about a device).
+// noteHealth feeds one execution outcome that was not a cancellation to
+// the members' health state machines.
 func (p *Pool) noteHealth(b *batch, rep *exec.Report, err error) {
 	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 	case err != nil:
 		// Arity branch 3 of 3 — health evidence: a non-fault error from a
 		// multi-member execution cannot be attributed to any one member,
@@ -1082,11 +1096,12 @@ func (p *Pool) noteHealth(b *batch, rep *exec.Report, err error) {
 	}
 }
 
-// escalate handles a terminal device fault inside an execution:
-// quarantine the faulty member (the first escalation writes its pinned
-// set off, drains its queue onto healthy devices and starts the prober)
-// and re-place the failing batch's unfinished jobs from scratch — on a
-// single device or a new gang, excluding the quarantined member.
+// escalate handles a terminal device fault inside an execution: write the
+// faulty member's pinned set off (on every escalation, so pins installed
+// by a batch whose dequeue raced the quarantine go too), quarantine it
+// (the first escalation drains its queue onto healthy devices and starts
+// the prober) and re-place the failing batch's unfinished jobs from
+// scratch — on a single device or a new gang, excluding that member.
 func (p *Pool) escalate(b *batch, jobs []*Job, cause error) {
 	// Arity branch 2 of 3 — fault attribution: a partitioned execution
 	// wraps its failure in an exec.PartError naming the part, and parts
@@ -1101,65 +1116,68 @@ func (p *Pool) escalate(b *batch, jobs []*Job, cause error) {
 	name := d.spec.Name
 	metricInc(p.obs, metricDeviceFault, "device", name)
 	p.flight.note(flightFault, "device", name, "cause", cause.Error())
+	d.ledger.writeOff()
 	if d.health.quarantine(cause.Error()) {
-		d.ledger.writeOff()
 		for _, qb := range d.queue.drain() {
 			p.migrate(d, qb, p.take(qb), cause)
+			p.release(qb)
 		}
 		metricGauge(p.obs, metricQueueDepth, float64(d.queue.len()), "device", name)
 		p.wg.Add(1)
 		go p.probeLoop(d)
 	}
+	// The execution is over: its holds go back (and its settled jobs are
+	// published) before the rest can land, and settle, anywhere else.
+	p.release(b)
 	p.migrate(d, b, jobs, cause)
 }
 
 // migrate re-places a batch's unfinished jobs on healthy devices:
 // recompile for the new placement (through its plan cache), re-check
-// admission, enqueue. Jobs that cannot be placed fail with the typed
-// placement error; a batch that has already bounced MaxMigrations times
-// fails with the causing fault.
+// admission, enqueue (tryPlace records the hop). Jobs that cannot be
+// placed fail with the typed placement error; a batch that has already
+// bounced MaxMigrations times fails with the causing fault. Jobs that die
+// here settle on b, for its taker to publish.
 func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
-	live := p.alive(from, jobs)
+	live := p.alive(b, from, jobs, time.Time{})
 	if len(live) == 0 {
 		return
 	}
-	fail := func(err error) {
-		p.flight.note(flightMigrFail,
-			"from", from.spec.Name, "jobs", fmt.Sprint(len(live)), "error", err.Error())
-		for _, j := range live {
-			if j.finish(nil, nil, err) {
-				p.noteFailure(from, "migration", true)
-			}
-		}
+	var err error
+	if b.moved.count >= p.cfg.health.MaxMigrations {
+		err = fmt.Errorf("serve: batch migrated %d times without completing: %w", b.moved.count, cause)
+	} else if _, err = p.place(context.Background(), b.graph, b.accounting, live,
+		move{from, cause, b.moved.count + 1}); err != nil {
+		err = fmt.Errorf("serve: migration off %s failed (original fault: %v): %w", from.spec.Name, cause, err)
 	}
-	if b.migrations >= p.cfg.health.MaxMigrations {
-		fail(fmt.Errorf("serve: batch migrated %d times without completing: %w", b.migrations, cause))
+	if err == nil {
 		return
 	}
-	nb, err := p.place(context.Background(), b.graph, b.accounting, live, map[*device]bool{from: true}, b.migrations+1, true)
-	if err != nil {
-		fail(fmt.Errorf("serve: migration off %s failed (original fault: %v): %w", from.spec.Name, cause, err))
-		return
-	}
-	to := nb.leader
-	from.mu.Lock()
-	from.migratedOut += int64(len(live))
-	from.mu.Unlock()
-	to.mu.Lock()
-	to.migratedIn += int64(len(live))
-	to.mu.Unlock()
-	metricInc(p.obs, metricMigrateBatches, "from", from.spec.Name, "to", to.spec.Name)
-	metricAdd(p.obs, metricMigrateJobs, int64(len(live)))
-	p.obs.T().MarkWall("migrate", "serve", map[string]string{
-		"from": from.spec.Name, "to": to.spec.Name,
-		"jobs": fmt.Sprint(len(live)), "cause": cause.Error(),
-	})
-	p.flight.note(flightMigrate,
-		"from", from.spec.Name, "to", to.spec.Name,
-		"jobs", fmt.Sprint(len(live)), "cause", cause.Error())
+	p.flight.note(flightMigrFail,
+		"from", from.spec.Name, "jobs", fmt.Sprint(len(live)), "error", err.Error())
 	for _, j := range live {
-		j.trace.mark("migrate", map[string]string{
-			"from": from.spec.Name, "to": to.spec.Name, "cause": cause.Error()})
+		p.settleJob(b, j, from, outcome{}, err, "migration")
+	}
+}
+
+// noteMoved records a migrated batch's hop off b.moved.from onto its
+// leader. tryPlace calls it with the pool mutex held, before a worker can
+// take the batch.
+func (p *Pool) noteMoved(b *batch) {
+	from, to, n, cause := b.moved.from.spec.Name, b.leader.spec.Name, len(b.jobs), b.moved.cause.Error()
+	b.moved.from.mu.Lock()
+	b.moved.from.migratedOut += int64(n)
+	b.moved.from.mu.Unlock()
+	b.leader.mu.Lock()
+	b.leader.migratedIn += int64(n)
+	b.leader.mu.Unlock()
+	metricInc(p.obs, metricMigrateBatches, "from", from, "to", to)
+	metricAdd(p.obs, metricMigrateJobs, int64(n))
+	p.obs.T().MarkWall("migrate", "serve", map[string]string{
+		"from": from, "to": to, "jobs": fmt.Sprint(n), "cause": cause})
+	p.flight.note(flightMigrate, "from", from, "to", to, "jobs", fmt.Sprint(n), "cause", cause)
+	for _, j := range b.jobs {
+		j.trace.mark("migrate", map[string]string{"from": from, "to": to, "cause": cause})
 	}
 }
 

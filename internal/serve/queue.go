@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // devQueue is a bounded FIFO of batches. It replaces the buffered
 // channel the pool used before fault tolerance: a channel cannot give
@@ -53,17 +56,11 @@ func (q *devQueue) pop() (*batch, bool) {
 }
 
 // remove takes b out of the queue wherever it sits, freeing its slot
-// immediately; false when b was already dequeued (or never queued).
-func (q *devQueue) remove(b *batch) bool {
+// immediately (a no-op when b was already dequeued).
+func (q *devQueue) remove(b *batch) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, it := range q.items {
-		if it == b {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			return true
-		}
-	}
-	return false
+	q.items = slices.DeleteFunc(q.items, func(it *batch) bool { return it == b })
 }
 
 // drain removes and returns every queued batch — the quarantine path's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -298,5 +299,81 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	if _, err := p.Submit(context.Background(), Request{Graph: edgeGraph(t, 40, 32, 5)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// A pool whose test gate is never opened must still Close — the gate
+// yields to Close and the queued job drains — so a gated test that fails
+// before opening its gate cannot hang the package in its deferred Close.
+func TestCloseOpensGate(t *testing.T) {
+	p := NewPool(WithDevices(gpu.TeslaC870()), WithStreams(2), withGate(make(chan struct{})))
+	j, err := p.Submit(context.Background(), Request{Graph: edgeGraph(t, 40, 32, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung behind a gate that was never opened")
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatalf("queued job lost at close: %v", err)
+	}
+}
+
+// Every goroutine a pool starts — worker streams, the deadline sweeper, a
+// quarantined device's prober, cancellation bridges and batch-context
+// watchers — is gone once Close returns, whatever its jobs went through:
+// a queued cancellation, a queue-deadline expiry, a device loss with
+// migration and probing, an in-flight cancellation, and completion under a
+// caller context that is never cancelled.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	inj := gpu.NewInjector(1)
+	for op := 0; op <= 3; op++ {
+		inj.FailAt(gpu.FaultDeviceLost, op, gpu.Persistent)
+	}
+	gate := make(chan struct{})
+	p := NewPool(WithDevices(gpu.TeslaC870(), gpu.GeForce8800GTX()), withGate(gate),
+		WithDeviceFaults("Tesla C870", inj), WithHealthPolicy(HealthPolicy{ProbeInterval: 5 * time.Millisecond}))
+
+	wait := func(req Request, cancel bool, want error) {
+		t.Helper()
+		req.Graph = edgeGraph(t, 40, 32, 5)
+		j, err := p.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cancel {
+			j.Cancel()
+		}
+		if _, err := j.Wait(context.Background()); !errors.Is(err, want) {
+			t.Fatalf("job error = %v, want %v", err, want)
+		}
+	}
+	wait(Request{}, true, ErrCancelled)
+	wait(Request{Deadline: 5 * time.Millisecond}, false, ErrDeadlineExceeded)
+	close(gate)
+	wait(Request{}, false, nil) // the C870 dies under it; it migrates
+	wait(Request{Ctx: lateCancelCtx(2)}, false, ErrCancelled)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait(Request{Ctx: ctx}, false, nil)
+	if p.Stats().MigratedJobs != 1 {
+		t.Fatalf("stats = %+v, want one migrated job", p.Stats())
+	}
+	p.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the pool", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

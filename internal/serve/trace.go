@@ -182,6 +182,7 @@ func (j *Job) Trace() *JobTrace {
 	j.mu.Lock()
 	state, device := j.state, j.placement.Primary()
 	submitted, started, finished := j.submitted, j.started, j.finished
+	queueDur, execDur := j.timings()
 	errText := ""
 	if j.err != nil {
 		errText = j.err.Error()
@@ -202,27 +203,13 @@ func (j *Job) Trace() *JobTrace {
 	}
 	t.mu.Unlock()
 
-	// Synthesize the queue/exec phases from the job timestamps using the
-	// exact expressions Status computes QueueWaitMS and ExecMS with, so
-	// the phase durations and the reported timings are bit-identical.
+	// The queue/exec phases are the timings Status reports, so the phase
+	// durations and the reported timings are bit-identical.
 	terminal := state == StateDone || state == StateFailed
-	var queueDur float64
-	switch {
-	case state == StateQueued:
-		queueDur = time.Since(submitted).Seconds() * 1e3
-	case terminal && started.IsZero():
-		queueDur = finished.Sub(submitted).Seconds() * 1e3 // died in the queue
-	default:
-		queueDur = started.Sub(submitted).Seconds() * 1e3
-	}
 	out.Phases = append(out.Phases, PhaseSpan{
 		Phase: PhaseQueue, StartMS: 0, EndMS: queueDur, DurMS: queueDur})
 	out.QueueWaitMS = queueDur
-	if !started.IsZero() && state != StateQueued {
-		execDur := time.Since(started).Seconds() * 1e3
-		if terminal {
-			execDur = finished.Sub(started).Seconds() * 1e3
-		}
+	if !started.IsZero() {
 		es := t.ms(started)
 		out.Phases = append(out.Phases, PhaseSpan{
 			Phase: PhaseExec, StartMS: es, EndMS: es + execDur, DurMS: execDur})
