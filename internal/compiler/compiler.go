@@ -24,12 +24,16 @@ import (
 )
 
 // Compilation is the shared context one pipeline run threads through its
-// passes: the graph being compiled (mutated in place by the split pass),
-// the device and memory budgets, and the artifacts passes produce — the
-// split result, the execution plan, planner status, and diagnostics.
+// passes: the graph being compiled, the device and memory budgets, and
+// the artifacts passes produce — the split result, the execution plan,
+// planner status, and diagnostics.
 type Compilation struct {
-	// Graph is the operator graph under compilation. The split pass
-	// rewrites it in place; later passes treat it as read-only.
+	// Graph is the operator graph under compilation. No pass writes to
+	// the graph it finds here: schedule-bind replaces it with a view over
+	// rebound node copies, and split replaces it with a rewritten clone
+	// when some operator is over the target. The graph a compile starts
+	// from is therefore never mutated, and after the pipeline Graph is
+	// the one the plan refers to.
 	Graph *graph.Graph
 	// Device is the GPU the compilation targets.
 	Device gpu.Spec
@@ -38,7 +42,7 @@ type Compilation struct {
 	Capacity int64
 	// SplitTarget is the per-operator footprint budget the split pass
 	// enforces. Equal to Capacity in a plain compile; auto-tuning probes
-	// reduced targets (Capacity/2, Capacity/4) on cloned graphs.
+	// reduced targets (Capacity/2, Capacity/4) on one shared input graph.
 	SplitTarget int64
 	// Obs receives per-pass spans and metrics. Nil is the free disabled
 	// state.

@@ -9,8 +9,12 @@ import (
 	"repro/internal/split"
 )
 
-// SplitPass is the operator-splitting pass (paper §3.2): it rewrites the
-// graph in place until every operator's footprint fits c.SplitTarget.
+// SplitPass is the operator-splitting pass (paper §3.2): it makes every
+// operator's footprint fit c.SplitTarget. Splitting rewrites args in
+// place (split.Apply), so the pass clones c.Graph first and points
+// c.Graph at the rewritten clone — and only when some node is over the
+// target: a graph that already fits is passed on as it is, uncopied, and
+// the graph a compile was given is never edited either way.
 type SplitPass struct {
 	// MaxParts bounds a single operator's split factor (0 = none).
 	MaxParts int
@@ -22,8 +26,17 @@ func (SplitPass) Name() string { return "split" }
 // Run implements Pass.
 func (p SplitPass) Run(c *Compilation, sp *obs.Span) error {
 	sp.SetArgf("target_floats", "%d", c.SplitTarget)
-	res, err := split.Apply(c.Graph, split.Options{
-		Capacity: c.SplitTarget, MaxParts: p.MaxParts, Obs: c.Obs})
+	// One scan round that finds nothing to split: what split.Apply
+	// reports for a graph it leaves alone.
+	res := split.Result{Rounds: 1}
+	var err error
+	if c.SplitTarget <= 0 || !split.Feasible(c.Graph, c.SplitTarget) {
+		g := c.Graph.Clone()
+		if res, err = split.Apply(g, split.Options{
+			Capacity: c.SplitTarget, MaxParts: p.MaxParts, Obs: c.Obs}); err == nil {
+			c.Graph = g
+		}
+	}
 	sp.SetArgf("nodes_split", "%d", res.SplitNodes).
 		SetArgf("parts_created", "%d", res.PartsCreated)
 	if err != nil {

@@ -216,9 +216,9 @@ type Compiled struct {
 }
 
 // Compile runs the compilation pipeline on the template graph. The graph
-// is transformed in place by the operator-splitting pass (when
-// AutoTuneSplit selects a deeper split, the returned Compiled.Graph is a
-// clone and the argument graph holds the default split). Cancellation is
+// is never mutated: read the compiled (bound and, if needed, split)
+// graph the plan refers to from Compiled.Graph. A compile that splits
+// nothing copies no part of the graph but its node list. Cancellation is
 // checked between passes; an infeasible template fails with an error
 // matching errors.Is(err, ErrInfeasible).
 func (e *Engine) Compile(ctx context.Context, g *graph.Graph) (*Compiled, error) {
@@ -242,23 +242,16 @@ var autotuneDivisors = []int64{1, 2, 4}
 // compileAutoTuned tries the default capacity plus reduced split targets
 // and keeps the plan with the smallest transfer volume. Scheduling always
 // uses the full capacity; only the split pass sees the reduced target.
-// Candidates compile concurrently (each on its own graph and forked
-// observer, over a worker pool bounded by GOMAXPROCS); clones are taken
-// up-front because the full-capacity candidate splits g in place, and the
-// winner is selected in fixed divisor order with a strict comparison, so
-// the result is identical to compiling the candidates sequentially.
+// Candidates compile concurrently (each under its own forked observer,
+// over a worker pool bounded by GOMAXPROCS) and all read g, which no
+// compile writes; the winner is selected in fixed divisor order with a
+// strict comparison, so the result is identical to compiling the
+// candidates sequentially. A divisor that underflows capacity to zero is
+// skipped.
 func (e *Engine) compileAutoTuned(ctx context.Context, o *obs.Observer, g *graph.Graph) (*Compiled, error) {
 	sp := o.T().Begin("autotune", "compile")
 	defer sp.End()
 	capacity := e.Capacity()
-
-	graphs := make([]*graph.Graph, len(autotuneDivisors))
-	graphs[0] = g
-	for i := 1; i < len(autotuneDivisors); i++ {
-		if capacity/autotuneDivisors[i] > 0 {
-			graphs[i] = g.Clone()
-		}
-	}
 
 	results := make([]*Compiled, len(autotuneDivisors))
 	errs := make([]error, len(autotuneDivisors))
@@ -270,8 +263,8 @@ func (e *Engine) compileAutoTuned(ctx context.Context, o *obs.Observer, g *graph
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, div := range autotuneDivisors {
-		if graphs[i] == nil {
-			continue // capacity/div underflowed to zero: skip
+		if capacity/div == 0 {
+			continue
 		}
 		children[i] = o.Fork()
 		wg.Add(1)
@@ -279,7 +272,7 @@ func (e *Engine) compileAutoTuned(ctx context.Context, o *obs.Observer, g *graph
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = e.compileWith(ctx, children[i], graphs[i], target, capacity)
+			results[i], errs[i] = e.compileWith(ctx, children[i], g, target, capacity)
 		}(i, capacity/div)
 	}
 	wg.Wait()
@@ -292,7 +285,7 @@ func (e *Engine) compileAutoTuned(ctx context.Context, o *obs.Observer, g *graph
 	}
 	best := results[0]
 	for i := 1; i < len(autotuneDivisors); i++ {
-		if graphs[i] == nil {
+		if capacity/autotuneDivisors[i] == 0 {
 			continue
 		}
 		if errs[i] != nil {

@@ -46,10 +46,11 @@ type PartitionedCompiled struct {
 // schedule-bind, operator splitting to the smallest member's planner
 // capacity, validation, then the partition pass (assignment, per-part
 // scheduling and verification, cross-device edges). Config.Device is
-// ignored — the pool is the target. The graph is transformed in place by
-// the split pass. An infeasible template — an operator no split fits
-// under the smallest member, or a partition stripe that comes up empty —
-// fails with an error matching errors.Is(err, ErrInfeasible).
+// ignored — the pool is the target. Like Compile, it never mutates g:
+// read the split graph from PartitionedCompiled.Graph. An infeasible
+// template — an operator no split fits under the smallest member, or a
+// partition stripe that comes up empty — fails with an error matching
+// errors.Is(err, ErrInfeasible).
 func (e *Engine) CompilePartitioned(ctx context.Context, g *graph.Graph, specs []gpu.Spec) (*PartitionedCompiled, error) {
 	return e.compilePartitionedObs(ctx, e.cfg.Obs, g, specs)
 }

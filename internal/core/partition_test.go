@@ -121,15 +121,14 @@ func TestCompilePartitionedInfeasible(t *testing.T) {
 }
 
 // TestServiceCompilePartitionedCache checks the partitioned compile is
-// memoized per (graph, pool, config) and never mutates the caller's
-// graph.
+// memoized per (graph, pool, config). TestCompileNeverMutatesItsInput
+// covers the caller's graph.
 func TestServiceCompilePartitionedCache(t *testing.T) {
 	svc := NewService()
 	g, _, err := templates.CNN(templates.SmallCNN(512, 384))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(g.Nodes)
 	pool := miniPool()
 	pc1, hit1, err := svc.CompilePartitioned(context.Background(), g, pool)
 	if err != nil {
@@ -137,9 +136,6 @@ func TestServiceCompilePartitionedCache(t *testing.T) {
 	}
 	if hit1 {
 		t.Fatal("first compile reported a cache hit")
-	}
-	if len(g.Nodes) != before {
-		t.Fatal("caller graph mutated by partitioned compile")
 	}
 	pc2, hit2, err := svc.CompilePartitioned(context.Background(), g, pool)
 	if err != nil {

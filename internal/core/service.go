@@ -16,9 +16,9 @@ import (
 // goroutines. Compile memoizes by canonical compilation key (graph
 // fingerprint + device + planner config) with single-flight semantics, so
 // a fleet of workers compiling the same template does the compile work
-// once; each miss compiles on a clone of the caller's graph under a
-// forked observer, so the caller's graph is never mutated and concurrent
-// traces never interleave mid-span.
+// once; each miss compiles the caller's graph under a forked observer.
+// A compile never mutates the graph it is given (see Engine.Compile),
+// and concurrent traces never interleave mid-span.
 type Service struct {
 	eng    *Engine
 	cache  *compiler.Cache[*Compiled]
@@ -80,7 +80,8 @@ func (s *Service) configString() string {
 
 // Compile returns the compiled artifact for g, from the cache when an
 // identical compilation has already run (hit=true; no compile passes
-// execute). The caller's graph is never mutated: misses compile a clone.
+// execute). The caller's graph is never mutated, and a miss does not copy
+// it: the compile reads it and copies only what it rewrites.
 // Concurrent calls with the same key share one compile; a cancelled ctx
 // aborts this caller's compile between passes (a concurrent waiter on
 // the same in-flight key receives the compile's own result).
@@ -89,15 +90,15 @@ func (s *Service) Compile(ctx context.Context, g *graph.Graph) (c *Compiled, hit
 	key := s.CacheKey(g)
 	c, hit, err = s.cache.GetOrCompute(key, func() (*Compiled, error) {
 		child := o.Fork()
-		cc, cerr := s.eng.compileObs(ctx, child, g.Clone())
+		cc, cerr := s.eng.compileObs(ctx, child, g)
 		o.Join(child)
 		return cc, cerr
 	})
 	if err != nil {
 		return nil, hit, err
 	}
-	if hit {
-		o.T().MarkWall("cache-hit", "compile", map[string]string{"key": key[:12]})
+	if t := o.T(); hit && t != nil {
+		t.MarkWall("cache-hit", "compile", map[string]string{"key": key[:12]})
 	}
 	return c, hit, nil
 }
@@ -114,21 +115,21 @@ func (s *Service) PartitionCacheKey(g *graph.Graph, specs []gpu.Spec) string {
 // CompilePartitioned returns the partitioned artifact for g over the
 // device pool specs, from its own cache when an identical compilation
 // already ran (single-flight, like Compile). The caller's graph is never
-// mutated: misses compile a clone.
+// mutated, and a miss does not copy it.
 func (s *Service) CompilePartitioned(ctx context.Context, g *graph.Graph, specs []gpu.Spec) (pc *PartitionedCompiled, hit bool, err error) {
 	o := s.eng.cfg.Obs
 	key := s.PartitionCacheKey(g, specs)
 	pc, hit, err = s.pcache.GetOrCompute(key, func() (*PartitionedCompiled, error) {
 		child := o.Fork()
-		cc, cerr := s.eng.compilePartitionedObs(ctx, child, g.Clone(), specs)
+		cc, cerr := s.eng.compilePartitionedObs(ctx, child, g, specs)
 		o.Join(child)
 		return cc, cerr
 	})
 	if err != nil {
 		return nil, hit, err
 	}
-	if hit {
-		o.T().MarkWall("cache-hit", "compile", map[string]string{"key": key[:12]})
+	if t := o.T(); hit && t != nil {
+		t.MarkWall("cache-hit", "compile", map[string]string{"key": key[:12]})
 	}
 	return pc, hit, nil
 }

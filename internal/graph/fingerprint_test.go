@@ -153,3 +153,76 @@ func TestFingerprintDistinguishesTemplates(t *testing.T) {
 		t.Fatal("distinct templates collide")
 	}
 }
+
+// renumbered rebuilds g node for node, creating gaps[i%len(gaps)]%4
+// unused buffers before each of g's buffers: every buffer ID shifts while
+// the order of IDs, the node IDs and the wiring stay as they were.
+func renumbered(g *graph.Graph, gaps []byte) *graph.Graph {
+	out := graph.New()
+	m := make([]*graph.Buffer, g.NumBufferIDs())
+	for i, b := range g.Buffers() {
+		for k := 0; len(gaps) > 0 && k < int(gaps[i%len(gaps)]%4); k++ {
+			out.NewBuffer("unused", graph.Shape{Rows: 1, Cols: 1})
+		}
+		var nb *graph.Buffer
+		if b.IsRoot() {
+			nb = out.NewBuffer(b.Name, b.Shape())
+		} else {
+			nb = out.NewChild(b.Name, m[b.Root.ID], b.Region)
+		}
+		nb.IsInput, nb.IsOutput = b.IsInput, b.IsOutput
+		m[b.ID] = nb
+	}
+	mapArg := func(a graph.Arg) graph.Arg {
+		bufs := make([]*graph.Buffer, len(a.Bufs))
+		for i, b := range a.Bufs {
+			bufs[i] = m[b.ID]
+		}
+		return graph.Arg{Region: a.Region, Bufs: bufs}
+	}
+	for _, n := range g.Nodes {
+		in := make([]graph.Arg, len(n.In))
+		for i, a := range n.In {
+			in[i] = mapArg(a)
+		}
+		out.MustAddNode(n.Name, n.Op, in, mapArg(n.Out))
+	}
+	return out
+}
+
+// FuzzFingerprint checks the fingerprint's contract on seeded random DAGs
+// (randomDAG): equal after Clone, equal after an order-preserving buffer
+// renumbering, different after one live buffer's role flips or one arg's
+// region shrinks. The seed corpus runs with the tier-1 tests; run with
+// -fuzz=FuzzFingerprint to explore.
+func FuzzFingerprint(f *testing.F) {
+	f.Add(int64(0), []byte{1}, uint16(0), uint8(0))
+	f.Add(int64(1), []byte{0, 3, 2}, uint16(5), uint8(1))
+	f.Add(int64(7), []byte{2, 2}, uint16(11), uint8(2))
+	f.Add(int64(42), []byte{}, uint16(3), uint8(3))
+	f.Add(int64(-3), []byte{3, 0, 0, 1}, uint16(999), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, gaps []byte, which uint16, kind uint8) {
+		g := randomDAG(seed)
+		want := g.Fingerprint()
+		if got := g.Clone().Fingerprint(); got != want {
+			t.Fatalf("seed %d: Clone changed the fingerprint", seed)
+		}
+		if got := renumbered(g, gaps).Fingerprint(); got != want {
+			t.Fatalf("seed %d: renumbering buffers with gaps %v changed the fingerprint", seed, gaps)
+		}
+		p := g.Clone()
+		switch n := p.Nodes[int(which)%len(p.Nodes)]; kind % 3 {
+		case 0: // through the registry: it must hand back the clone's own buffer
+			b := p.Buffer(n.Out.Bufs[0].ID)
+			b.IsOutput = !b.IsOutput
+		case 1:
+			b := n.In[0].Bufs[0]
+			b.IsInput = !b.IsInput
+		case 2:
+			n.In[0].Region.Rows--
+		}
+		if p.Fingerprint() == want {
+			t.Fatalf("seed %d: perturbation %d of node %d left the fingerprint unchanged", seed, kind%3, which)
+		}
+	})
+}

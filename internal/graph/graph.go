@@ -18,7 +18,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/loadbalance"
 	"repro/internal/tensor"
@@ -102,6 +101,11 @@ type Buffer struct {
 	// graph hash so plans for different sparsity structures never share
 	// a cache entry. Required whenever Est is set.
 	EstDigest string
+
+	// self backs SingleArg's one-element Bufs slice, so wrapping a whole
+	// buffer as an Arg allocates nothing. Set when a graph creates the
+	// buffer; a Buffer built any other way gets a fresh slice instead.
+	self [1]*Buffer
 }
 
 // Shape returns the buffer's own extent.
@@ -158,8 +162,14 @@ func (a Arg) Root() *Buffer {
 	return a.Bufs[0].Root
 }
 
-// SingleArg wraps one whole buffer as an Arg.
+// SingleArg wraps one whole buffer as an Arg. The Bufs slice of a
+// graph-created buffer is the buffer's own one-element array with its
+// capacity capped, so appending to it copies and nothing writes into it:
+// every pass that rewires an arg assigns it a new slice.
 func SingleArg(b *Buffer) Arg {
+	if b.self[0] == b {
+		return Arg{Region: b.Region, Bufs: b.self[:1:1]}
+	}
 	return Arg{Region: b.Region, Bufs: []*Buffer{b}}
 }
 
@@ -316,10 +326,17 @@ next:
 func (n *Node) OutputBuffers() []*Buffer { return append([]*Buffer(nil), n.Out.Bufs...) }
 
 // Footprint returns the node's memory requirement in floats: the sum of
-// the sizes of all data structures it touches (paper §3.2 step 1).
+// the sizes of all data structures it touches (paper §3.2 step 1). It
+// allocates nothing for a node touching up to 16 buffers: the distinct
+// set is gathered in a stack array.
 func (n *Node) Footprint() int64 {
+	var stack [16]*Buffer
+	distinct := stack[:0]
+	for _, a := range n.In {
+		distinct = appendDistinct(distinct, a.Bufs)
+	}
 	var total int64
-	for _, b := range n.Buffers() {
+	for _, b := range appendDistinct(distinct, n.Out.Bufs) {
 		total += b.Size()
 	}
 	return total
@@ -333,23 +350,54 @@ func (n *Node) String() string {
 type Graph struct {
 	Nodes []*Node
 
-	nextBufID  int
 	nextNodeID int
-	buffers    map[int]*Buffer
+	// buffers is the registry, indexed by buffer ID: IDs are handed out
+	// densely from zero, so the next ID is len(buffers).
+	buffers []*Buffer
+
+	// Node and Buffer values are carved from chunks the graph owns, one
+	// allocation per chunk rather than per value (see chunks).
+	nodes chunks[Node]
+	bufs  chunks[Buffer]
+	// regs and shapes are AddNode's scratch for its shape checks.
+	regs   []Region
+	shapes []Shape
+}
+
+// chunks hands out pointers to values of T carved from slabs. A slab is
+// never reallocated (that would move values already handed out); when one
+// is full the next is twice its size, from minChunk up to maxChunk, so a
+// small graph pins little unused space and a large one makes few
+// allocations.
+type chunks[T any] []T
+
+const minChunk, maxChunk = 8, 1024
+
+// next returns a pointer to a fresh zero T.
+func (c *chunks[T]) next() *T {
+	if len(*c) == cap(*c) {
+		*c = make([]T, 0, min(max(2*cap(*c), minChunk), maxChunk))
+	}
+	*c = (*c)[:len(*c)+1]
+	return &(*c)[len(*c)-1]
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{buffers: make(map[int]*Buffer)}
+func New() *Graph { return &Graph{} }
+
+// register gives b the next buffer ID and records it in the registry.
+func (g *Graph) register(b *Buffer) *Buffer {
+	b.ID = len(g.buffers)
+	b.self[0] = b
+	g.buffers = append(g.buffers, b)
+	return b
 }
 
 // NewBuffer creates a fresh root buffer with the given name and shape.
 func (g *Graph) NewBuffer(name string, s Shape) *Buffer {
-	b := &Buffer{ID: g.nextBufID, Name: name, Region: FullRegion(s)}
-	b.Root = b
-	g.nextBufID++
-	g.buffers[b.ID] = b
-	return b
+	b := g.bufs.next()
+	b.Name, b.Region, b.Root = name, FullRegion(s), b
+	return g.register(b)
 }
 
 // NewEstBuffer creates a fresh root buffer whose device footprint is
@@ -375,29 +423,28 @@ func (g *Graph) NewChild(name string, root *Buffer, reg Region) *Buffer {
 	if !root.Region.Contains(reg) {
 		panic(fmt.Sprintf("graph: child region %v outside root %v", reg, root.Region))
 	}
-	b := &Buffer{ID: g.nextBufID, Name: name, Root: root, Region: reg}
-	g.nextBufID++
-	g.buffers[b.ID] = b
-	return b
+	b := g.bufs.next()
+	b.Name, b.Root, b.Region = name, root, reg
+	return g.register(b)
 }
 
 // AddNode creates a node applying op to the given input args, producing
 // the single out arg. Shapes are validated against the operator.
 func (g *Graph) AddNode(name string, op Operator, in []Arg, out Arg) (*Node, error) {
 	if rv, ok := op.(RegionValidator); ok {
-		inRegs := make([]Region, len(in))
-		for i, a := range in {
-			inRegs[i] = a.Region
+		g.regs = g.regs[:0]
+		for _, a := range in {
+			g.regs = append(g.regs, a.Region)
 		}
-		if err := rv.ValidateRegions(inRegs, out.Region); err != nil {
+		if err := rv.ValidateRegions(g.regs, out.Region); err != nil {
 			return nil, fmt.Errorf("graph: node %q: %w", name, err)
 		}
 	} else {
-		shapes := make([]Shape, len(in))
-		for i, a := range in {
-			shapes[i] = a.Shape()
+		g.shapes = g.shapes[:0]
+		for _, a := range in {
+			g.shapes = append(g.shapes, a.Shape())
 		}
-		want, err := op.OutShape(shapes)
+		want, err := op.OutShape(g.shapes)
 		if err != nil {
 			return nil, fmt.Errorf("graph: node %q: %w", name, err)
 		}
@@ -406,7 +453,8 @@ func (g *Graph) AddNode(name string, op Operator, in []Arg, out Arg) (*Node, err
 				name, op.Kind(), want, out.Shape())
 		}
 	}
-	n := &Node{ID: g.nextNodeID, Name: name, Op: op, In: in, Out: out}
+	n := g.nodes.next()
+	*n = Node{ID: g.nextNodeID, Name: name, Op: op, In: in, Out: out}
 	g.nextNodeID++
 	g.Nodes = append(g.Nodes, n)
 	return n, nil
@@ -422,18 +470,16 @@ func (g *Graph) MustAddNode(name string, op Operator, in []Arg, out Arg) *Node {
 	return n
 }
 
-// Buffers returns all buffers ever created in the graph, sorted by ID.
-func (g *Graph) Buffers() []*Buffer {
-	out := make([]*Buffer, 0, len(g.buffers))
-	for _, b := range g.buffers {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Buffers returns all buffers ever created in the graph, in ID order.
+func (g *Graph) Buffers() []*Buffer { return slices.Clone(g.buffers) }
 
 // Buffer returns the buffer with the given ID, or nil.
-func (g *Graph) Buffer(id int) *Buffer { return g.buffers[id] }
+func (g *Graph) Buffer(id int) *Buffer {
+	if id < 0 || id >= len(g.buffers) {
+		return nil
+	}
+	return g.buffers[id]
+}
 
 // NumBufferIDs returns an exclusive upper bound on the IDs of g's buffers:
 // IDs are dense, so every buffer a node of g (or of a Subgraph view of it)
@@ -507,18 +553,21 @@ func (g *Graph) Consumers() map[int][]*Node {
 }
 
 // Subgraph returns a read-only view of g restricted to the given nodes
-// (in the given order). Nodes and buffers are shared with g — same
-// pointers, same IDs — so buffers cut off from their producers by the
-// restriction keep their identity, which is what lets a cross-device
-// partition reference one buffer from several per-device subplans. The
-// view shares g's buffer registry and must not be mutated (no AddNode /
-// NewBuffer / RemoveNode).
+// (in the given order). Buffers are shared with g — same pointers, same
+// IDs — so buffers cut off from their producers by the restriction keep
+// their identity, which is what lets a cross-device partition reference
+// one buffer from several per-device subplans. The nodes need not be g's
+// own: the compiler's schedule-bind pass presents shallow copies of g's
+// nodes (same args, rebound operators) this way. The view shares g's
+// buffer registry with its capacity capped, so even a stray NewBuffer on
+// the view copies the registry instead of writing into g's; it must
+// still not be mutated (no AddNode / NewBuffer / RemoveNode).
 func (g *Graph) Subgraph(nodes []*Node) *Graph {
+	n := len(g.buffers)
 	return &Graph{
 		Nodes:      append([]*Node(nil), nodes...),
-		nextBufID:  g.nextBufID,
 		nextNodeID: g.nextNodeID,
-		buffers:    g.buffers,
+		buffers:    g.buffers[:n:n],
 	}
 }
 

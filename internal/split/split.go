@@ -98,16 +98,16 @@ func Apply(g *graph.Graph, opt Options) (Result, error) {
 			return res, err
 		}
 		var victim *graph.Node
+		var footprint int64
 		for i := len(order) - 1; i >= 0; i-- {
-			if order[i].Footprint() > opt.Capacity {
-				victim = order[i]
+			if fp := order[i].Footprint(); fp > opt.Capacity {
+				victim, footprint = order[i], fp
 				break
 			}
 		}
 		if victim == nil {
 			return res, nil
 		}
-		footprint := victim.Footprint()
 		parts, err := splitNode(g, victim, opt)
 		if err != nil {
 			return res, fmt.Errorf("split: node %s (footprint %d > capacity %d): %w",
@@ -115,11 +115,13 @@ func Apply(g *graph.Graph, opt Options) (Result, error) {
 		}
 		res.SplitNodes++
 		res.PartsCreated += parts
-		opt.Obs.T().MarkWall("split:"+victim.Name, "compile", map[string]string{
-			"footprint_floats": fmt.Sprint(footprint),
-			"capacity_floats":  fmt.Sprint(opt.Capacity),
-			"parts":            fmt.Sprint(parts),
-		})
+		if t := opt.Obs.T(); t != nil { // the arguments cost more than the no-op
+			t.MarkWall("split:"+victim.Name, "compile", map[string]string{
+				"footprint_floats": fmt.Sprint(footprint),
+				"capacity_floats":  fmt.Sprint(opt.Capacity),
+				"parts":            fmt.Sprint(parts),
+			})
+		}
 		m := opt.Obs.M()
 		m.Counter("split.nodes").Inc()
 		m.Counter("split.parts").Add(int64(parts))

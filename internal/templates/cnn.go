@@ -113,7 +113,7 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 	h, w := cfg.ImageH, cfg.ImageW
 	planes := make([]*graph.Buffer, cfg.InPlanes)
 	for i := range planes {
-		b := g.NewBuffer(fmt.Sprintf("In%d", i+1), graph.Shape{Rows: h, Cols: w})
+		b := g.NewBuffer(name("In", i+1), graph.Shape{Rows: h, Cols: w})
 		b.IsInput = true
 		planes[i] = b
 	}
@@ -142,7 +142,10 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 					}
 				}
 			}
+			// One operator value per layer: every node of the layer
+			// shares it, so compiling binds each once.
 			conv := ops.NewConv2DSame(layer.KernelSize, layer.KernelSize)
+			biasAdd, add := ops.NewBiasAdd(), ops.NewAddN(2)
 			next := make([]*graph.Buffer, layer.OutPlanes)
 			for j := 0; j < layer.OutPlanes; j++ {
 				connected := planes
@@ -152,24 +155,24 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 						connected[ci] = planes[i]
 					}
 				}
-				bias := g.NewBuffer(fmt.Sprintf("B%d_%d", li+1, j+1), graph.Shape{Rows: 1, Cols: 1})
+				bias := g.NewBuffer(name("B", li+1, j+1), graph.Shape{Rows: 1, Cols: 1})
 				bias.IsInput = true
 				bufs.Params = append(bufs.Params, bias)
 				var acc *graph.Buffer
 				for i, in := range connected {
-					k := g.NewBuffer(fmt.Sprintf("K%d_%d_%d", li+1, i+1, j+1),
+					k := g.NewBuffer(name("K", li+1, i+1, j+1),
 						graph.Shape{Rows: layer.KernelSize, Cols: layer.KernelSize})
 					k.IsInput = true
 					bufs.Params = append(bufs.Params, k)
-					l := g.NewBuffer(fmt.Sprintf("L%d_%d_%d", li+1, i+1, j+1), graph.Shape{Rows: h, Cols: w})
-					g.MustAddNode(fmt.Sprintf("C%d_%d_%d", li+1, i+1, j+1), conv,
+					l := g.NewBuffer(name("L", li+1, i+1, j+1), graph.Shape{Rows: h, Cols: w})
+					g.MustAddNode(name("C", li+1, i+1, j+1), conv,
 						[]graph.Arg{graph.SingleArg(in), graph.SingleArg(k)}, graph.SingleArg(l))
-					s := g.NewBuffer(fmt.Sprintf("S%d_%d_%d", li+1, i+1, j+1), graph.Shape{Rows: h, Cols: w})
+					s := g.NewBuffer(name("S", li+1, i+1, j+1), graph.Shape{Rows: h, Cols: w})
 					if i == 0 {
-						g.MustAddNode(fmt.Sprintf("A%d_%d_%d", li+1, i+1, j+1), ops.NewBiasAdd(),
+						g.MustAddNode(name("A", li+1, i+1, j+1), biasAdd,
 							[]graph.Arg{graph.SingleArg(l), graph.SingleArg(bias)}, graph.SingleArg(s))
 					} else {
-						g.MustAddNode(fmt.Sprintf("A%d_%d_%d", li+1, i+1, j+1), ops.NewAddN(2),
+						g.MustAddNode(name("A", li+1, i+1, j+1), add,
 							[]graph.Arg{graph.SingleArg(acc), graph.SingleArg(l)}, graph.SingleArg(s))
 					}
 					acc = s
@@ -178,10 +181,11 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 			}
 			planes = next
 		case LayerTanh:
+			tanh := ops.NewTanh()
 			next := make([]*graph.Buffer, len(planes))
 			for i, in := range planes {
-				o := g.NewBuffer(fmt.Sprintf("T%d_%d", li+1, i+1), graph.Shape{Rows: h, Cols: w})
-				g.MustAddNode(fmt.Sprintf("Tanh%d_%d", li+1, i+1), ops.NewTanh(),
+				o := g.NewBuffer(name("T", li+1, i+1), graph.Shape{Rows: h, Cols: w})
+				g.MustAddNode(name("Tanh", li+1, i+1), tanh,
 					[]graph.Arg{graph.SingleArg(in)}, graph.SingleArg(o))
 				next[i] = o
 			}
@@ -193,10 +197,11 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 			}
 			h /= layer.Factor
 			w /= layer.Factor
+			sub := ops.NewSubsample(layer.Factor)
 			next := make([]*graph.Buffer, len(planes))
 			for i, in := range planes {
-				o := g.NewBuffer(fmt.Sprintf("P%d_%d", li+1, i+1), graph.Shape{Rows: h, Cols: w})
-				g.MustAddNode(fmt.Sprintf("Sub%d_%d", li+1, i+1), ops.NewSubsample(layer.Factor),
+				o := g.NewBuffer(name("P", li+1, i+1), graph.Shape{Rows: h, Cols: w})
+				g.MustAddNode(name("Sub", li+1, i+1), sub,
 					[]graph.Arg{graph.SingleArg(in)}, graph.SingleArg(o))
 				next[i] = o
 			}

@@ -7,10 +7,26 @@ package templates
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/ops"
 )
+
+// name returns prefix followed by nums joined with '_' ("K", 1, 2, 3 →
+// "K1_2_3"), the names the templates give their nodes and buffers,
+// without fmt's cost at one call per node and buffer.
+func name(prefix string, nums ...int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for i, n := range nums {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(b)
+}
 
 // CombineOp selects the reduction that merges per-orientation edge maps,
 // the Combine_op parameter of the find_edges template.
@@ -81,31 +97,39 @@ func EdgeDetect(cfg EdgeConfig) (*graph.Graph, *EdgeBuffers, error) {
 	bufs := &EdgeBuffers{Image: img}
 	maps := make([]*graph.Buffer, 0, cfg.Orientations)
 
+	// One operator value per layer, shared by the layer's nodes.
+	var conv graph.Operator
+	if cfg.Separable {
+		conv = ops.NewSeparableConv2D(cfg.KernelSize)
+	} else {
+		conv = ops.NewConv2DSame(cfg.KernelSize, cfg.KernelSize)
+	}
 	convOuts := make([]*graph.Buffer, nc)
 	for i := 0; i < nc; i++ {
-		e := g.NewBuffer(fmt.Sprintf("E%d", i+1), imgShape)
+		e := g.NewBuffer(name("E", i+1), imgShape)
 		if cfg.Separable {
-			col := g.NewBuffer(fmt.Sprintf("Kc%d", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: 1})
+			col := g.NewBuffer(name("Kc", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: 1})
 			col.IsInput = true
-			row := g.NewBuffer(fmt.Sprintf("Kr%d", i+1), graph.Shape{Rows: 1, Cols: cfg.KernelSize})
+			row := g.NewBuffer(name("Kr", i+1), graph.Shape{Rows: 1, Cols: cfg.KernelSize})
 			row.IsInput = true
 			bufs.Kernels = append(bufs.Kernels, col, row)
-			g.MustAddNode(fmt.Sprintf("C%d", i+1), ops.NewSeparableConv2D(cfg.KernelSize),
+			g.MustAddNode(name("C", i+1), conv,
 				[]graph.Arg{graph.SingleArg(img), graph.SingleArg(col), graph.SingleArg(row)},
 				graph.SingleArg(e))
 		} else {
-			k := g.NewBuffer(fmt.Sprintf("K%d", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: cfg.KernelSize})
+			k := g.NewBuffer(name("K", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: cfg.KernelSize})
 			k.IsInput = true
 			bufs.Kernels = append(bufs.Kernels, k)
-			g.MustAddNode(fmt.Sprintf("C%d", i+1), ops.NewConv2DSame(cfg.KernelSize, cfg.KernelSize),
+			g.MustAddNode(name("C", i+1), conv,
 				[]graph.Arg{graph.SingleArg(img), graph.SingleArg(k)}, graph.SingleArg(e))
 		}
 		convOuts[i] = e
 		maps = append(maps, e)
 	}
+	remap := ops.NewRemap(-1, 0, -1e9, 1e9)
 	for i := 0; i < nc; i++ {
-		e := g.NewBuffer(fmt.Sprintf("E%d", nc+i+1), imgShape)
-		g.MustAddNode(fmt.Sprintf("R%d", i+1), ops.NewRemap(-1, 0, -1e9, 1e9),
+		e := g.NewBuffer(name("E", nc+i+1), imgShape)
+		g.MustAddNode(name("R", i+1), remap,
 			[]graph.Arg{graph.SingleArg(convOuts[i])}, graph.SingleArg(e))
 		maps = append(maps, e)
 	}

@@ -92,12 +92,13 @@ func PageRank(cfg SparseConfig) (*graph.Graph, *SparseBuffers, error) {
 	bufs := &SparseBuffers{A: a, X: x}
 	cur := x
 	teleport := (1 - cfg.Alpha) / float32(n)
+	spmv, damp := ops.NewSpMV(s), ops.NewRemap(cfg.Alpha, teleport, -1e30, 1e30)
 	for t := 1; t <= cfg.Iterations; t++ {
-		y := g.NewBuffer(fmt.Sprintf("y%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("spmv%d", t), ops.NewSpMV(s),
+		y := g.NewBuffer(name("y", t), vec)
+		g.MustAddNode(name("spmv", t), spmv,
 			[]graph.Arg{graph.SingleArg(a), graph.SingleArg(cur)}, graph.SingleArg(y))
-		next := g.NewBuffer(fmt.Sprintf("x%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("damp%d", t), ops.NewRemap(cfg.Alpha, teleport, -1e30, 1e30),
+		next := g.NewBuffer(name("x", t), vec)
+		g.MustAddNode(name("damp", t), damp,
 			[]graph.Arg{graph.SingleArg(y)}, graph.SingleArg(next))
 		cur = next
 	}
@@ -140,21 +141,23 @@ func BFSLevels(cfg SparseConfig) (*graph.Graph, *SparseBuffers, error) {
 	levels.IsInput = true
 
 	bufs := &SparseBuffers{A: a, X: f, Visited: visited, Levels: levels}
+	spmv, mask, visit, level := ops.NewSpMV(s), ops.NewFrontierMask(), ops.NewAddN(2), ops.NewAddN(2)
 	for t := 1; t <= cfg.Iterations; t++ {
-		af := g.NewBuffer(fmt.Sprintf("af%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("spmv%d", t), ops.NewSpMV(s),
+		af := g.NewBuffer(name("af", t), vec)
+		g.MustAddNode(name("spmv", t), spmv,
 			[]graph.Arg{graph.SingleArg(a), graph.SingleArg(f)}, graph.SingleArg(af))
-		nf := g.NewBuffer(fmt.Sprintf("f%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("mask%d", t), ops.NewFrontierMask(),
+		nf := g.NewBuffer(name("f", t), vec)
+		g.MustAddNode(name("mask", t), mask,
 			[]graph.Arg{graph.SingleArg(af), graph.SingleArg(visited)}, graph.SingleArg(nf))
-		nv := g.NewBuffer(fmt.Sprintf("v%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("visit%d", t), ops.NewAddN(2),
+		nv := g.NewBuffer(name("v", t), vec)
+		g.MustAddNode(name("visit", t), visit,
 			[]graph.Arg{graph.SingleArg(visited), graph.SingleArg(nf)}, graph.SingleArg(nv))
-		sl := g.NewBuffer(fmt.Sprintf("sl%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("scale%d", t), ops.NewScale(float32(t)),
+		sl := g.NewBuffer(name("sl", t), vec)
+		// The scale is the level number, so each iteration has its own.
+		g.MustAddNode(name("scale", t), ops.NewScale(float32(t)),
 			[]graph.Arg{graph.SingleArg(nf)}, graph.SingleArg(sl))
-		nl := g.NewBuffer(fmt.Sprintf("l%d", t), vec)
-		g.MustAddNode(fmt.Sprintf("level%d", t), ops.NewAddN(2),
+		nl := g.NewBuffer(name("l", t), vec)
+		g.MustAddNode(name("level", t), level,
 			[]graph.Arg{graph.SingleArg(levels), graph.SingleArg(sl)}, graph.SingleArg(nl))
 		f, visited, levels = nf, nv, nl
 	}
