@@ -53,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -61,14 +60,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/templates"
-	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 // env is what the command line hands every experiment.
@@ -501,8 +497,7 @@ type smokeResult struct {
 func extSmoke(e env) (any, error) {
 	o := obs.New()
 	sp := o.T().Begin("template:build", "compile")
-	g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: 512, ImageW: 512, KernelSize: 16, Orientations: 4})
+	g, _, err := workload.Spec{Template: "edge", H: 512, W: 512, Kernel: 16, Orientations: 4}.Build()
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -540,38 +535,27 @@ func extSmoke(e env) (any, error) {
 // ask for it concurrently; everything else is a hit.
 func extCache(e env) (any, error) {
 	svc := core.NewService(core.WithDevice(gpu.TeslaC870()), core.WithObserver(obs.New()))
-	builders := map[string]func() (*graph.Graph, error){
-		"edge-256": func() (*graph.Graph, error) {
-			g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: 256, ImageW: 256, KernelSize: 16, Orientations: 4})
-			return g, err
-		},
-		"edge-384": func() (*graph.Graph, error) {
-			g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: 384, ImageW: 384, KernelSize: 16, Orientations: 4})
-			return g, err
-		},
-		"cnn-small": func() (*graph.Graph, error) {
-			g, _, err := templates.CNN(templates.SmallCNN(160, 120))
-			return g, err
-		},
+	specs := map[string]workload.Spec{
+		"edge-256":  {Template: "edge", H: 256, W: 256, Kernel: 16, Orientations: 4},
+		"edge-384":  {Template: "edge", H: 384, W: 384, Kernel: 16, Orientations: 4},
+		"cnn-small": {Template: "cnn-small", H: 160, W: 120},
 	}
 	const rounds = 4
 	var wg sync.WaitGroup
-	errc := make(chan error, rounds*len(builders))
+	errc := make(chan error, rounds*len(specs))
 	for r := 0; r < rounds; r++ {
-		for name, build := range builders {
+		for name, spec := range specs {
 			wg.Add(1)
-			go func(name string, build func() (*graph.Graph, error)) {
+			go func() {
 				defer wg.Done()
-				g, err := build()
+				g, _, err := spec.Build()
 				if err == nil {
 					_, err = svc.CompileAndSimulate(context.Background(), g)
 				}
 				if err != nil {
 					errc <- fmt.Errorf("%s: %w", name, err)
 				}
-			}(name, build)
+			}()
 		}
 	}
 	wg.Wait()
@@ -586,7 +570,7 @@ func extCache(e env) (any, error) {
 		fmt.Sprint(st.Hits), fmt.Sprint(st.InflightWaits), report.Percent(st.HitRate()))
 	e.emit(t)
 	fmt.Printf("%d goroutines compiled %d distinct templates; single-flight ran the\n",
-		rounds*len(builders), len(builders))
+		rounds*len(specs), len(specs))
 	fmt.Println("compile passes once per template and served every other lookup from cache.")
 	return nil, nil
 }
@@ -622,14 +606,10 @@ func extPipeline(e env) (any, error) {
 // pipe:compute-N wall lanes show the real engine overlap.
 func writePipelineTrace(w io.Writer) error {
 	o := obs.New()
-	g, bufs, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: 512, ImageW: 512, KernelSize: 16, Orientations: 4})
+	g, in, err := workload.Spec{Template: "edge", H: 512, W: 512, Kernel: 16, Orientations: 4,
+		Seed: 1, Materialized: true}.Build()
 	if err != nil {
 		return err
-	}
-	in := exec.Inputs{bufs.Image.ID: randomTensor(1, 512, 512)}
-	for i, kb := range bufs.Kernels {
-		in[kb.ID] = randomTensor(int64(10+i), 16, 16)
 	}
 	svc := core.NewService(
 		core.WithDevice(gpu.Custom("pipeline-arena", 2<<20)),
@@ -644,18 +624,6 @@ func writePipelineTrace(w io.Writer) error {
 		return err
 	}
 	return o.T().WriteChrome(w)
-}
-
-func randomTensor(seed int64, rows, cols int) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(rows, cols)
-	for r := 0; r < rows; r++ {
-		row := t.Row(r)
-		for i := range row {
-			row[i] = rng.Float32()*2 - 1
-		}
-	}
-	return t
 }
 
 func extServe(e env) (any, error) {

@@ -9,6 +9,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/workload"
 )
 
 // repoRoot is where the docs, the CI workflow and the committed
@@ -168,6 +172,69 @@ func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
 		if cmd := "paperbench -" + x.flag + " " + x.name + " "; !strings.Contains(comment, cmd) {
 			t.Errorf("package comment does not list %q", cmd)
 		}
+	}
+}
+
+// Every template, device and planner quoted in the CI workflow, the docs,
+// the verify skill and the commands' package comments is one the shared
+// parsers accept: -template and "template":"…" name a workload.Catalog
+// entry, -device/-devices values parse with gpu.ParseSpec, and -planner
+// values with core.ParsePlanner.
+func TestQuotedFlagsNameRealEntries(t *testing.T) {
+	flagValue := regexp.MustCompile("(?:^|[\\s`(])-(template|devices?|planner)[ \t]+([^\\s`'\"|\\\\)]+)")
+	wireTemplate := regexp.MustCompile(`"template":\s*"([^"]*)"`)
+	files := []string{".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md",
+		".claude/skills/verify/SKILL.md"}
+	cmds, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
+	if err != nil || len(cmds) == 0 {
+		t.Fatalf("no commands found (err %v)", err)
+	}
+	for _, c := range cmds {
+		rel, _ := filepath.Rel(repoRoot, c)
+		files = append(files, rel)
+	}
+	isTemplate := func(name string) bool {
+		return slices.ContainsFunc(workload.Catalog, func(e workload.Entry) bool { return e.Name == name })
+	}
+	quotes := 0
+	for _, file := range files {
+		data, err := os.ReadFile(filepath.Join(repoRoot, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		if strings.HasPrefix(file, "cmd") {
+			text, _, _ = strings.Cut(text, "\npackage main")
+		}
+		for _, m := range wireTemplate.FindAllStringSubmatch(text, -1) {
+			quotes++
+			if !isTemplate(m[1]) {
+				t.Errorf("%s quotes %s: not a catalog template (%s)", file, m[0], workload.Names())
+			}
+		}
+		for _, m := range flagValue.FindAllStringSubmatch(text, -1) {
+			quotes++
+			value := strings.TrimRight(m[2], ".,;:")
+			switch m[1] {
+			case "template":
+				if !isTemplate(value) {
+					t.Errorf("%s quotes -template %s: not a catalog template (%s)", file, value, workload.Names())
+				}
+			case "device", "devices":
+				for _, d := range strings.Split(value, ",") {
+					if _, err := gpu.ParseSpec(d); err != nil {
+						t.Errorf("%s quotes -%s %s: %v", file, m[1], value, err)
+					}
+				}
+			case "planner":
+				if _, err := core.ParsePlanner(value); err != nil {
+					t.Errorf("%s quotes -planner %s: %v", file, value, err)
+				}
+			}
+		}
+	}
+	if quotes == 0 {
+		t.Error("no quoted template, device or planner found: has the scan pattern rotted?")
 	}
 }
 

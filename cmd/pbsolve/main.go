@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pb"
-	"repro/internal/templates"
+	"repro/internal/workload"
 )
 
 var (
@@ -34,7 +34,7 @@ func main() {
 	flag.Parse()
 
 	if *exportFig3 > 0 {
-		g, err := templates.EdgeDetectFig3(1)
+		g, _, err := workload.Spec{Template: "fig3"}.Build()
 		if err != nil {
 			log.Fatal(err)
 		}

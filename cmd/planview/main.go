@@ -4,13 +4,13 @@
 // the execution plan step list, and the observability outputs (Chrome
 // trace export, metrics, memory-residency timeline).
 //
-//	planview -template edge -dim 256 -device mem=262144
+//	planview -template edge -h 256 -w 256 -device mem=262144
 //	planview -template fig3 -dot
-//	planview -template cnn -plan | head -50
+//	planview -template cnn-small -h 256 -w 192 -plan | head -50
 //	planview -template edge -residency
 //	planview -checktrace out.json
-//	planview -device c1060 -planner pb -passes
-//	planview -template cnn -dim 512 -partition
+//	planview -device c1060 -planner pb-optimal -passes
+//	planview -template cnn-small -h 512 -w 384 -partition
 package main
 
 import (
@@ -23,17 +23,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gpu"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/templates"
 	"repro/internal/workload"
 )
 
 var (
-	tmpl       = flag.String("template", "edge", "template: edge, cnn, fig3, pagerank, or bfs")
-	dim        = flag.Int("dim", 256, "edge image dimension / CNN height")
+	tmpl       = flag.String("template", "edge", "catalog template:"+workload.Usage())
+	height     = flag.Int("h", 256, "input height (pagerank, bfs: vertex count)")
+	width      = flag.Int("w", 256, "input width")
 	device     = flag.String("device", "c870", "GPU: c870, 8800, c1060, or mem=<bytes>")
 	dot        = flag.Bool("dot", false, "print the (split) graph in Graphviz dot, annotated with plan positions")
 	showPlan   = flag.Bool("plan", false, "print the full plan step list")
@@ -47,23 +46,10 @@ var (
 	residency  = flag.Bool("residency", false, "replay the plan and print the memory-residency timeline and peak breakdown")
 	checkTrace = flag.String("checktrace", "", "validate a Chrome trace JSON file and exit")
 	passes     = flag.Bool("passes", false, "print the compile pass pipeline for the chosen device/planner and exit")
-	plannerF   = flag.String("planner", "heuristic", "planner: heuristic, baseline, or pb")
+	plannerF   = flag.String("planner", "heuristic", "planner: heuristic, baseline, or pb-optimal")
 	partitionF = flag.Bool("partition", false, "compile the template partitioned across the C870 + 8800 GTX pool and print the joined plan")
 	schedF     = flag.String("schedule", "", "load-balancing schedule: static, mergepath, or worksteal (default static)")
 )
-
-func pickPlanner(name string) core.Planner {
-	switch name {
-	case "heuristic":
-		return core.HeuristicPlanner
-	case "baseline":
-		return core.BaselinePlanner
-	case "pb":
-		return core.PBOptimalPlanner
-	}
-	log.Fatalf("unknown planner %q", name)
-	return 0
-}
 
 func main() {
 	flag.Parse()
@@ -79,28 +65,17 @@ func main() {
 		fmt.Printf("trace %s OK: %s\n", *checkTrace, c)
 		return
 	}
-	var g *graph.Graph
-	var err error
-	switch *tmpl {
-	case "edge":
-		g, _, err = templates.EdgeDetect(templates.EdgeConfig{
-			ImageH: *dim, ImageW: *dim, KernelSize: 16, Orientations: 4})
-	case "cnn":
-		w := *dim * 3 / 4
-		g, _, err = templates.CNN(templates.SmallCNN(*dim, w))
-	case "fig3":
-		g, err = templates.EdgeDetectFig3(1)
-	case "pagerank":
-		// Power-law adjacency: the sparse template whose -dot buffer notes
-		// show packed-vs-dense data-dependent footprints.
-		g, _, err = templates.PageRank(templates.SparseConfig{
-			Structure: workload.PowerLawCSR(2009, *dim, 16, 0.85), Iterations: 4})
-	case "bfs":
-		g, _, err = templates.BFSLevels(templates.SparseConfig{
-			Structure: workload.PowerLawCSR(2009, *dim, 16, 0.85), Iterations: 4})
-	default:
-		log.Fatalf("unknown template %q", *tmpl)
+	spec, err := gpu.ParseSpec(*device)
+	if err != nil {
+		log.Fatal(err)
 	}
+	planner, err := core.ParsePlanner(*plannerF)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// The paper's 16×16 edge kernel; the other templates ignore it.
+	g, _, err := workload.Spec{Template: *tmpl, H: *height, W: *width, Kernel: 16}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,22 +95,6 @@ func main() {
 		return
 	}
 
-	var spec gpu.Spec
-	switch *device {
-	case "c870":
-		spec = gpu.TeslaC870()
-	case "8800":
-		spec = gpu.GeForce8800GTX()
-	case "c1060":
-		spec = gpu.TeslaC1060()
-	default:
-		var mem int64
-		if _, err := fmt.Sscanf(*device, "mem=%d", &mem); err != nil || mem <= 0 {
-			log.Fatalf("unknown device %q", *device)
-		}
-		spec = gpu.Custom("custom", mem)
-	}
-
 	var o *obs.Observer
 	if *traceJSON != "" || *metricsF || *residency {
 		o = obs.New()
@@ -145,7 +104,7 @@ func main() {
 	before := g.Stats()
 	svc := core.NewService(
 		core.WithDevice(spec),
-		core.WithPlanner(pickPlanner(*plannerF)),
+		core.WithPlanner(planner),
 		core.WithObserver(o),
 		core.WithSchedule(*schedF),
 	)
@@ -153,12 +112,12 @@ func main() {
 	if *passes {
 		// List with the -overlap flag applied so the prefetch pass shows
 		// on async-capable devices (the replay path applies it manually).
-		listOpts := []core.Option{core.WithDevice(spec), core.WithPlanner(pickPlanner(*plannerF))}
+		listOpts := []core.Option{core.WithDevice(spec), core.WithPlanner(planner)}
 		if *overlap {
 			listOpts = append(listOpts, core.WithOverlap())
 		}
 		list := core.NewService(listOpts...).Engine()
-		fmt.Printf("compile pipeline for %s (planner %s):\n", spec.Name, pickPlanner(*plannerF))
+		fmt.Printf("compile pipeline for %s (planner %s):\n", spec.Name, planner)
 		for i, name := range list.PassNames() {
 			fmt.Printf("  %2d. %s\n", i+1, name)
 		}

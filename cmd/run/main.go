@@ -1,12 +1,16 @@
-// Command edgedetect runs the find_edges template end to end on a
-// synthetic image: build the operator graph, compile it for the chosen
-// GPU (operator splitting + scheduling), execute the plan on the
-// simulated device with real data, and report transfer/time statistics.
+// Command run takes any catalog template end to end: build the operator
+// graph on synthetic inputs, compile it for the chosen GPU (operator
+// splitting + scheduling), execute the plan on the simulated device with
+// real data (or account for it without data under -simulate), and report
+// transfer/time statistics.
 //
-//	edgedetect -dim 1024 -kernel 16 -orient 4 -device c870
-//	edgedetect -dim 4096 -device 8800 -planner baseline
-//	edgedetect -dim 512 -emit-cuda plan.cu
-//	edgedetect -dim 512 -trace out.json   # open out.json in Perfetto
+//	run -template edge -h 1024 -w 1024 -kernel 16 -orient 4 -device c870
+//	run -template edge -h 4096 -w 4096 -device 8800 -planner baseline
+//	run -template cnn-large -h 6400 -w 4800 -device 8800 -simulate
+//	run -template cnn-small -h 640 -w 480 -verify
+//	run -template pagerank -h 512 -device mem=262144 -verify
+//	run -h 512 -w 512 -emit-cuda plan.cu
+//	run -h 512 -w 512 -trace out.json   # open out.json in Perfetto
 package main
 
 import (
@@ -15,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -22,16 +27,17 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/templates"
 	"repro/internal/workload"
 )
 
 var (
-	dim       = flag.Int("dim", 1024, "square image dimension")
+	tmpl      = flag.String("template", "edge", "catalog template:"+workload.Usage())
+	height    = flag.Int("h", 1024, "input height (pagerank, bfs: vertex count)")
+	width     = flag.Int("w", 1024, "input width")
 	kernel    = flag.Int("kernel", 16, "edge filter size")
-	orient    = flag.Int("orient", 4, "number of orientations (even)")
-	device    = flag.String("device", "c870", "GPU: c870, 8800, or mem=<bytes>")
-	planner   = flag.String("planner", "heuristic", "planner: heuristic, baseline, or pb")
+	orient    = flag.Int("orient", 4, "number of edge orientations (even)")
+	device    = flag.String("device", "c870", "GPU: c870, 8800, c1060, or mem=<bytes>")
+	planner   = flag.String("planner", "heuristic", "planner: heuristic, baseline, or pb-optimal")
 	simulate  = flag.Bool("simulate", false, "accounting mode only (no data; any size)")
 	emitCUDA  = flag.String("emit-cuda", "", "write generated CUDA source to this file")
 	verify    = flag.Bool("verify", false, "check results against the CPU reference")
@@ -42,38 +48,18 @@ var (
 	repeat    = flag.Int("repeat", 1, "run the compile+run cycle N times through a shared service; the plan cache amortizes every compile after the first")
 )
 
-func pickDevice(name string) gpu.Spec {
-	switch name {
-	case "c870":
-		return gpu.TeslaC870()
-	case "8800":
-		return gpu.GeForce8800GTX()
-	default:
-		var mem int64
-		if _, err := fmt.Sscanf(name, "mem=%d", &mem); err == nil && mem > 0 {
-			return gpu.Custom(fmt.Sprintf("custom-%dMB", mem>>20), mem)
-		}
-		log.Fatalf("unknown device %q", name)
-		return gpu.Spec{}
-	}
-}
-
-func pickPlanner(name string) core.Planner {
-	switch name {
-	case "heuristic":
-		return core.HeuristicPlanner
-	case "baseline":
-		return core.BaselinePlanner
-	case "pb":
-		return core.PBOptimalPlanner
-	}
-	log.Fatalf("unknown planner %q", name)
-	return 0
-}
-
 func main() {
 	flag.Parse()
-	spec := pickDevice(*device)
+	spec, err := gpu.ParseSpec(*device)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pl, err := core.ParsePlanner(*planner)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ws := workload.Spec{Template: *tmpl, H: *height, W: *width, Kernel: *kernel, Orientations: *orient,
+		Seed: 42, Materialized: !*simulate}
 
 	var o *obs.Observer
 	if *traceOut != "" || *metricsF {
@@ -81,24 +67,21 @@ func main() {
 	}
 
 	sp := o.T().Begin("template:build", "compile").
-		SetArgf("dim", "%d", *dim).SetArgf("orientations", "%d", *orient)
-	g, bufs, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: *dim, ImageW: *dim, KernelSize: *kernel, Orientations: *orient,
-	})
+		SetArg("template", ws.Template).SetArgf("input", "%dx%d", ws.H, ws.W)
+	g, in, err := ws.Build()
 	sp.End()
 	if err != nil {
 		log.Fatal(err)
 	}
 	stats := g.Stats()
-	fmt.Printf("template: edge detection %dx%d, %d orientations, %dx%d kernel\n",
-		*dim, *dim, *orient, *kernel, *kernel)
+	fmt.Printf("template: %s %dx%d\n", ws.Template, ws.H, ws.W)
 	fmt.Printf("graph: %d operators, %d data structures, %s total, %s largest op\n",
 		stats.Operators, stats.DataStructures, report.MB(stats.TotalFloats), report.MB(stats.MaxFootprint))
 
 	ctx := context.Background()
 	svc := core.NewService(
 		core.WithDevice(spec),
-		core.WithPlanner(pickPlanner(*planner)),
+		core.WithPlanner(pl),
 		core.WithPBMaxConflicts(2_000_000),
 		core.WithObserver(o),
 	)
@@ -114,7 +97,8 @@ func main() {
 		len(compiled.Plan.Steps), report.MB(h2d), report.MB(d2h))
 
 	if *emitCUDA != "" {
-		if err := os.WriteFile(*emitCUDA, []byte(compiled.GenerateCUDA("edge_detect")), 0o644); err != nil {
+		name := strings.ReplaceAll(ws.Template, "-", "_")
+		if err := os.WriteFile(*emitCUDA, []byte(compiled.GenerateCUDA(name)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		stubs := *emitCUDA + ".kernels.c"
@@ -133,35 +117,28 @@ func main() {
 	}
 
 	var rep *exec.Report
-	if *simulate {
-		if inj != nil {
-			rep, err = compiled.Run(ctx, core.RunOptions{Simulate: true, Resilient: true, Faults: inj})
-		} else {
-			rep, err = svc.Simulate(ctx, compiled)
-		}
-	} else {
-		in := workload.EdgeInputs(bufs, 42)
-		if inj != nil {
-			rep, err = compiled.Run(ctx, core.RunOptions{Inputs: in, Resilient: true, Faults: inj})
-		} else {
-			rep, err = svc.Execute(ctx, compiled, in)
-		}
-		if err == nil && *verify {
-			want, rerr := exec.RunReference(g, in)
-			if rerr != nil {
-				log.Fatal(rerr)
-			}
-			for id, w := range want {
-				if !rep.Outputs[id].AlmostEqual(w, 1e-3) {
-					log.Fatalf("verification FAILED: output differs by %v",
-						rep.Outputs[id].MaxAbsDiff(w))
-				}
-			}
-			fmt.Println("verification: outputs match the CPU reference")
-		}
+	switch {
+	case inj != nil:
+		rep, err = compiled.Run(ctx, core.RunOptions{Simulate: *simulate, Inputs: in, Resilient: true, Faults: inj})
+	case *simulate:
+		rep, err = svc.Simulate(ctx, compiled)
+	default:
+		rep, err = svc.Execute(ctx, compiled, in)
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *verify && !*simulate {
+		want, err := exec.RunReference(g, in)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for id, w := range want {
+			if !rep.Outputs[id].AlmostEqual(w, 1e-3) {
+				log.Fatalf("verification FAILED: output differs by %v", rep.Outputs[id].MaxAbsDiff(w))
+			}
+		}
+		fmt.Println("verification: outputs match the CPU reference")
 	}
 	fmt.Printf("executed: %d kernel launches, %d H2D + %d D2H calls\n",
 		rep.Stats.KernelLaunches, rep.Stats.H2DCalls, rep.Stats.D2HCalls)
@@ -183,16 +160,14 @@ func main() {
 		// every round after the first is a hit that skips all passes.
 		start := time.Now()
 		for i := 0; i < *repeat; i++ {
-			gg, bufsi, terr := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: *dim, ImageW: *dim, KernelSize: *kernel, Orientations: *orient,
-			})
-			if terr != nil {
-				log.Fatal(terr)
+			gg, ini, err := ws.Build()
+			if err != nil {
+				log.Fatal(err)
 			}
 			if *simulate {
 				_, err = svc.CompileAndSimulate(ctx, gg)
 			} else {
-				_, err = svc.CompileAndExecute(ctx, gg, workload.EdgeInputs(bufsi, 42))
+				_, err = svc.CompileAndExecute(ctx, gg, ini)
 			}
 			if err != nil {
 				log.Fatal(err)

@@ -41,7 +41,7 @@ import (
 
 var (
 	addr     = flag.String("addr", ":8080", "listen address")
-	devices  = flag.String("devices", "c870,8800", "comma-separated pool devices: c870, 8800, c1060, or custom:<name>:<MB>")
+	devices  = flag.String("devices", "c870,8800", "comma-separated pool devices: c870, 8800, c1060, or mem=<bytes>")
 	streams  = flag.Int("streams", 2, "executor streams per device")
 	queue    = flag.Int("queue", 64, "bounded queue depth per device")
 	deadline = flag.Duration("deadline", 0, "default queue-wait deadline (0 = none)")
@@ -105,31 +105,11 @@ func parseChaosLost(s string, seed int64) (string, *gpu.Injector, error) {
 func parseDevices(s string) ([]gpu.Spec, error) {
 	var specs []gpu.Spec
 	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		switch {
-		case tok == "c870":
-			specs = append(specs, gpu.TeslaC870())
-		case tok == "8800":
-			specs = append(specs, gpu.GeForce8800GTX())
-		case tok == "c1060":
-			specs = append(specs, gpu.TeslaC1060())
-		case strings.HasPrefix(tok, "custom:"):
-			var name string
-			var mb int64
-			if _, err := fmt.Sscanf(tok, "custom:%s", &name); err != nil || !strings.Contains(name, ":") {
-				return nil, fmt.Errorf("custom device %q: want custom:<name>:<MB>", tok)
-			}
-			parts := strings.SplitN(name, ":", 2)
-			if _, err := fmt.Sscanf(parts[1], "%d", &mb); err != nil || mb <= 0 {
-				return nil, fmt.Errorf("custom device %q: bad size %q", tok, parts[1])
-			}
-			specs = append(specs, gpu.Custom(parts[0], mb<<20))
-		default:
-			return nil, fmt.Errorf("unknown device %q (c870, 8800, c1060, custom:<name>:<MB>)", tok)
+		spec, err := gpu.ParseSpec(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, err
 		}
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("no devices")
+		specs = append(specs, spec)
 	}
 	return specs, nil
 }
@@ -140,16 +120,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pl core.Planner
-	switch *planner {
-	case "heuristic":
-		pl = core.HeuristicPlanner
-	case "baseline":
-		pl = core.BaselinePlanner
-	case "pb-optimal":
-		pl = core.PBOptimalPlanner
-	default:
-		log.Fatalf("unknown planner %q", *planner)
+	pl, err := core.ParsePlanner(*planner)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	opts := []serve.PoolOption{
@@ -179,8 +152,8 @@ func main() {
 		}
 		// Accept either the full spec name or the same short alias
 		// -devices takes ("c870" for "Tesla C870", and so on).
-		if alias, err := parseDevices(name); err == nil && len(alias) == 1 {
-			name = alias[0].Name
+		if alias, err := gpu.ParseSpec(name); err == nil {
+			name = alias.Name
 		}
 		found := false
 		for _, s := range specs {

@@ -63,6 +63,18 @@ func (p Planner) String() string {
 	return "heuristic"
 }
 
+// ParsePlanner is the inverse of Planner.String: it resolves the name a
+// command line or a printed report uses back to the planner.
+func ParsePlanner(s string) (Planner, error) {
+	all := []Planner{HeuristicPlanner, PBOptimalPlanner, BaselinePlanner}
+	for _, p := range all {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown planner %q (want %v)", s, all)
+}
+
 // Config parametrizes an Engine.
 type Config struct {
 	Device gpu.Spec

@@ -158,6 +158,20 @@ func TestPlannerStrings(t *testing.T) {
 	}
 }
 
+// ParsePlanner is the exact inverse of Planner.String.
+func TestParsePlannerRoundTrip(t *testing.T) {
+	for _, p := range []Planner{HeuristicPlanner, PBOptimalPlanner, BaselinePlanner} {
+		if got, err := ParsePlanner(p.String()); err != nil || got != p {
+			t.Errorf("ParsePlanner(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, s := range []string{"pb", "", "Heuristic", "optimal"} {
+		if p, err := ParsePlanner(s); err == nil {
+			t.Errorf("ParsePlanner(%q) = %v, want an error", s, p)
+		}
+	}
+}
+
 func TestCapacityOverride(t *testing.T) {
 	eng := NewEngine(Config{Device: gpu.TeslaC870()})
 	if eng.Capacity() != gpu.TeslaC870().PlannerCapacity() {

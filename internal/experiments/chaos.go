@@ -87,7 +87,7 @@ func Chaos(dim int, rates []float64, spec gpu.Spec, seed int64) ([]ChaosRow, err
 // the resilient executor in accounting mode with the given injector (nil
 // for a clean run).
 func chaosRun(dim int, spec gpu.Spec, inj *gpu.Injector) (*exec.Report, error) {
-	g, _, err := buildEdge(dim)
+	g, _, err := paperEdge(dim).Build()
 	if err != nil {
 		return nil, err
 	}

@@ -17,21 +17,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/split"
-	"repro/internal/templates"
+	"repro/internal/workload"
 )
 
-// edgeConfig is the paper's experimental edge template: 16×16 kernels at
-// 4 orientations (2 convolutions + 2 remaps), max combine.
-func edgeConfig(dim int) templates.EdgeConfig {
-	return templates.EdgeConfig{
-		ImageH: dim, ImageW: dim, KernelSize: 16, Orientations: 4,
-		Combine: templates.CombineMax,
-	}
-}
-
-// buildEdge builds the edge template graph for a square image.
-func buildEdge(dim int) (*graph.Graph, *templates.EdgeBuffers, error) {
-	return templates.EdgeDetect(edgeConfig(dim))
+// paperEdge is the paper's experimental edge template on a square image:
+// 16×16 kernels at 4 orientations (2 convolutions + 2 remaps), max
+// combine.
+func paperEdge(dim int) workload.Spec {
+	return workload.Spec{Template: "edge", H: dim, W: dim, Kernel: 16, Orientations: 4}
 }
 
 // compileAndSimulate splits the graph for the device, schedules it with
@@ -84,31 +77,26 @@ type TemplateSpec struct {
 // edge detection at 1000² and 10000², and the small and large CNNs at
 // 640×480, 6400×480, and 6400×4800.
 func PaperWorkloads() []TemplateSpec {
-	specs := []TemplateSpec{
-		{Name: "Edge detection", Input: "1000x1000", InputH: 1000, InputW: 1000,
-			Build: func() (*graph.Graph, error) { g, _, err := buildEdge(1000); return g, err }},
-		{Name: "Edge detection", Input: "10000x10000", InputH: 10000, InputW: 10000,
-			Build: func() (*graph.Graph, error) { g, _, err := buildEdge(10000); return g, err }},
+	rows := []struct {
+		name string
+		spec workload.Spec
+	}{
+		{"Edge detection", paperEdge(1000)},
+		{"Edge detection", paperEdge(10000)},
+		{"Small CNN", workload.Spec{Template: "cnn-small", H: 640, W: 480}},
+		{"Small CNN", workload.Spec{Template: "cnn-small", H: 6400, W: 480}},
+		{"Small CNN", workload.Spec{Template: "cnn-small", H: 6400, W: 4800}},
+		{"Large CNN", workload.Spec{Template: "cnn-large", H: 640, W: 480}},
+		{"Large CNN", workload.Spec{Template: "cnn-large", H: 6400, W: 480}},
+		{"Large CNN", workload.Spec{Template: "cnn-large", H: 6400, W: 4800}},
 	}
-	for _, sz := range [][2]int{{640, 480}, {6400, 480}, {6400, 4800}} {
-		sz := sz
-		specs = append(specs, TemplateSpec{
-			Name: "Small CNN", Input: fmt.Sprintf("%dx%d", sz[0], sz[1]),
-			InputH: sz[0], InputW: sz[1],
-			Build: func() (*graph.Graph, error) {
-				g, _, err := templates.CNN(templates.SmallCNN(sz[0], sz[1]))
-				return g, err
-			}})
-	}
-	for _, sz := range [][2]int{{640, 480}, {6400, 480}, {6400, 4800}} {
-		sz := sz
-		specs = append(specs, TemplateSpec{
-			Name: "Large CNN", Input: fmt.Sprintf("%dx%d", sz[0], sz[1]),
-			InputH: sz[0], InputW: sz[1],
-			Build: func() (*graph.Graph, error) {
-				g, _, err := templates.CNN(templates.LargeCNN(sz[0], sz[1]))
-				return g, err
-			}})
+	specs := make([]TemplateSpec, len(rows))
+	for i, r := range rows {
+		specs[i] = TemplateSpec{
+			Name: r.name, Input: fmt.Sprintf("%dx%d", r.spec.H, r.spec.W),
+			InputH: r.spec.H, InputW: r.spec.W,
+			Build: func() (*graph.Graph, error) { g, _, err := r.spec.Build(); return g, err },
+		}
 	}
 	return specs
 }

@@ -33,7 +33,7 @@ func Fig1c(dims []int, spec gpu.Spec) ([]Fig1cRow, error) {
 	capacity := spec.PlannerCapacity()
 	var rows []Fig1cRow
 	for _, dim := range dims {
-		g, _, err := buildEdge(dim)
+		g, _, err := paperEdge(dim).Build()
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pb"
 	"repro/internal/sched"
-	"repro/internal/templates"
+	"repro/internal/workload"
 )
 
 // Fig3Row is one (schedule, policy) measurement of the Fig. 3 experiment.
@@ -44,7 +44,7 @@ func fig3Order(g *graph.Graph, names []string) ([]*graph.Node, error) {
 // contrast appears at 4 units: (a) costs 12 (16 under naive FIFO), (b)
 // costs exactly 8.
 func Fig3(capacityUnits int64) ([]Fig3Row, error) {
-	g, err := templates.EdgeDetectFig3(1)
+	g, _, err := workload.Spec{Template: "fig3"}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ type Fig6Result struct {
 // the given capacity and cross-checks the §3.3.1 heuristic against the
 // optimum.
 func Fig6(capacityUnits int64, maxConflicts int64) (*Fig6Result, error) {
-	g, err := templates.EdgeDetectFig3(1)
+	g, _, err := workload.Spec{Template: "fig3"}.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func Fig8(dims []int, spec gpu.Spec) ([]Fig8Row, error) {
 	for _, dim := range dims {
 		row := Fig8Row{ImageDim: dim, Baseline: -1}
 
-		gb, _, err := buildEdge(dim)
+		gb, _, err := paperEdge(dim).Build()
 		if err != nil {
 			return nil, err
 		}
@@ -35,7 +35,7 @@ func Fig8(dims []int, spec gpu.Spec) ([]Fig8Row, error) {
 			row.Baseline = stats.TotalTime()
 		}
 
-		g, _, err := buildEdge(dim)
+		g, _, err := paperEdge(dim).Build()
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func Fig8(dims []int, spec gpu.Spec) ([]Fig8Row, error) {
 // kernel, so only the input image and output edge map cross the bus and
 // there is exactly one kernel launch.
 func bestPossible(dim int, spec gpu.Spec) float64 {
-	g, _, err := buildEdge(dim)
+	g, _, err := paperEdge(dim).Build()
 	if err != nil {
 		return 0
 	}
@@ -88,7 +88,7 @@ func bestPossible(dim int, spec gpu.Spec) float64 {
 // LowerBoundFloats exposes the I/O lower bound for a dimension (used by
 // reports).
 func LowerBoundFloats(dim int) (int64, error) {
-	g, _, err := buildEdge(dim)
+	g, _, err := paperEdge(dim).Build()
 	if err != nil {
 		return 0, err
 	}

@@ -33,7 +33,7 @@ func Overlap(dims []int, spec gpu.Spec) ([]OverlapRow, error) {
 	spec.Headroom = 0.7
 	var rows []OverlapRow
 	for _, dim := range dims {
-		g, _, err := buildEdge(dim)
+		g, _, err := paperEdge(dim).Build()
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/sched"
-	"repro/internal/templates"
 	"repro/internal/workload"
 )
 
@@ -127,7 +126,7 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 
 	// Single-device paged baselines: the whole template through one card.
 	for _, spec := range specs {
-		g, _, err := templates.CNN(templates.LargeCNN(h, w))
+		g, _, err := workload.Spec{Template: "cnn-large", H: h, W: w}.Build()
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +147,7 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 
 	// Partitioned across the pool: compile once, execute rounds times in
 	// accounting mode on fresh member-sized devices.
-	g, _, err := templates.CNN(templates.LargeCNN(h, w))
+	g, _, err := workload.Spec{Template: "cnn-large", H: h, W: w}.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +214,10 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 	// run against the same split graph executed sequentially on one
 	// device large enough to hold it.
 	res.VerifyInput = fmt.Sprintf("%dx%d", vh, vw)
-	vg, bufs, err := templates.CNN(templates.LargeCNN(vh, vw))
+	vg, in, err := workload.Spec{Template: "cnn-large", H: vh, W: vw, Seed: 7, Materialized: true}.Build()
 	if err != nil {
 		return nil, err
 	}
-	in := workload.CNNInputs(bufs, 7)
 	vpc, err := core.NewEngine(core.Config{}).CompilePartitioned(context.Background(), vg, specs)
 	if err != nil {
 		return nil, fmt.Errorf("verify compile: %w", err)

@@ -3,15 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/exec"
 	"repro/internal/gpu"
-	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/split"
-	"repro/internal/templates"
-	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 // PipelineRow is one workload of the pipelined-execution extension
@@ -41,8 +38,7 @@ type PipelineRow struct {
 // pipelineWorkload is one materialized workload of the experiment.
 type pipelineWorkload struct {
 	template string
-	input    string
-	build    func() (*graph.Graph, error)
+	spec     workload.Spec
 	// memBytes sizes the device arena so plans actually chunk, evict,
 	// and re-upload — the regime the pipeline targets.
 	memBytes int64
@@ -53,45 +49,13 @@ type pipelineWorkload struct {
 // real convolutions on the host, so paper-scale images would take hours
 // where accounting mode takes milliseconds).
 func pipelineWorkloads() []pipelineWorkload {
-	edge := func(dim int) func() (*graph.Graph, error) {
-		return func() (*graph.Graph, error) {
-			g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: dim, ImageW: dim, KernelSize: 16, Orientations: 4,
-				Combine: templates.CombineMax})
-			return g, err
-		}
-	}
 	return []pipelineWorkload{
-		{"Edge detection", "256x256", edge(256), 640 << 10},
-		{"Edge detection", "512x512", edge(512), 2 << 20},
-		{"Small CNN", "320x240", func() (*graph.Graph, error) {
-			g, _, err := templates.CNN(templates.SmallCNN(320, 240))
-			return g, err
-		}, 2 << 20},
-		{"Edge detection", "1024x1024", edge(1024), 8 << 20},
-		{"Large CNN", "320x240", func() (*graph.Graph, error) {
-			g, _, err := templates.CNN(templates.LargeCNN(320, 240))
-			return g, err
-		}, 4 << 20},
+		{"Edge detection", paperEdge(256), 640 << 10},
+		{"Edge detection", paperEdge(512), 2 << 20},
+		{"Small CNN", workload.Spec{Template: "cnn-small", H: 320, W: 240}, 2 << 20},
+		{"Edge detection", paperEdge(1024), 8 << 20},
+		{"Large CNN", workload.Spec{Template: "cnn-large", H: 320, W: 240}, 4 << 20},
 	}
-}
-
-// randomInputs fills every template input with deterministic random data.
-func randomInputs(g *graph.Graph, seed int64) exec.Inputs {
-	rng := rand.New(rand.NewSource(seed))
-	in := exec.Inputs{}
-	for _, b := range g.InputBuffers() {
-		sh := b.Shape()
-		t := tensor.New(sh.Rows, sh.Cols)
-		for r := 0; r < sh.Rows; r++ {
-			row := t.Row(r)
-			for i := range row {
-				row[i] = rng.Float32()*2 - 1
-			}
-		}
-		in[b.ID] = t
-	}
-	return in
 }
 
 // Pipeline checks the pipelined executor against sequential execution
@@ -101,13 +65,12 @@ func randomInputs(g *graph.Graph, seed int64) exec.Inputs {
 func Pipeline() ([]PipelineRow, error) {
 	var rows []PipelineRow
 	for _, wl := range pipelineWorkloads() {
-		g, err := wl.build()
+		wl.spec.Materialized, wl.spec.Seed = true, 11
+		g, in, err := wl.spec.Build()
 		if err != nil {
 			return nil, err
 		}
-		// Inputs are keyed by the template's root buffers, so build them
-		// before the split pass replaces inputs with region children.
-		in := randomInputs(g, 11)
+		input := fmt.Sprintf("%dx%d", wl.spec.H, wl.spec.W)
 		spec := gpu.Custom("pipeline-arena", wl.memBytes)
 		// Prefetch raises the residency high-watermark; reserve extra
 		// fragmentation headroom as the overlap experiment does.
@@ -127,12 +90,12 @@ func Pipeline() ([]PipelineRow, error) {
 		seqRep, err := exec.Run(context.Background(), g, plan, in, exec.Options{
 			Mode: exec.Materialized, Device: gpu.New(spec)})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s sequential: %w", wl.template, wl.input, err)
+			return nil, fmt.Errorf("%s %s sequential: %w", wl.template, input, err)
 		}
 		pipeRep, err := exec.Run(context.Background(), g, plan, in, exec.Options{
 			Mode: exec.Materialized, Device: gpu.New(spec), Pipeline: true})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s pipelined: %w", wl.template, wl.input, err)
+			return nil, fmt.Errorf("%s %s pipelined: %w", wl.template, input, err)
 		}
 		equal := len(seqRep.Outputs) == len(pipeRep.Outputs)
 		for id, w := range seqRep.Outputs {
@@ -148,17 +111,17 @@ func Pipeline() ([]PipelineRow, error) {
 		syncRep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{
 			Mode: exec.Accounting, Device: gpu.New(model)})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s modeled sync: %w", wl.template, wl.input, err)
+			return nil, fmt.Errorf("%s %s modeled sync: %w", wl.template, input, err)
 		}
 		overlapRep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{
 			Mode: exec.Accounting, Device: gpu.New(model), Overlap: true})
 		if err != nil {
-			return nil, fmt.Errorf("%s %s modeled overlap: %w", wl.template, wl.input, err)
+			return nil, fmt.Errorf("%s %s modeled overlap: %w", wl.template, input, err)
 		}
 
 		rows = append(rows, PipelineRow{
 			Template:          wl.template,
-			Input:             wl.input,
+			Input:             input,
 			Steps:             len(plan.Steps),
 			ModeledSyncSec:    syncRep.Stats.TotalTime(),
 			ModeledOverlapSec: overlapRep.Stats.TotalTime(),

@@ -13,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/loadbalance"
 	"repro/internal/ops"
-	"repro/internal/templates"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -228,34 +227,25 @@ func Sparse(n int) (*SparseResult, error) {
 	type build struct {
 		template string
 		dist     string
-		graph    func() (*graph.Graph, *templates.SparseBuffers, error)
-		inputs   func(*templates.SparseBuffers) exec.Inputs
+		build    func() (*graph.Graph, exec.Inputs, error)
 	}
 	builds := []build{}
 	for _, st := range structures {
 		s := st.s
 		builds = append(builds,
-			build{
-				template: "PageRank", dist: st.dist,
-				graph: func() (*graph.Graph, *templates.SparseBuffers, error) {
-					return templates.PageRank(templates.SparseConfig{Structure: s, Iterations: iters})
-				},
-				inputs: func(b *templates.SparseBuffers) exec.Inputs { return workload.PageRankInputs(b, s) },
-			},
-			build{
-				template: "BFS levels", dist: st.dist,
-				graph: func() (*graph.Graph, *templates.SparseBuffers, error) {
-					return templates.BFSLevels(templates.SparseConfig{Structure: s, Iterations: iters})
-				},
-				inputs: func(b *templates.SparseBuffers) exec.Inputs { return workload.BFSInputs(b, s, 0) },
-			})
+			build{"PageRank", st.dist, func() (*graph.Graph, exec.Inputs, error) {
+				return workload.PageRank(s, iters, true)
+			}},
+			build{"BFS levels", st.dist, func() (*graph.Graph, exec.Inputs, error) {
+				return workload.BFS(s, iters, true)
+			}})
 	}
 	ctx := context.Background()
 	for _, b := range builds {
 		var staticOut exec.Outputs
 		var staticStats gpu.Stats
 		for _, name := range loadbalance.Names() {
-			g, bufs, err := b.graph()
+			g, in, err := b.build()
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +254,7 @@ func Sparse(n int) (*SparseResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := svc.Execute(ctx, compiled, b.inputs(bufs))
+			rep, err := svc.Execute(ctx, compiled, in)
 			if err != nil {
 				return nil, err
 			}

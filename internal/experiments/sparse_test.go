@@ -56,21 +56,10 @@ func TestScheduleEquivalenceAcrossWorkloads(t *testing.T) {
 		name  string
 		build func() (*graph.Graph, exec.Inputs, error)
 	}{
-		{"edge-256", func() (*graph.Graph, exec.Inputs, error) {
-			g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: 256, ImageW: 256, KernelSize: 16, Orientations: 4})
-			if err != nil {
-				return nil, nil, err
-			}
-			return g, randomInputs(g, 11), nil
-		}},
-		{"cnn-small-160x120", func() (*graph.Graph, exec.Inputs, error) {
-			g, _, err := templates.CNN(templates.SmallCNN(160, 120))
-			if err != nil {
-				return nil, nil, err
-			}
-			return g, randomInputs(g, 13), nil
-		}},
+		{"edge-256", workload.Spec{Template: "edge", H: 256, W: 256, Kernel: 16, Orientations: 4,
+			Seed: 11, Materialized: true}.Build},
+		{"cnn-small-160x120", workload.Spec{Template: "cnn-small", H: 160, W: 120,
+			Seed: 13, Materialized: true}.Build},
 		{"pagerank-powerlaw-256", func() (*graph.Graph, exec.Inputs, error) {
 			g, bufs, err := templates.PageRank(templates.SparseConfig{Structure: pl, Iterations: 4})
 			if err != nil {

@@ -30,6 +30,35 @@ func TestSpecs(t *testing.T) {
 	}
 }
 
+// ParseSpec is the one device grammar of every command: each named card,
+// the mem=<bytes> custom form, and an error for anything else.
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Spec
+	}{
+		{"c870", TeslaC870()},
+		{"8800", GeForce8800GTX()},
+		{"c1060", TeslaC1060()},
+		{"mem=2097152", Custom("mem=2097152", 2097152)},
+		{"mem=1", Custom("mem=1", 1)},
+	} {
+		got, err := ParseSpec(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+		// A custom card's name parses back to the same card.
+		if again, err := ParseSpec(got.Name); err == nil && again != got {
+			t.Errorf("ParseSpec(%q) does not round-trip through its name %q", tc.in, got.Name)
+		}
+	}
+	for _, in := range []string{"c1061", "mem=0", "mem=-1", "", "mem=", "mem=2MB", "C870", " c870"} {
+		if got, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an error", in, got)
+		}
+	}
+}
+
 func TestAllocatorBasic(t *testing.T) {
 	a := NewAllocator(100)
 	o1, err := a.Alloc(40)

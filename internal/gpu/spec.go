@@ -6,7 +6,11 @@
 // executed for real on the host by the plan executor.
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Spec describes a GPU platform: the capacity parameters the paper's
 // planner consumes plus the constants of the timing model.
@@ -147,4 +151,37 @@ func Custom(name string, memoryBytes int64) Spec {
 	s.Name = name
 	s.MemoryBytes = memoryBytes
 	return s
+}
+
+// named lists the cards ParseSpec accepts by their short names.
+var named = []struct {
+	name string
+	spec func() Spec
+}{
+	{"c870", TeslaC870},
+	{"8800", GeForce8800GTX},
+	{"c1060", TeslaC1060},
+}
+
+// ParseSpec resolves a device name as every command takes it: c870,
+// 8800 or c1060 for the named cards, or mem=<bytes> for a C870-class
+// card with that much memory, named after the token itself.
+func ParseSpec(s string) (Spec, error) {
+	for _, n := range named {
+		if s == n.name {
+			return n.spec(), nil
+		}
+	}
+	if v, ok := strings.CutPrefix(s, "mem="); ok {
+		mem, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || mem <= 0 {
+			return Spec{}, fmt.Errorf("device %q: mem=<bytes> wants a positive byte count", s)
+		}
+		return Custom(s, mem), nil
+	}
+	names := make([]string, len(named))
+	for i, n := range named {
+		names[i] = n.name
+	}
+	return Spec{}, fmt.Errorf("unknown device %q (want %s, or mem=<bytes>)", s, strings.Join(names, ", "))
 }

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/graph"
-	"repro/internal/templates"
 	"repro/internal/workload"
 )
 
@@ -19,7 +17,7 @@ import (
 // wire). Mode "accounting" (the default) replays the plan without data;
 // "materialized" builds seeded inputs and executes for real.
 type JobRequest struct {
-	// Template is "edge", "cnn-small", or "cnn-large".
+	// Template names a workload.Catalog entry.
 	Template string `json:"template"`
 	H        int    `json:"h"`
 	W        int    `json:"w"`
@@ -68,7 +66,7 @@ func reportJSON(rep *exec.Report) *ReportJSON {
 	}
 }
 
-// buildRequest instantiates the named template into a pool Request.
+// buildRequest instantiates the named catalog template into a pool Request.
 func buildRequest(jr JobRequest) (Request, error) {
 	if jr.H <= 0 || jr.W <= 0 {
 		return Request{}, fmt.Errorf("h and w must be positive, got %dx%d", jr.H, jr.W)
@@ -82,39 +80,9 @@ func buildRequest(jr JobRequest) (Request, error) {
 		return Request{}, fmt.Errorf("mode %q not in {accounting, materialized}", jr.Mode)
 	}
 
-	var (
-		g   *graph.Graph
-		in  exec.Inputs
-		err error
-	)
-	switch jr.Template {
-	case "edge":
-		kernel, orient := jr.Kernel, jr.Orientations
-		if kernel == 0 {
-			kernel = 5
-		}
-		if orient == 0 {
-			orient = 4
-		}
-		var bufs *templates.EdgeBuffers
-		g, bufs, err = templates.EdgeDetect(templates.EdgeConfig{
-			ImageH: jr.H, ImageW: jr.W, KernelSize: kernel, Orientations: orient})
-		if err == nil && materialized {
-			in = workload.EdgeInputs(bufs, jr.Seed)
-		}
-	case "cnn-small", "cnn-large":
-		cfg := templates.SmallCNN(jr.H, jr.W)
-		if jr.Template == "cnn-large" {
-			cfg = templates.LargeCNN(jr.H, jr.W)
-		}
-		var bufs *templates.CNNBuffers
-		g, bufs, err = templates.CNN(cfg)
-		if err == nil && materialized {
-			in = workload.CNNInputs(bufs, jr.Seed)
-		}
-	default:
-		return Request{}, fmt.Errorf("template %q not in {edge, cnn-small, cnn-large}", jr.Template)
-	}
+	g, in, err := workload.Spec{Template: jr.Template, H: jr.H, W: jr.W,
+		Kernel: jr.Kernel, Orientations: jr.Orientations,
+		Seed: jr.Seed, Materialized: materialized}.Build()
 	if err != nil {
 		return Request{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 func postJob(t *testing.T, srv *httptest.Server, body string) (*http.Response, JobResponse) {
@@ -46,6 +47,24 @@ func TestHTTPSubmitWaitReturnsReport(t *testing.T) {
 	}
 	if jr.Report.KernelLaunches == 0 || jr.Report.TotalFloats == 0 {
 		t.Fatalf("report looks empty: %+v", jr.Report)
+	}
+}
+
+// The sparse templates are submittable like any other catalog entry.
+func TestHTTPSubmitSparseTemplates(t *testing.T) {
+	p := NewPool(WithDevices(gpu.TeslaC870()))
+	defer p.Close()
+	srv := httptest.NewServer(NewHandler(p))
+	defer srv.Close()
+
+	for _, body := range []string{
+		`{"template":"pagerank","h":256,"w":1,"mode":"materialized","wait":true}`,
+		`{"template":"bfs","h":256,"w":1,"wait":true}`,
+	} {
+		resp, jr := postJob(t, srv, body)
+		if resp.StatusCode != http.StatusOK || jr.State != StateDone || jr.Report == nil || jr.Report.KernelLaunches == 0 {
+			t.Fatalf("%s: status %d, job %+v", body, resp.StatusCode, jr)
+		}
 	}
 }
 
@@ -98,8 +117,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(p))
 	defer srv.Close()
 
-	if resp, _ := postJob(t, srv, `{"template":"warp","h":8,"w":8}`); resp.StatusCode != http.StatusBadRequest {
+	resp, jr := postJob(t, srv, `{"template":"warp","h":8,"w":8}`)
+	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown template: status %d, want 400", resp.StatusCode)
+	}
+	for _, e := range workload.Catalog {
+		if !strings.Contains(jr.Error, e.Name) {
+			t.Errorf("unknown template: error %q does not list catalog entry %q", jr.Error, e.Name)
+		}
 	}
 	if resp, _ := postJob(t, srv, `{"template":"edge","h":-1,"w":8}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad dims: status %d, want 400", resp.StatusCode)

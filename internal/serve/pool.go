@@ -50,7 +50,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/templates"
+	"repro/internal/workload"
 )
 
 // Request is one unit of serving work: a template graph plus optional
@@ -1212,8 +1212,7 @@ func (p *Pool) probe(d *device) bool {
 	d.mu.Unlock()
 	tr := p.obs.T()
 	probeStart := tr.NowSeconds()
-	g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: 32, ImageW: 24, KernelSize: 3, Orientations: 2})
+	g, _, err := workload.Spec{Template: "edge", H: 32, W: 24, Kernel: 3, Orientations: 2}.Build()
 	if err != nil {
 		return false
 	}
