@@ -79,22 +79,65 @@ func (c *Conv2D) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
 //
 //	out[r][c] = Σ ker[kr][kc] · img[r+dr+kr][c+dc+kc]
 //
-// with taps outside img reading as zero. Each output row is zeroed and
-// every tap (kr, kc) is then added into it as one row-axpy, its column
-// range clipped once per tap rather than tested per element. Taps are
-// applied in ascending (kr, kc) order, so every element sees exactly the
-// float32 additions, in the order, of a per-pixel accumulator that starts
-// at +0 and skips out-of-image taps: results are bit-identical to that
-// loop, and whatever out held before is overwritten.
+// with taps outside img reading as zero. Each output row is zeroed, its
+// kernel rows are clipped against the image once, and each kernel row's
+// taps are then added into it four at a time: one streaming pass per
+// group of four taps (axpyShift4), and one row-axpy per leftover tap.
+// Every element receives the taps in ascending (kr, kc) order, so it sees
+// exactly the float32 additions, in the order, of a per-pixel accumulator
+// that starts at +0 and skips out-of-image taps: results are bit-identical
+// to that loop, and whatever out held before is overwritten.
 func convRows(img, ker, out *tensor.Tensor, dr, dc, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		orow := out.Row(r)
 		clear(orow)
 		ir := r + dr
 		for kr := max(0, -ir); kr < min(ker.Rows(), img.Rows()-ir); kr++ {
-			irow := img.Row(ir + kr)
-			for kc, k := range ker.Row(kr) {
-				axpyShift(orow, irow, dc+kc, k)
+			irow, krow := img.Row(ir+kr), ker.Row(kr)
+			kc := 0
+			for ; kc+4 <= len(krow); kc += 4 {
+				axpyShift4(orow, irow, dc+kc, krow[kc:kc+4])
+			}
+			for ; kc < len(krow); kc++ {
+				axpyShift(orow, irow, dc+kc, krow[kc])
+			}
+		}
+	}
+}
+
+// axpyShift4 adds Σ k[t]·x[c+off+t] over t = 0..3 into o[c], taps in
+// ascending t, each tap only where its source index lies inside x. The
+// columns where all four taps are inside x take one bounds-hoisted pass;
+// the few edge columns where some are not take the same taps one by one.
+func axpyShift4(o, x []float32, off int, k []float32) {
+	k0, k1, k2, k3 := k[0], k[1], k[2], k[3]
+	// [lo, hi): every tap inside x; [a0, a1): at least one.
+	a0, a1 := max(0, -off-3), min(len(o), len(x)-off)
+	lo, hi := max(0, -off), min(len(o), len(x)-off-3)
+	if lo >= hi {
+		lo, hi = a1, a1
+	}
+	axpyClipped(o, x, off, k, a0, lo)
+	if lo < hi {
+		oi := o[lo:hi]
+		x0 := x[lo+off:][:len(oi)]
+		x1 := x[lo+off+1:][:len(oi)]
+		x2 := x[lo+off+2:][:len(oi)]
+		x3 := x[lo+off+3:][:len(oi)]
+		for i := range oi {
+			oi[i] = oi[i] + x0[i]*k0 + x1[i]*k1 + x2[i]*k2 + x3[i]*k3
+		}
+	}
+	axpyClipped(o, x, off, k, hi, a1)
+}
+
+// axpyClipped is axpyShift4 for output columns [c0, c1), testing every
+// tap's source index.
+func axpyClipped(o, x []float32, off int, k []float32, c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		for t, kt := range k {
+			if s := c + off + t; s >= 0 && s < len(x) {
+				o[c] += x[s] * kt
 			}
 		}
 	}

@@ -83,6 +83,39 @@ func BenchmarkConv2DSameRegion(b *testing.B) {
 	}
 }
 
+// BenchmarkElementwiseRows runs the elementwise operators the templates
+// are made of over a 32×120 tile, below the default schedule's sharding
+// threshold: the two- and four-input reductions and the two unary maps.
+func BenchmarkElementwiseRows(b *testing.B) {
+	const h, w = 32, 120
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		op   graph.Operator
+		nIn  int
+	}{
+		{"add2", NewAddN(2), 2},
+		{"tanh", NewTanh(), 1},
+		{"absmax4", NewAbsMaxCombine(4), 4},
+		{"remap", NewRemap(2, 0.1, -0.5, 0.5), 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			in := make([]*tensor.Tensor, c.nIn)
+			for i := range in {
+				in[i] = randTensor(rng, h, w)
+			}
+			out := tensor.New(h, w)
+			b.ReportAllocs()
+			b.SetBytes(h * w * 4)
+			for i := 0; i < b.N; i++ {
+				if err := c.op.Run(in, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDefaultScheduleThreshold pins the default sharding policy: row
 // counts below MinRowsPerWorker run inline on the calling goroutine,
 // larger counts cover the range exactly once across shards.
