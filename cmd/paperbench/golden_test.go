@@ -6,43 +6,52 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the paper-output goldens")
 
-// paperOutputs are the catalog entries whose stdout is pinned: every paper
-// table and figure plus the overlap extension, all modeled and so
-// machine-independent. Each golden is named <flag>_<name>.golden.
-var paperOutputs = []string{
-	"table 1", "table 2",
-	"fig 1c", "fig 2", "fig 3", "fig 6", "fig 8",
-	"ext overlap",
+// unpinned are the catalog entries whose stdout has no golden, with the
+// reason. Every other entry is pinned, so a new entry gets a golden by
+// default.
+var unpinned = map[string]string{
+	"ext serve":       "the pool places jobs by host timing, so per-device columns move run to run",
+	"ext chaos":       "the pool places jobs by host timing, so migration and per-device counts move run to run",
+	"ext servesteady": "the pool places jobs by host timing, so pin hits and H2D per job move run to run",
 }
 
 // TestPaperOutputGolden runs each pinned experiment as `paperbench
 // -<flag> <name>` would, with the command's default flags, and compares
-// its stdout with testdata. Table 1's optimized columns split the edge
-// and CNN templates heavily, so a compile that splits differently fails
-// here. Regenerate with -update only for an intended change to a paper
-// result.
+// its stdout with testdata/<flag>_<name>.golden. Every printed number is
+// modeled, so the goldens are machine-independent. Table 1's optimized
+// columns split the edge and CNN templates heavily, so a compile that
+// splits differently fails here. An entry that writes a -trace must write
+// a valid Chrome trace, and exactly the entries whose doc line names
+// -trace write one. Regenerate with -update only for an intended change
+// to a result.
 func TestPaperOutputGolden(t *testing.T) {
-	want := map[string]bool{}
-	for _, p := range paperOutputs {
-		want[p] = true
-	}
 	for _, x := range catalog {
-		if !want[x.flag+" "+x.name] {
+		if _, skip := unpinned[x.flag+" "+x.name]; skip {
 			continue
 		}
-		delete(want, x.flag+" "+x.name)
 		t.Run(x.flag+"_"+x.name, func(t *testing.T) {
+			var trace bytes.Buffer
 			got, err := stdoutOf(func() error {
-				_, err := x.run(env{seed: 2009})
-				return err
+				return x.run(env{seed: 2009, trace: &trace})
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if wrote, documented := trace.Len() > 0, strings.Contains(x.doc, "-trace"); wrote != documented {
+				t.Errorf("-%s %s wrote a trace: %v; its doc line names -trace: %v", x.flag, x.name, wrote, documented)
+			}
+			if trace.Len() > 0 {
+				if _, err := obs.ValidateChrome(trace.Bytes()); err != nil {
+					t.Errorf("-%s %s trace: %v", x.flag, x.name, err)
+				}
 			}
 			golden := filepath.Join("testdata", x.flag+"_"+x.name+".golden")
 			if *update {
@@ -60,8 +69,11 @@ func TestPaperOutputGolden(t *testing.T) {
 			}
 		})
 	}
-	for p := range want {
-		t.Errorf("pinned output %q names no catalog entry", p)
+	for p := range unpinned {
+		selector, name, _ := strings.Cut(p, " ")
+		if sel, err := selectExperiments(false, map[string]string{selector: name}); err != nil || len(sel) != 1 {
+			t.Errorf("unpinned entry %q names no catalog entry", p)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,8 +15,8 @@ import (
 	"repro/internal/workload"
 )
 
-// repoRoot is where the docs, the CI workflow and the committed
-// BENCH_*.json live, relative to this package.
+// repoRoot is where the docs and the CI workflow live, relative to this
+// package.
 const repoRoot = "../.."
 
 func TestCatalogWellFormed(t *testing.T) {
@@ -84,80 +84,41 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
-// Appending to a log written under an older record shape must leave the
-// older records exactly as they were: the bug was a decode into the new
-// struct type, which zero-filled new fields into — and dropped unknown
-// keys from — every previous record.
-func TestAppendBenchoutKeepsOlderRecords(t *testing.T) {
-	const old = `[
-  {
-    "date": "2026-08-06T16:01:41Z",
-    "result": {"serial_wall_seconds": 29.25, "modeled_speedup": 2.5102040816326534, "rows": [{"Template": "x"}]}
-  }
-]
-`
-	path := filepath.Join(t.TempDir(), "BENCH_old.json")
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := appendBenchout(path, record{Date: "d", Extension: "serve", Seed: 7, GoMaxProcs: 2,
-		Result: map[string]int{"jobs": 24}})
-	if err != nil || n != 2 {
-		t.Fatalf("appendBenchout = %d, %v; want 2, nil", n, err)
-	}
-	decode := func(data []byte) []map[string]any {
-		var recs []map[string]any
-		if err := json.Unmarshal(data, &recs); err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, after := decode([]byte(old)), decode(data)
-	if len(after) != 2 {
-		t.Fatalf("log holds %d records, want 2", len(after))
-	}
-	if !reflect.DeepEqual(after[0], before[0]) {
-		t.Errorf("older record rewritten:\n got %v\nwant %v", after[0], before[0])
-	}
-	if !strings.Contains(string(data), "2.5102040816326534") {
-		t.Error("older record's number literal was reformatted")
-	}
-	want := map[string]any{"date": "d", "extension": "serve", "seed": 7.0, "gomaxprocs": 2.0,
-		"result": map[string]any{"jobs": 24.0}}
-	if !reflect.DeepEqual(after[1], want) {
-		t.Errorf("new record = %v, want %v", after[1], want)
-	}
-
-	if err := os.WriteFile(path, []byte(`{"not": "an array"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := appendBenchout(path, record{}); err == nil {
-		t.Error("appending to a file that is not a JSON array must fail, not overwrite it")
-	}
-}
-
-// Every `paperbench -ext X` / `-table N` / `-fig N` quoted in the CI
-// workflow, the docs and this command's own package comment names a
-// catalog entry, and the package comment lists every entry.
+// Every `paperbench` command quoted in the CI workflow, the docs, the
+// verify skill and this command's own package comment uses only flags
+// paperbench defines, and every -ext X / -table N / -fig N it quotes
+// names a catalog entry; the package comment lists every entry.
 func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
+	var c commandLine
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	defineFlags(fs, &c)
+	// The flags directly after "paperbench" within one line or code span,
+	// each with its value when it has one.
+	command := regexp.MustCompile("paperbench((?:[ \t]+-\\w+(?:[ \t]+[^-\\s`|][^\\s`|]*)?)+)")
 	// The first selector after "paperbench" within one line or code span;
 	// the value may wrap onto the next line of a paragraph.
-	quoted := regexp.MustCompile("paperbench[^`\n]*?-(ext|table|fig)\\s+(\\w+)")
+	selector := regexp.MustCompile("paperbench[^`\n]*?-(ext|table|fig)\\s+(\\w+)")
+	flagName := regexp.MustCompile(`(?:^|\s)-(\w+)`)
 	for _, file := range []string{".github/workflows/ci.yml", "README.md", "DESIGN.md",
-		"EXPERIMENTS.md", "cmd/paperbench/main.go"} {
+		"EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "cmd/paperbench/main.go"} {
 		data, err := os.ReadFile(filepath.Join(repoRoot, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		matches := quoted.FindAllStringSubmatch(string(data), -1)
-		if len(matches) == 0 {
+		text, _, _ := strings.Cut(string(data), "\npackage main")
+		commands := command.FindAllStringSubmatch(text, -1)
+		if len(commands) == 0 {
 			t.Errorf("%s quotes no paperbench command: has the scan pattern rotted?", file)
 		}
-		for _, m := range matches {
+		for _, m := range commands {
+			for _, f := range flagName.FindAllStringSubmatch(m[1], -1) {
+				// -h and -help are the flag package's own.
+				if fs.Lookup(f[1]) == nil && f[1] != "h" && f[1] != "help" {
+					t.Errorf("%s quotes %q: paperbench defines no -%s", file, m[0], f[1])
+				}
+			}
+		}
+		for _, m := range selector.FindAllStringSubmatch(text, -1) {
 			if _, err := selectExperiments(false, map[string]string{m[1]: m[2]}); err != nil {
 				t.Errorf("%s quotes %q: %v", file, m[0], err)
 			}
@@ -235,66 +196,5 @@ func TestQuotedFlagsNameRealEntries(t *testing.T) {
 	}
 	if quotes == 0 {
 		t.Error("no quoted template, device or planner found: has the scan pattern rotted?")
-	}
-}
-
-// Every committed BENCH_*.json is an array of the one -benchout record,
-// produced by a catalog extension, and carries no host-time column: those
-// are measured by the repo benchmark (bench/) under a protocol. The one
-// exception is the sparse kernel's wall_ms, which no benchmark workload
-// covers yet.
-func TestCommittedBenchFilesUseTheOneRecord(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no committed BENCH_*.json found (err %v)", err)
-	}
-	// Lower-case on purpose: gpu.Stats.WallTime in the smoke record is the
-	// modeled two-engine makespan, not a host clock.
-	hostTime := regexp.MustCompile(`wall|rps|latency_ms|overhead`)
-	var walk func(file string, v any)
-	walk = func(file string, v any) {
-		switch v := v.(type) {
-		case map[string]any:
-			for k, x := range v {
-				if hostTime.MatchString(k) && !(filepath.Base(file) == "BENCH_sparse.json" && k == "wall_ms") {
-					t.Errorf("%s: host-time key %q", file, k)
-				}
-				walk(file, x)
-			}
-		case []any:
-			for _, x := range v {
-				walk(file, x)
-			}
-		}
-	}
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var recs []map[string]any
-		if err := json.Unmarshal(data, &recs); err != nil || len(recs) == 0 {
-			t.Errorf("%s: not a non-empty array of records: %v", file, err)
-			continue
-		}
-		for i, rec := range recs {
-			for k := range rec {
-				switch k {
-				case "date", "extension", "seed", "gomaxprocs", "result":
-				default:
-					t.Errorf("%s[%d]: key %q is not part of the record", file, i, k)
-				}
-			}
-			_, hasDate := rec["date"].(string)
-			_, hasSeed := rec["seed"].(float64)
-			ext, _ := rec["extension"].(string)
-			if !hasDate || !hasSeed || rec["result"] == nil {
-				t.Errorf("%s[%d]: date, seed and result are required", file, i)
-			}
-			if _, err := selectExperiments(false, map[string]string{"ext": ext}); err != nil || ext == "" {
-				t.Errorf("%s[%d]: extension %q is not in the catalog", file, i, ext)
-			}
-			walk(file, rec["result"])
-		}
 	}
 }

@@ -25,61 +25,61 @@ import (
 // the whole working set staged through one card's memory by the ordinary
 // split + heuristic-schedule pipeline.
 type PartitionBaseline struct {
-	Device      string  `json:"device"`
-	MemoryBytes int64   `json:"memory_bytes"`
-	ModeledSec  float64 `json:"modeled_seconds"`
+	Device      string
+	MemoryBytes int64
+	ModeledSec  float64
 	// Thrashing marks transfer volume exceeding the modeled host memory —
 	// the paper's starred Table 2 entries.
-	Thrashing bool `json:"thrashing,omitempty"`
+	Thrashing bool
 }
 
 // PartitionPart is one member's share of the partitioned execution.
 type PartitionPart struct {
-	Device      string  `json:"device"`
-	MemoryBytes int64   `json:"memory_bytes"`
-	PeakBytes   int64   `json:"peak_bytes"`
-	Ops         int     `json:"ops"`
-	Steps       int     `json:"steps"`
-	BusySec     float64 `json:"busy_seconds"`
+	Device      string
+	MemoryBytes int64
+	PeakBytes   int64
+	Ops         int
+	Steps       int
+	BusySec     float64
 }
 
-// PartitionResult is the partition experiment's record: per-device paged
+// PartitionResult is the partition experiment's result: per-device paged
 // baselines, the partitioned run across the same pool, and the
 // verification verdicts the acceptance criteria name.
 type PartitionResult struct {
-	Template        string `json:"template"`
-	Input           string `json:"input"`
-	WorkingSetBytes int64  `json:"working_set_bytes"`
+	Template        string
+	Input           string
+	WorkingSetBytes int64
 
-	Baselines []PartitionBaseline `json:"baselines"`
-	Parts     []PartitionPart     `json:"parts"`
+	Baselines []PartitionBaseline
+	Parts     []PartitionPart
 
 	// PartitionedSec is the joined modeled makespan of the executed
 	// partition (concurrent parts, cross-device edges honored);
 	// StaticMakespanSec is the compile-time model of the same number.
-	PartitionedSec    float64 `json:"partitioned_seconds"`
-	StaticMakespanSec float64 `json:"static_makespan_seconds"`
-	CutFloats         int64   `json:"cut_floats"`
-	CrossEdges        int     `json:"cross_edges"`
+	PartitionedSec    float64
+	StaticMakespanSec float64
+	CutFloats         int64
+	CrossEdges        int
 
 	// Speedup is the best single-device paged baseline over the
 	// partitioned makespan (> 1 means the partition wins).
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 
 	// Rounds is how many times the paper-scale accounting run repeated;
 	// Deterministic that every round charged identical per-part stats.
-	Rounds        int  `json:"rounds"`
-	Deterministic bool `json:"deterministic"`
+	Rounds        int
+	Deterministic bool
 	// OOMFree: every round completed on member-sized devices (the
 	// simulated allocator enforces capacity) with every part's planned
 	// peak under its member's memory and all allocators drained.
-	OOMFree bool `json:"oom_free"`
+	OOMFree bool
 
 	// OutputsBitIdentical: at VerifyInput scale, the materialized
 	// partitioned run produced outputs bitwise equal to the same split
 	// graph executed sequentially on one large device.
-	VerifyInput         string `json:"verify_input"`
-	OutputsBitIdentical bool   `json:"outputs_bit_identical"`
+	VerifyInput         string
+	OutputsBitIdentical bool
 }
 
 // partitionPool is the paper pool the 17 GB CNN spreads across.

@@ -19,20 +19,18 @@ import (
 // the repo benchmark's exec.pipe_over_seq (bench/README.md), measured at
 // two threads under a protocol; nothing here reads the host clock.
 type PipelineRow struct {
-	Template string `json:"template"`
-	Input    string `json:"input"`
-	Steps    int    `json:"steps"`
+	Template string
+	Input    string
+	Steps    int
 
 	// Simulated-clock speedup of the identical plan with overlapped
-	// engines (Tesla C1060 timing model): serialized total vs two-engine
+	// engines (Tesla C1060 timing model): serialized total over two-engine
 	// makespan. Machine-independent.
-	ModeledSyncSec    float64 `json:"modeled_sync_seconds"`
-	ModeledOverlapSec float64 `json:"modeled_overlap_seconds"`
-	ModeledSpeedup    float64 `json:"modeled_speedup"`
+	ModeledSpeedup float64
 
 	// OutputsEqual records the bit-identity check between the sequential
 	// and pipelined runs.
-	OutputsEqual bool `json:"outputs_equal"`
+	OutputsEqual bool
 }
 
 // pipelineWorkload is one materialized workload of the experiment.
@@ -120,13 +118,11 @@ func Pipeline() ([]PipelineRow, error) {
 		}
 
 		rows = append(rows, PipelineRow{
-			Template:          wl.template,
-			Input:             input,
-			Steps:             len(plan.Steps),
-			ModeledSyncSec:    syncRep.Stats.TotalTime(),
-			ModeledOverlapSec: overlapRep.Stats.TotalTime(),
-			ModeledSpeedup:    syncRep.Stats.TotalTime() / overlapRep.Stats.TotalTime(),
-			OutputsEqual:      equal,
+			Template:       wl.template,
+			Input:          input,
+			Steps:          len(plan.Steps),
+			ModeledSpeedup: syncRep.Stats.TotalTime() / overlapRep.Stats.TotalTime(),
+			OutputsEqual:   equal,
 		})
 	}
 	return rows, nil

@@ -11,22 +11,22 @@ import (
 // ServeRow is one workload's aggregate across every pool round of the
 // serving extension experiment.
 type ServeRow struct {
-	Template string `json:"template"`
-	Input    string `json:"input"`
-	Jobs     int    `json:"jobs"`
+	Template string
+	Input    string
+	Jobs     int
 	// ModeledSeconds is the per-execution simulated time on the device
 	// each job landed on (mean across jobs).
-	ModeledSeconds float64 `json:"modeled_seconds"`
+	ModeledSeconds float64
 }
 
 // ServeDevice is one pool device's aggregate.
 type ServeDevice struct {
-	Name           string  `json:"name"`
-	Completed      int64   `json:"completed"`
-	ModeledBusySec float64 `json:"modeled_busy_seconds"`
-	Utilization    float64 `json:"utilization"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheHits      int64   `json:"cache_hits"`
+	Name           string
+	Completed      int64
+	ModeledBusySec float64
+	Utilization    float64
+	CacheMisses    int64
+	CacheHits      int64
 }
 
 // ServeResult is the serving extension experiment: a closed-loop load
@@ -36,24 +36,22 @@ type ServeDevice struct {
 // independent); measured serving latency is the repo benchmark's
 // serve_mixed workload (bench/README.md).
 type ServeResult struct {
-	Rows    []ServeRow    `json:"rows"`
-	Devices []ServeDevice `json:"devices"`
+	Rows    []ServeRow
+	Devices []ServeDevice
 
-	Clients int `json:"clients"`
-	Rounds  int `json:"rounds"`
-	Streams int `json:"streams"`
-	Jobs    int `json:"jobs"`
+	Clients int
+	Streams int
+	Jobs    int
 
 	// The serial baseline executes every job back to back on one Tesla
 	// C870; the pool's makespan is its largest per-stream simulated clock.
-	SerialModeledSec  float64 `json:"serial_modeled_seconds"`
-	PoolModeledSec    float64 `json:"pool_modeled_seconds"`
-	ModeledSpeedup    float64 `json:"modeled_speedup"`
-	ModeledThroughput float64 `json:"modeled_jobs_per_minute"`
+	SerialModeledSec float64
+	PoolModeledSec   float64
+	ModeledSpeedup   float64
 
-	Coalesced int64 `json:"coalesced_batches"`
-	OOMFaults int64 `json:"oom_faults"`
-	Rejected  int64 `json:"rejected"`
+	Coalesced int64
+	OOMFaults int64
+	Rejected  int64
 }
 
 // Serve runs the serving experiment: 3 rounds of the 8 paper workloads
@@ -73,7 +71,7 @@ func Serve() (*ServeResult, error) {
 		return nil, err
 	}
 	res := &ServeResult{
-		Clients: fleetClients, Rounds: rounds, Streams: streams,
+		Clients: fleetClients, Streams: streams,
 		Jobs: rounds * len(workloads),
 	}
 
@@ -122,7 +120,6 @@ func Serve() (*ServeResult, error) {
 	res.PoolModeledSec = st.ModeledMakespanSec
 	if res.PoolModeledSec > 0 {
 		res.ModeledSpeedup = res.SerialModeledSec / res.PoolModeledSec
-		res.ModeledThroughput = float64(res.Jobs) / res.PoolModeledSec * 60
 	}
 	for _, d := range st.Devices {
 		res.Devices = append(res.Devices, ServeDevice{

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/gpu"
@@ -33,54 +32,44 @@ import (
 
 // ServeChaosDevice is one device's post-scenario accounting.
 type ServeChaosDevice struct {
-	Name        string `json:"name"`
-	Health      string `json:"health"`
-	Completed   int64  `json:"completed"`
-	Failed      int64  `json:"failed"`
-	MigratedOut int64  `json:"migrated_out"`
-	MigratedIn  int64  `json:"migrated_in"`
-	Quarantines int64  `json:"quarantines"`
-	Probes      int64  `json:"probes"`
-	Recoveries  int64  `json:"recoveries"`
-	Faults      int    `json:"faults_injected"`
+	Name        string
+	Health      string
+	Completed   int64
+	MigratedOut int64
+	MigratedIn  int64
+	Quarantines int64
+	Probes      int64
+	Recoveries  int64
+	Faults      int
 }
 
 // ServeChaosScenario is one fault schedule's outcome.
 type ServeChaosScenario struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
+	Name string
 
-	Jobs      int `json:"jobs"`
-	Lost      int `json:"lost"`      // invariant: 0
-	Completed int `json:"completed"` // invariant: == Jobs
+	Jobs      int
+	Lost      int // invariant: 0
+	Completed int // invariant: == Jobs
 	// Clean counts jobs whose final execution needed no recovery;
 	// StatIdentical counts how many of those matched the fault-free
 	// reference exactly (invariant: all with a reference available).
-	Clean         int `json:"clean"`
-	StatIdentical int `json:"stat_identical"`
-	Recovered     int `json:"recovered"` // completed only through recovery
-	Migrated      int `json:"migrated"`  // re-placed onto another device
+	Clean         int
+	StatIdentical int
+	Recovered     int // completed only through recovery
+	Migrated      int // re-placed onto another device
 
 	// MaxInflation is the worst modeled-time ratio versus the fault-free
 	// reference on the device each job finished on (1.0 = no overhead).
-	MaxInflation float64 `json:"max_inflation"`
-	// P99InflationPct is the 99th-percentile modeled-time inflation.
-	P99InflationPct float64 `json:"p99_inflation_pct"`
+	MaxInflation float64
 
-	BreakerOpens int64              `json:"breaker_opens"`
-	Devices      []ServeChaosDevice `json:"devices"`
-	// PinnedBytes is the residency bytes surviving the scenario across
-	// devices; the per-device ledger is asserted to have drained back to
-	// exactly this (committed == pinned, zero on quarantined devices).
-	PinnedBytes int64 `json:"pinned_bytes"`
+	Devices []ServeChaosDevice
 }
 
 // ServeChaosResult is the whole harness run.
 type ServeChaosResult struct {
-	Seed      int64                `json:"seed"`
-	Rounds    int                  `json:"rounds"`
-	Clients   int                  `json:"clients"`
-	Scenarios []ServeChaosScenario `json:"scenarios"`
+	Seed      int64
+	Rounds    int
+	Scenarios []ServeChaosScenario
 }
 
 // maxChaosInflation bounds the modeled-time ratio of a recovered
@@ -89,7 +78,7 @@ type ServeChaosResult struct {
 const maxChaosInflation = 8.0
 
 type chaosScenarioSpec struct {
-	name, desc string
+	name string
 	// faults builds the per-device injectors (keyed by device name).
 	faults func(seed int64) map[string]*gpu.Injector
 	// policy overrides the pool health policy (zero fields = defaults).
@@ -129,7 +118,6 @@ func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, 
 	scenarios := []chaosScenarioSpec{
 		{
 			name: "single-device-lost",
-			desc: "8800 GTX lost permanently on first touch; every job completes on the surviving C870",
 			faults: func(seed int64) map[string]*gpu.Injector {
 				return map[string]*gpu.Injector{
 					flapper: gpu.NewInjector(seed).SetRate(gpu.FaultDeviceLost, 1.0, gpu.Persistent),
@@ -139,7 +127,6 @@ func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, 
 		},
 		{
 			name: "correlated-transients",
-			desc: "both devices suffer low-rate transient transfer/launch faults; all absorbed in place",
 			faults: func(seed int64) map[string]*gpu.Injector {
 				injs := make(map[string]*gpu.Injector)
 				for i, spec := range specs {
@@ -158,7 +145,6 @@ func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, 
 		},
 		{
 			name: "flapping-device",
-			desc: "8800 GTX loses two scripted op windows; quarantined, probed back into rotation, loses nothing",
 			faults: func(seed int64) map[string]*gpu.Injector {
 				inj := gpu.NewInjector(seed)
 				// Two dense device-lost windows on the global op index.
@@ -178,7 +164,7 @@ func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, 
 		},
 	}
 
-	res := &ServeChaosResult{Seed: seed, Rounds: rounds, Clients: fleetClients}
+	res := &ServeChaosResult{Seed: seed, Rounds: rounds}
 	var master *obs.Tracer
 	if traceOut != nil {
 		master = obs.NewTracer()
@@ -205,7 +191,7 @@ func ServeChaos(seed int64, rounds int, traceOut io.Writer) (*ServeChaosResult, 
 func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, rounds int,
 	workloads []TemplateSpec, specs []gpu.Spec, refs map[refKey]ref) (ServeChaosScenario, error) {
 
-	out := ServeChaosScenario{Name: sc.name, Description: sc.desc}
+	out := ServeChaosScenario{Name: sc.name}
 	injs := sc.faults(seed)
 	policy := sc.policy
 	// Fast probe cadence so recovery happens within the harness run.
@@ -233,7 +219,6 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 	results := runFleet(pool, workloads, rounds, fleetClients)
 	out.Jobs = len(results)
 
-	var inflations []float64
 	var firstLost error
 	for _, r := range results {
 		if r.Err != nil {
@@ -262,20 +247,11 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 			}
 		}
 		if hasRef && want.stats.TotalTime() > 0 {
-			inflations = append(inflations, r.Report.Stats.TotalTime()/want.stats.TotalTime())
+			out.MaxInflation = max(out.MaxInflation, r.Report.Stats.TotalTime()/want.stats.TotalTime())
 		}
 	}
 	if out.Lost > 0 {
 		return out, fmt.Errorf("%d jobs lost (first: %v)", out.Lost, firstLost)
-	}
-	sort.Float64s(inflations)
-	if n := len(inflations); n > 0 {
-		idx := (n * 99) / 100
-		if idx >= n {
-			idx = n - 1
-		}
-		out.MaxInflation = inflations[n-1]
-		out.P99InflationPct = (inflations[idx] - 1) * 100
 	}
 	if out.MaxInflation > maxChaosInflation {
 		return out, fmt.Errorf("modeled-time inflation %.2fx exceeds bound %.1fx",
@@ -301,14 +277,12 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 	if err := ledgerDrained(st); err != nil {
 		return out, err
 	}
-	out.BreakerOpens = st.BreakerOpens
 	for _, d := range st.Devices {
 		recoveries := recoveries(d.Name)
 		out.Devices = append(out.Devices, ServeChaosDevice{
 			Name:        d.Name,
 			Health:      d.Health,
 			Completed:   d.Completed,
-			Failed:      d.Failed,
 			MigratedOut: d.MigratedOut,
 			MigratedIn:  d.MigratedIn,
 			Quarantines: d.Quarantines,
@@ -325,7 +299,6 @@ func runServeChaosScenario(sc chaosScenarioSpec, o *obs.Observer, seed int64, ro
 		if sc.wantRecovered == d.Name && recoveries == 0 {
 			return out, fmt.Errorf("%s was never probed back into rotation", d.Name)
 		}
-		out.PinnedBytes += d.PinnedBytes
 	}
 	return out, nil
 }

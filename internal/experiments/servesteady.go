@@ -16,25 +16,23 @@ import (
 // measured rounds only; the warmup round that populates the pinned sets
 // is excluded from both fleets alike.
 type SteadyFleet struct {
-	Residency bool `json:"residency"`
-	Jobs      int  `json:"jobs"` // measured jobs (warmup excluded)
+	Residency bool
+	Jobs      int // measured jobs (warmup excluded)
 
-	ModeledP50Sec      float64 `json:"modeled_p50_seconds"`
-	ModeledP99Sec      float64 `json:"modeled_p99_seconds"`
-	ModeledMakespanSec float64 `json:"modeled_makespan_seconds"`
+	ModeledP50Sec      float64
+	ModeledP99Sec      float64
+	ModeledMakespanSec float64
 
 	// H2DBytesPerJob is the mean device-transfer volume per measured
 	// job: charged bytes for the unpinned fleet, actual (elision-aware)
 	// bytes for the pinned one.
-	H2DBytesPerJob     float64 `json:"h2d_bytes_per_job"`
-	ChargedH2DBytesJob float64 `json:"charged_h2d_bytes_per_job"`
+	H2DBytesPerJob float64
 
-	PinnedBytes       int64   `json:"pinned_bytes"`
-	PinHits           int64   `json:"pin_hits"`
-	PinMisses         int64   `json:"pin_misses"`
-	PinEvictions      int64   `json:"pin_evictions"`
-	RollingOverlapSec float64 `json:"rolling_overlap_seconds"`
-	Failed            int64   `json:"failed"`
+	PinnedBytes       int64
+	PinHits           int64
+	PinEvictions      int64
+	RollingOverlapSec float64
+	Failed            int64
 }
 
 // SteadyResult is the steady-state serving experiment: the paper's eight
@@ -43,22 +41,21 @@ type SteadyFleet struct {
 // job schedule. The headline numbers are the per-job H2D reduction and
 // the modeled p99 improvement once weights stay device-resident.
 type SteadyResult struct {
-	Clients      int `json:"clients"`
-	WarmupRounds int `json:"warmup_rounds"`
-	Rounds       int `json:"rounds"` // measured rounds
-	Streams      int `json:"streams"`
+	Clients      int
+	WarmupRounds int
+	Streams      int
 
-	Pinned   SteadyFleet `json:"pinned"`
-	Unpinned SteadyFleet `json:"unpinned"`
+	Pinned   SteadyFleet
+	Unpinned SteadyFleet
 
 	// H2DReduction is 1 - pinned/unpinned mean H2D bytes per job;
 	// P99Improvement is 1 - pinned/unpinned modeled p99.
-	H2DReduction   float64 `json:"h2d_reduction"`
-	P99Improvement float64 `json:"p99_improvement"`
+	H2DReduction   float64
+	P99Improvement float64
 	// LedgerClean reports that after both pools drained and closed,
 	// every device's committed bytes returned exactly to its pinned-set
 	// size (zero for the unpinned fleet).
-	LedgerClean bool `json:"ledger_clean"`
+	LedgerClean bool
 }
 
 // steadySpecs is the steady-state pool: two identical Tesla C1060s.
@@ -103,7 +100,7 @@ func runSteadyFleet(residency bool, rounds int) (*SteadyFleet, error) {
 
 	fleet := &SteadyFleet{Residency: residency}
 	var lat []float64
-	var h2d, h2dFull int64 // actual (elision-aware) and charged H2D floats
+	var h2d int64 // actual (elision-aware) H2D floats
 	for _, r := range runFleet(pool, workloads, steadyWarmup+rounds, fleetClients) {
 		if r.Err != nil {
 			return nil, r.Err
@@ -114,14 +111,12 @@ func runSteadyFleet(residency bool, rounds int) (*SteadyFleet, error) {
 		fleet.Jobs++
 		lat = append(lat, r.Report.Actual.TotalTime())
 		h2d += r.Report.Actual.H2DFloats
-		h2dFull += r.Report.Stats.H2DFloats
 	}
 	sort.Float64s(lat)
 	if len(lat) > 0 {
 		fleet.ModeledP50Sec = lat[len(lat)/2]
 		fleet.ModeledP99Sec = lat[(len(lat)*99)/100]
 		fleet.H2DBytesPerJob = 4 * float64(h2d) / float64(len(lat))
-		fleet.ChargedH2DBytesJob = 4 * float64(h2dFull) / float64(len(lat))
 	}
 
 	// Close before reading stats, so the ledger has drained.
@@ -133,7 +128,6 @@ func runSteadyFleet(residency bool, rounds int) (*SteadyFleet, error) {
 	fleet.ModeledMakespanSec = st.ModeledMakespanSec
 	fleet.PinnedBytes = st.Residency.PinnedBytes
 	fleet.PinHits = st.Residency.Hits
-	fleet.PinMisses = st.Residency.Misses
 	fleet.PinEvictions = st.Residency.Evictions
 	fleet.RollingOverlapSec = st.Residency.RollingOverlapSec
 	for _, d := range st.Devices {
@@ -162,7 +156,7 @@ func ServeSteady(rounds int) (*SteadyResult, error) {
 	}
 
 	res := &SteadyResult{
-		Clients: fleetClients, WarmupRounds: steadyWarmup, Rounds: rounds, Streams: steadyStreams,
+		Clients: fleetClients, WarmupRounds: steadyWarmup, Streams: steadyStreams,
 		Pinned: *pinned, Unpinned: *unpinned,
 		LedgerClean: true, // runSteadyFleet fails otherwise
 	}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -19,49 +17,44 @@ import (
 
 // SparseKernelRow is one point of the schedule comparison on the raw
 // SpMV kernel: the same structure and inputs sharded by one of the
-// load-balancing schedules, timed on the host. Wall time is the only
-// thing a schedule may change; OutputsEqual asserts the rest.
+// load-balancing schedules. OutputsEqual asserts that the schedule
+// changed nothing but how rows are shared among workers.
 type SparseKernelRow struct {
-	Dist     string  `json:"dist"`     // row-degree distribution
-	Schedule string  `json:"schedule"` // static, mergepath, worksteal
-	WallMS   float64 `json:"wall_ms"`  // best-of-trials kernel time
-	Speedup  float64 `json:"speedup"`  // static wall / this wall
+	Dist     string // row-degree distribution
+	Schedule string // static, mergepath, worksteal
 	// ModeledUnits is the bottleneck worker's work (Σ row nnz+1 of its
 	// rows) when the schedule shards across a fixed virtual worker pool —
-	// the machine-independent load-balance metric (wall speedup is bounded
-	// by GOMAXPROCS and is flat on a single-core host).
-	ModeledUnits   int64   `json:"modeled_units"`
-	ModeledSpeedup float64 `json:"modeled_speedup"` // static units / this units
-	OutputsEqual   bool    `json:"outputs_equal"`
+	// the machine-independent load-balance metric.
+	ModeledUnits   int64
+	ModeledSpeedup float64 // static units / this units
+	OutputsEqual   bool
 }
 
 // SparseTemplateRow is one end-to-end template run through the full
 // service path (compile → split → schedule → execute) under one bound
 // schedule, checked bit- and stat-identical against the static run.
 type SparseTemplateRow struct {
-	Template       string  `json:"template"`
-	Dist           string  `json:"dist"`
-	Schedule       string  `json:"schedule"`
-	ModeledSeconds float64 `json:"modeled_seconds"`
-	OutputsEqual   bool    `json:"outputs_equal"`
-	StatsEqual     bool    `json:"stats_equal"`
+	Template       string
+	Dist           string
+	Schedule       string
+	ModeledSeconds float64
+	OutputsEqual   bool
+	StatsEqual     bool
 }
 
 // SparseResult aggregates the sparse-domain experiment.
 type SparseResult struct {
-	N            int                 `json:"n"`
-	AvgNNZ       int                 `json:"avg_nnz"`
-	Skew         float64             `json:"skew"`
-	Iterations   int                 `json:"iterations"`
-	GoMaxProcs   int                 `json:"gomaxprocs"`
-	PackedFloats int64               `json:"packed_floats"` // power-law adjacency, packed
-	DenseFloats  int64               `json:"dense_floats"`  // the n×n extent it replaces
-	Kernel       []SparseKernelRow   `json:"kernel"`
-	Templates    []SparseTemplateRow `json:"templates"`
+	N            int
+	AvgNNZ       int
+	Skew         float64
+	PackedFloats int64 // power-law adjacency, packed
+	DenseFloats  int64 // the n×n extent it replaces
+	Kernel       []SparseKernelRow
+	Templates    []SparseTemplateRow
 }
 
 // modeledWorkers is the virtual pool width the modeled-makespan metric
-// assumes: fixed so BENCH_sparse.json entries compare across machines.
+// assumes: fixed so the bottleneck units do not depend on the host.
 const modeledWorkers = 16
 
 // modeledMakespan returns the bottleneck worker's work units when the
@@ -124,47 +117,21 @@ func modeledMakespan(name string, rows int, cost loadbalance.CostFn) (int64, err
 	return max, nil
 }
 
-// timeSpMV runs the bound SpMV kernel reps times over the same buffers
-// and returns the best single-run wall time (best-of minimizes scheduler
-// and GC noise, the standard microbenchmark estimator).
-func timeSpMV(op graph.Operator, a, x, y *tensor.Tensor, trials, reps int) (float64, error) {
-	best := 0.0
-	for t := 0; t < trials; t++ {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			if err := op.Run([]*tensor.Tensor{a, x}, y); err != nil {
-				return 0, err
-			}
-		}
-		ms := float64(time.Since(start).Microseconds()) / 1e3 / float64(reps)
-		if t == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best, nil
-}
-
 // Sparse runs the irregular-workload experiment: SpMV over uniform and
 // power-law row distributions under the three load-balancing schedules.
 //
-// The kernel rows time the sharded row loop directly — the component a
-// schedule actually changes — because end-to-end wall time is dominated
-// by input materialization, which is schedule-independent. The template
-// rows then run PageRank and BFS-levels through the full service path
-// under each schedule and assert the framework's core invariant: bound
-// schedules change host wall time only, never outputs or modeled stats.
+// The kernel rows run the sharded row loop directly — the component a
+// schedule actually changes — and model each schedule's bottleneck
+// worker. The template rows then run PageRank and BFS-levels through the
+// full service path under each schedule and assert the framework's core
+// invariant: bound schedules change host wall time only, never outputs or
+// modeled stats.
 //
-// The matrices have n rows (<= 0 picks 4096; CI passes a small value) of
-// 48 nonzeros on average, and the templates run 10 iterations.
+// The matrices have n rows of 48 nonzeros on average, and the templates
+// run 10 iterations.
 func Sparse(n int) (*SparseResult, error) {
-	if n <= 0 {
-		n = 4096
-	}
 	const avgNNZ, iters, skew = 48, 10, 0.85
-	res := &SparseResult{
-		N: n, AvgNNZ: avgNNZ, Skew: skew, Iterations: iters,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
+	res := &SparseResult{N: n, AvgNNZ: avgNNZ, Skew: skew}
 
 	structures := []struct {
 		dist string
@@ -185,7 +152,6 @@ func Sparse(n int) (*SparseResult, error) {
 		x := tensor.New(n, 1)
 		x.Fill(1 / float32(n))
 		rowCost := func(r int) int64 { return int64(s.RowNNZ(r)) + 1 }
-		var staticMS float64
 		var staticUnits int64
 		var staticOut *tensor.Tensor
 		for _, name := range loadbalance.Names() {
@@ -193,26 +159,20 @@ func Sparse(n int) (*SparseResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			op := ops.NewSpMV(s).BindSchedule(sched)
 			y := tensor.New(n, 1)
-			ms, err := timeSpMV(op, a, x, y, 5, 40)
-			if err != nil {
+			if err := ops.NewSpMV(s).BindSchedule(sched).Run([]*tensor.Tensor{a, x}, y); err != nil {
 				return nil, err
 			}
 			units, err := modeledMakespan(name, n, rowCost)
 			if err != nil {
 				return nil, err
 			}
-			row := SparseKernelRow{
-				Dist: st.dist, Schedule: name, WallMS: ms,
-				ModeledUnits: units, OutputsEqual: true,
-			}
+			row := SparseKernelRow{Dist: st.dist, Schedule: name, ModeledUnits: units, OutputsEqual: true}
 			if name == "static" {
-				staticMS, staticUnits, staticOut = ms, units, y
+				staticUnits, staticOut = units, y
 			} else {
 				row.OutputsEqual = y.Equal(staticOut)
 			}
-			row.Speedup = staticMS / ms
 			row.ModeledSpeedup = float64(staticUnits) / float64(units)
 			if !row.OutputsEqual {
 				return nil, fmt.Errorf("sparse: %s/%s output diverged from static", st.dist, name)
