@@ -555,7 +555,7 @@ func writePipelineTrace(w io.Writer) error {
 	svc := core.NewService(
 		core.WithDevice(gpu.Custom("pipeline-arena", 2<<20)),
 		core.WithObserver(o),
-		core.WithPipeline(0),
+		core.WithPipeline(),
 	)
 	compiled, _, err := svc.Compile(context.Background(), g)
 	if err != nil {

@@ -143,7 +143,9 @@ func main() {
 		fh.Close()
 	}
 	if *metricsF {
-		o.M().WriteText(os.Stderr)
+		if err := o.M().WritePrometheus(os.Stderr); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if status == "UNSATISFIABLE" {
 		os.Exit(20)

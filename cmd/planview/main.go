@@ -215,7 +215,9 @@ func main() {
 			fmt.Print(o.R().Breakdown(10))
 		}
 		if *metricsF {
-			o.M().WriteText(os.Stdout)
+			if err := o.M().WritePrometheus(os.Stdout); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 }

@@ -79,12 +79,20 @@ func main() {
 		stats.Operators, stats.DataStructures, report.MB(stats.TotalFloats), report.MB(stats.MaxFootprint))
 
 	ctx := context.Background()
-	svc := core.NewService(
+	opts := []core.Option{
 		core.WithDevice(spec),
 		core.WithPlanner(pl),
 		core.WithPBMaxConflicts(2_000_000),
 		core.WithObserver(o),
-	)
+	}
+	if *faults > 0 {
+		opts = append(opts, core.WithFaults(gpu.NewInjector(*faultSeed).
+			SetRate(gpu.FaultH2D, *faults, gpu.Transient).
+			SetRate(gpu.FaultD2H, *faults, gpu.Transient).
+			SetRate(gpu.FaultLaunch, *faults, gpu.Transient)))
+	}
+	svc := core.NewService(opts...)
+	runOpt := core.RunOptions{Simulate: *simulate, Inputs: in, Resilient: *faults > 0}
 	compiled, _, err := svc.Compile(ctx, g)
 	if err != nil {
 		log.Fatal(err)
@@ -108,23 +116,7 @@ func main() {
 		fmt.Printf("wrote CUDA source to %s (+ kernel stubs %s)\n", *emitCUDA, stubs)
 	}
 
-	var inj *gpu.Injector
-	if *faults > 0 {
-		inj = gpu.NewInjector(*faultSeed).
-			SetRate(gpu.FaultH2D, *faults, gpu.Transient).
-			SetRate(gpu.FaultD2H, *faults, gpu.Transient).
-			SetRate(gpu.FaultLaunch, *faults, gpu.Transient)
-	}
-
-	var rep *exec.Report
-	switch {
-	case inj != nil:
-		rep, err = compiled.Run(ctx, core.RunOptions{Simulate: *simulate, Inputs: in, Resilient: true, Faults: inj})
-	case *simulate:
-		rep, err = svc.Simulate(ctx, compiled)
-	default:
-		rep, err = svc.Execute(ctx, compiled, in)
-	}
+	rep, err := svc.Run(ctx, compiled, runOpt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,12 +156,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if *simulate {
-				_, err = svc.CompileAndSimulate(ctx, gg)
-			} else {
-				_, err = svc.CompileAndExecute(ctx, gg, ini)
-			}
+			c, _, err := svc.Compile(ctx, gg)
 			if err != nil {
+				log.Fatal(err)
+			}
+			runOpt.Inputs = ini
+			if _, err := svc.Run(ctx, c, runOpt); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -190,7 +182,9 @@ func main() {
 		fmt.Printf("wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 	if *metricsF {
-		o.M().WriteText(os.Stdout)
+		if err := o.M().WritePrometheus(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Print(o.R().Breakdown(5))
 	}
 }

@@ -15,16 +15,13 @@ import (
 // c.Graph at the rewritten clone — and only when some node is over the
 // target: a graph that already fits is passed on as it is, uncopied, and
 // the graph a compile was given is never edited either way.
-type SplitPass struct {
-	// MaxParts bounds a single operator's split factor (0 = none).
-	MaxParts int
-}
+type SplitPass struct{}
 
 // Name implements Pass.
 func (SplitPass) Name() string { return "split" }
 
 // Run implements Pass.
-func (p SplitPass) Run(c *Compilation, sp *obs.Span) error {
+func (SplitPass) Run(c *Compilation, sp *obs.Span) error {
 	sp.SetArgf("target_floats", "%d", c.SplitTarget)
 	// One scan round that finds nothing to split: what split.Apply
 	// reports for a graph it leaves alone.
@@ -32,8 +29,7 @@ func (p SplitPass) Run(c *Compilation, sp *obs.Span) error {
 	var err error
 	if c.SplitTarget <= 0 || !split.Feasible(c.Graph, c.SplitTarget) {
 		g := c.Graph.Clone()
-		if res, err = split.Apply(g, split.Options{
-			Capacity: c.SplitTarget, MaxParts: p.MaxParts, Obs: c.Obs}); err == nil {
+		if res, err = split.Apply(g, split.Options{Capacity: c.SplitTarget, Obs: c.Obs}); err == nil {
 			c.Graph = g
 		}
 	}

@@ -87,8 +87,6 @@ type Config struct {
 	// PBMaxConflicts bounds each PB solver call (0 = unlimited). If the
 	// budget is exhausted, the best plan found so far is used.
 	PBMaxConflicts int64
-	// SplitMaxParts bounds a single operator's split factor (0 = none).
-	SplitMaxParts int
 	// Overlap enables the asynchronous transfer/compute extension
 	// (§3.3.2) on devices that support it: H2D copies are prefetched as
 	// early as memory allows and the executor runs the DMA and compute
@@ -101,9 +99,6 @@ type Config struct {
 	// Results and simulated statistics are bit-identical to sequential
 	// execution; only host wall-clock time changes.
 	Pipeline bool
-	// PipelineWorkers bounds the pipelined executor's compute pool
-	// (0 = GOMAXPROCS).
-	PipelineWorkers int
 	// Obs, when non-nil, threads the observability layer through the
 	// whole pipeline: compile phases become wall-clock spans, execution
 	// becomes simulated-clock engine tracks, and metrics/residency
@@ -161,7 +156,7 @@ func (e *Engine) Pipeline() *compiler.Pipeline {
 		// Bind before split: parts share their source node's operator
 		// value, so binding the original binds every part.
 		compiler.ScheduleBindPass{Schedule: e.cfg.Schedule},
-		compiler.SplitPass{MaxParts: e.cfg.SplitMaxParts},
+		compiler.SplitPass{},
 		compiler.ValidatePass{},
 	}
 	switch e.cfg.Planner {
@@ -203,20 +198,13 @@ type Compiled struct {
 	// asynchronous execution; Execute/Simulate then overlap the engines.
 	Overlap bool
 	// Pipeline routes Execute through the pipelined executor
-	// (exec.Options.Pipeline); PipelineWorkers bounds its compute pool.
-	Pipeline        bool
-	PipelineWorkers int
+	// (exec.Options.Pipeline).
+	Pipeline bool
 	// Residency is the residency pass's artifact: the plan's read-only-
 	// shareable buffer set (serving layers pin it across jobs) and the
 	// rolling-admission lead/tail shape. Always computed; advisory
-	// unless Resident opts an execution into elision.
+	// unless RunOptions.Resident opts an execution into elision.
 	Residency *sched.Residency
-	// Resident marks buffer IDs modeled as already device-resident for
-	// this execution (a serving layer's pinned set): their H2D transfers
-	// are elided from the report's Actual clock domain while charged
-	// Stats and outputs stay bit-identical. Set on per-call copies by
-	// Run from RunOptions.Resident; nil for plain executions.
-	Resident map[int]bool
 	// Obs carries the engine's observer into Execute/Simulate so one
 	// trace spans compile and execution.
 	Obs *obs.Observer
@@ -344,9 +332,8 @@ func (e *Engine) compileWith(ctx context.Context, o *obs.Observer, g *graph.Grap
 		Graph: c.Graph, Plan: c.Plan, Split: c.Split,
 		Device: e.cfg.Device, Capacity: capacity,
 		PBStatus: c.PBStatus, Overlap: c.Overlap,
-		Pipeline: e.cfg.Pipeline, PipelineWorkers: e.cfg.PipelineWorkers,
-		Residency: c.Residency,
-		Obs:       o, Faults: e.cfg.Faults, Diags: c.Diags,
+		Pipeline: e.cfg.Pipeline, Residency: c.Residency,
+		Obs: o, Faults: e.cfg.Faults, Diags: c.Diags,
 	}, nil
 }
 
@@ -375,11 +362,10 @@ type RunOptions struct {
 	// ladder (replan at reduced budgets relative to the artifact's
 	// Capacity, then the CPU reference for materialized runs).
 	Resilient bool
-	// Faults overrides the fault injector installed on the execution's
-	// device (nil → the engine's configured Config.Faults).
-	Faults *gpu.Injector
-	// Resident overrides the artifact's resident buffer set for this run
-	// (a serving layer's pinned set); nil keeps the artifact's own.
+	// Resident marks buffer IDs modeled as already device-resident for
+	// this execution (a serving layer's pinned set): their H2D transfers
+	// are elided from the report's Actual clock domain while charged
+	// Stats and outputs stay bit-identical. Nil elides nothing.
 	Resident map[int]bool
 	// Sink, when non-nil, receives this execution's device-phase spans
 	// and recovery instants in addition to the service trace. Honored by
@@ -395,17 +381,9 @@ type RunOptions struct {
 // deterministic step boundaries. Cancellation is checked at step
 // boundaries and leaves the device pristine.
 func (c *Compiled) Run(ctx context.Context, opt RunOptions) (*exec.Report, error) {
-	dev := c.newDevice()
-	if opt.Faults != nil {
-		dev.SetInjector(opt.Faults)
-	}
-	resident := c.Resident
-	if opt.Resident != nil {
-		resident = opt.Resident
-	}
 	eo := exec.Options{
-		Mode: exec.Materialized, Device: dev, Overlap: c.Overlap,
-		Obs: c.Obs, Resident: resident,
+		Mode: exec.Materialized, Device: c.newDevice(), Overlap: c.Overlap,
+		Obs: c.Obs, Resident: opt.Resident,
 	}
 	in := opt.Inputs
 	if opt.Simulate {
@@ -413,7 +391,6 @@ func (c *Compiled) Run(ctx context.Context, opt RunOptions) (*exec.Report, error
 		in = nil
 	} else {
 		eo.Pipeline = c.Pipeline
-		eo.PipelineWorkers = c.PipelineWorkers
 	}
 	if opt.Resilient {
 		eo.Resilient = &exec.Resilience{Capacity: c.Capacity}

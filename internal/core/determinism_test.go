@@ -108,7 +108,7 @@ func TestAutoTuneParallelMatchesSequential(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	base := Config{Device: gpu.Custom("k", 1<<20), Capacity: 9000}
 	key := func(cfg Config, h int) string {
-		return NewService(WithConfig(cfg)).CacheKey(edgeGraph(t, h, 32, 5))
+		return NewService(withConfig(cfg)).CacheKey(edgeGraph(t, h, 32, 5))
 	}
 	ref := key(base, 40)
 	if key(base, 40) != ref {

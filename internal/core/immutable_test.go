@@ -118,7 +118,7 @@ func TestCompileNeverMutatesItsInput(t *testing.T) {
 		}
 	}
 	service := func(ctx context.Context, g *graph.Graph) (result, error) {
-		c, _, err := NewService(WithConfig(c870)).Compile(ctx, g)
+		c, _, err := NewService(withConfig(c870)).Compile(ctx, g)
 		if err != nil {
 			return result{}, err
 		}

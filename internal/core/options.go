@@ -31,11 +31,6 @@ func WithPBMaxConflicts(n int64) Option {
 	return func(c *Config) { c.PBMaxConflicts = n }
 }
 
-// WithSplitMaxParts bounds a single operator's split factor (0 = none).
-func WithSplitMaxParts(n int) Option {
-	return func(c *Config) { c.SplitMaxParts = n }
-}
-
 // WithOverlap enables the asynchronous transfer/compute extension
 // (§3.3.2) on devices that support it.
 func WithOverlap() Option {
@@ -43,12 +38,9 @@ func WithOverlap() Option {
 }
 
 // WithPipeline routes materialized executions through the pipelined
-// executor with a compute pool of the given size (0 = GOMAXPROCS).
-func WithPipeline(workers int) Option {
-	return func(c *Config) {
-		c.Pipeline = true
-		c.PipelineWorkers = workers
-	}
+// executor, with a compute pool of GOMAXPROCS workers.
+func WithPipeline() Option {
+	return func(c *Config) { c.Pipeline = true }
 }
 
 // WithCache bounds the service's compiled-plan cache to size entries
@@ -83,11 +75,4 @@ func WithAutoTuneSplit() Option {
 // under every schedule; only host wall time changes.
 func WithSchedule(name string) Option {
 	return func(c *Config) { c.Schedule = name }
-}
-
-// WithConfig overlays a complete Config (escape hatch for callers that
-// build configurations programmatically). Later options still apply on
-// top.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
 }

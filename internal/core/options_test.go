@@ -11,22 +11,27 @@ import (
 	"repro/internal/split"
 )
 
+// withConfig overlays a complete Config, so a test can perturb one field
+// of a literal at a time.
+func withConfig(cfg Config) Option {
+	return func(c *Config) { *c = cfg }
+}
+
 // A service assembled from options must behave identically to one built
 // from the equivalent Config literal.
 func TestOptionsMatchConfigLiteral(t *testing.T) {
 	o := obs.New()
 	cfg := Config{
 		Device: gpu.Custom("opt", 1<<20), Planner: BaselinePlanner,
-		Capacity: 9000, SplitMaxParts: 64, Obs: o,
+		Capacity: 9000, Obs: o,
 	}
 	byOpts := NewService(
 		WithDevice(gpu.Custom("opt", 1<<20)),
 		WithPlanner(BaselinePlanner),
 		WithCapacity(9000),
-		WithSplitMaxParts(64),
 		WithObserver(o),
 	)
-	byCfg := NewService(WithConfig(cfg))
+	byCfg := NewService(withConfig(cfg))
 	g := edgeGraph(t, 40, 32, 5)
 	if byOpts.CacheKey(g) != byCfg.CacheKey(g) {
 		t.Fatalf("cache keys differ:\n opts %s\n cfg  %s", byOpts.CacheKey(g), byCfg.CacheKey(g))
@@ -41,17 +46,6 @@ func TestOptionsMatchConfigLiteral(t *testing.T) {
 	}
 	if a.TransferFloats() != b.TransferFloats() || a.Graph.Fingerprint() != b.Graph.Fingerprint() {
 		t.Fatal("options-built service compiled a different plan")
-	}
-}
-
-// WithConfig overlays the full literal and later options still win.
-func TestWithConfigOverlay(t *testing.T) {
-	svc := NewService(
-		WithConfig(Config{Device: gpu.Custom("base", 1<<20), Capacity: 5000}),
-		WithCapacity(9000),
-	)
-	if got := svc.Engine().Capacity(); got != 9000 {
-		t.Fatalf("capacity = %d, want the later option's 9000", got)
 	}
 }
 

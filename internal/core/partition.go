@@ -83,7 +83,7 @@ func (e *Engine) compilePartitionedObs(ctx context.Context, o *obs.Observer, g *
 	}
 	pipeline := compiler.NewPipeline(
 		compiler.ScheduleBindPass{Schedule: e.cfg.Schedule},
-		compiler.SplitPass{MaxParts: e.cfg.SplitMaxParts},
+		compiler.SplitPass{},
 		compiler.ValidatePass{},
 		compiler.PartitionPass{},
 	)
@@ -118,23 +118,20 @@ func (pc *PartitionedCompiled) NewDevices() []*gpu.Device {
 // Run executes the partition on fresh devices under the selected
 // RunOptions. Inputs/Simulate select materialized vs accounting mode and
 // Resident the pinned set, exactly as for a single-device artifact;
-// Resilient is ignored (partitioned execution has no checkpoint driver —
+// Resilient is rejected (partitioned execution has no checkpoint driver —
 // a serving pool handles member failure by aborting and re-placing the
 // whole gang) and Sink is honored by Service.RunPartitioned only.
 func (pc *PartitionedCompiled) Run(ctx context.Context, opt RunOptions) (*exec.PartitionReport, error) {
-	devs := pc.NewDevices()
-	if opt.Faults != nil {
-		for _, d := range devs {
-			d.SetInjector(opt.Faults)
-		}
-	}
-	return pc.RunOn(ctx, devs, opt)
+	return pc.RunOn(ctx, pc.NewDevices(), opt)
 }
 
 // RunOn executes the partition on caller-supplied devices — a serving
 // pool's gang members — which must match the partition's specs part by
 // part and be pristine. See Run for option semantics.
 func (pc *PartitionedCompiled) RunOn(ctx context.Context, devs []*gpu.Device, opt RunOptions) (*exec.PartitionReport, error) {
+	if opt.Resilient {
+		return nil, errors.New("core: partitioned execution cannot honor RunOptions.Resilient")
+	}
 	eo := exec.Options{Mode: exec.Materialized, Obs: pc.Obs, Resident: opt.Resident}
 	in := opt.Inputs
 	if opt.Simulate {

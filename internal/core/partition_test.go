@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -97,6 +98,12 @@ func TestCompilePartitionedSimulate(t *testing.T) {
 		if acc.Parts[p].Stats != mat.Parts[p].Stats {
 			t.Errorf("part %d stats differ:\nacc %+v\nmat %+v", p, acc.Parts[p].Stats, mat.Parts[p].Stats)
 		}
+	}
+	// There is no partitioned checkpoint driver: Resilient is rejected by
+	// name rather than dropped.
+	if _, err := pc.Run(context.Background(), RunOptions{Simulate: true, Resilient: true}); err == nil ||
+		!strings.Contains(err.Error(), "RunOptions.Resilient") {
+		t.Fatalf("resilient partitioned run: err = %v, want a rejection naming RunOptions.Resilient", err)
 	}
 }
 

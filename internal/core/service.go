@@ -29,7 +29,7 @@ type Service struct {
 //
 //	svc := core.NewService(
 //		core.WithDevice(gpu.TeslaC870()),
-//		core.WithPipeline(0),
+//		core.WithPipeline(),
 //		core.WithCache(64),
 //		core.WithObserver(o),
 //	)
@@ -65,17 +65,16 @@ func (s *Service) CacheKey(g *graph.Graph) string {
 // default shares the default's cache entries.
 func (s *Service) configString() string {
 	c := s.eng.cfg
-	// Pipeline changes the compiled plan (it adds the prefetch pass);
-	// PipelineWorkers only changes execution, so it stays out of the key.
-	// Schedule never changes the plan either, but compiled artifacts
+	// Pipeline changes the compiled plan (it adds the prefetch pass).
+	// Schedule never changes the plan, but compiled artifacts
 	// carry bound operators, so each schedule gets its own entry — that
 	// is also what keeps per-schedule wall-time comparisons honest.
 	sched := c.Schedule
 	if sched == "" {
 		sched = "static"
 	}
-	return fmt.Sprintf("planner=%s,capacity=%d,pbmax=%d,splitmax=%d,overlap=%t,autotune=%t,pipeline=%t,sched=%s",
-		c.Planner, s.eng.Capacity(), c.PBMaxConflicts, c.SplitMaxParts, c.Overlap, c.AutoTuneSplit, c.Pipeline, sched)
+	return fmt.Sprintf("planner=%s,capacity=%d,pbmax=%d,overlap=%t,autotune=%t,pipeline=%t,sched=%s",
+		c.Planner, s.eng.Capacity(), c.PBMaxConflicts, c.Overlap, c.AutoTuneSplit, c.Pipeline, sched)
 }
 
 // Compile returns the compiled artifact for g, from the cache when an
@@ -157,12 +156,11 @@ func (s *Service) scope(sink *obs.Tracer, fn func(child *obs.Observer)) {
 // per-call forked observer — the single front-door execution entry point.
 // Every RunOptions combination is honored: Simulate selects accounting
 // mode, Resilient the resilient driver, Resident the pinned buffer set
-// (installed on the per-call artifact copy, so concurrent executions of
-// one cached plan can carry different residency), and Sink receives the
-// execution's device-phase spans (H2D/compute/D2H on the simulated clock)
-// and recovery instants in addition to the service's own trace. Safe for
-// concurrent use — a serving layer compiles once via Compile and fans
-// executions out here.
+// (per call, so concurrent executions of one cached plan can carry
+// different residency), and Sink receives the execution's device-phase
+// spans (H2D/compute/D2H on the simulated clock) and recovery instants
+// in addition to the service's own trace. Safe for concurrent use — a
+// serving layer compiles once via Compile and fans executions out here.
 func (s *Service) Run(ctx context.Context, c *Compiled, opt RunOptions) (rep *exec.Report, err error) {
 	s.scope(opt.Sink, func(child *obs.Observer) {
 		cc := *c

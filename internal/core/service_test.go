@@ -19,7 +19,7 @@ import (
 // ticks, and no second set of pass spans appears in the trace.
 func TestServiceCacheHitSkipsPasses(t *testing.T) {
 	o := obs.New()
-	svc := NewService(WithConfig(Config{Device: gpu.Custom("svc", 1<<20), Capacity: 9000, Obs: o}))
+	svc := NewService(withConfig(Config{Device: gpu.Custom("svc", 1<<20), Capacity: 9000, Obs: o}))
 
 	c1, hit, err := svc.Compile(context.Background(), edgeGraph(t, 40, 32, 5))
 	if err != nil {
@@ -145,7 +145,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	o := obs.New()
 	cfg.Obs = o
-	svc := NewService(WithConfig(cfg))
+	svc := NewService(withConfig(cfg))
 	const workers = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

@@ -340,7 +340,7 @@ func TestPerformIsAtomicOnKernelError(t *testing.T) {
 	for name, opt := range map[string]Options{
 		"sequential": {},
 		"pipelined":  {Pipeline: true},
-		"resilient":  {Resilient: &Resilience{DisableCPUFallback: true}},
+		"resilient":  {Resilient: &Resilience{}},
 	} {
 		dev := gpu.New(spec)
 		opt.Mode, opt.Device = Materialized, dev

@@ -21,60 +21,37 @@ import (
 	"repro/internal/tensor"
 )
 
-// RetryPolicy caps the transient-fault retry loop. Backoff is charged to
-// the simulated clock (Stats.RecoveryTime) so recovery cost shows up in
-// the timing results.
-type RetryPolicy struct {
-	// MaxRetries per step (0 → 4).
-	MaxRetries int
-	// BaseBackoff is the first retry delay in simulated seconds, doubled
-	// each subsequent retry (0 → 1ms).
-	BaseBackoff float64
-	// MaxBackoff caps a single delay (0 → 100ms).
-	MaxBackoff float64
-}
+// Recovery policy. Backoff is charged to the simulated clock
+// (Stats.RecoveryTime) so recovery cost shows up in the timing results.
+const (
+	maxRetries  = 4      // transient-fault retries per step
+	baseBackoff = 1e-3   // first retry delay in simulated seconds, doubled each retry
+	maxBackoff  = 100e-3 // cap on a single delay
+	maxReplays  = 3      // checkpoint restarts per plan attempt
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 4
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = 1e-3
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 100e-3
-	}
-	return p
-}
+// ladderBudgets are the shrinking fractions of the planner capacity the
+// degradation ladder replans with on persistent OOM.
+var ladderBudgets = [...]float64{0.95, 0.80, 0.60}
 
-func (p RetryPolicy) backoff(attempt int) float64 {
-	d := p.BaseBackoff
+// backoff is the simulated delay before retry attempt+1.
+func backoff(attempt int) float64 {
+	d := baseBackoff
 	for i := 0; i < attempt; i++ {
 		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
+		if d >= maxBackoff {
+			return maxBackoff
 		}
 	}
 	return d
 }
 
 // Resilience configures the resilient driver selected by
-// Options.Resilient. The zero value is a usable default (4 retries,
-// 1ms–100ms backoff, 3 replays, ladder budgets 95/80/60% of the
-// device's planner capacity, CPU fallback enabled).
+// Options.Resilient. The zero value is the default.
 type Resilience struct {
-	// Retry caps the transient-fault retry loop.
-	Retry RetryPolicy
 	// Capacity is the planner memory budget in floats used when the
 	// degradation ladder replans (0 → the device's PlannerCapacity).
 	Capacity int64
-	// Budgets are the shrinking capacity fractions the degradation ladder
-	// replans with on persistent OOM (nil → 0.95, 0.80, 0.60).
-	Budgets []float64
-	// MaxReplays bounds checkpoint restarts per plan attempt (0 → 3).
-	MaxReplays int
-	// DisableCPUFallback turns off the final pure-CPU fallback rung.
-	DisableCPUFallback bool
 }
 
 // Recovery documents every recovery action a resilient execution took.
@@ -261,26 +238,18 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	if dev == nil {
 		return nil, fmt.Errorf("exec: no device")
 	}
-	res := *opt.Resilient
+	capacity := opt.Resilient.Capacity
+	if capacity == 0 {
+		capacity = dev.Spec.PlannerCapacity()
+	}
 	// Attempts drive the plain sequential step machine: clear the driver
 	// selection on the executor-facing options so checkpoints land at
 	// deterministic step boundaries.
 	opt.Resilient = nil
 	opt.Pipeline = false
-	res.Retry = res.Retry.withDefaults()
-	if res.MaxReplays == 0 {
-		res.MaxReplays = 3
-	}
-	if res.Capacity == 0 {
-		res.Capacity = dev.Spec.PlannerCapacity()
-	}
-	budgets := res.Budgets
-	if budgets == nil {
-		budgets = []float64{0.95, 0.80, 0.60}
-	}
 
 	rec := &Recovery{}
-	rep, err := runAttempt(ctx, g, plan, in, opt, res, rec)
+	rep, err := runAttempt(ctx, g, plan, in, opt, rec)
 	if err == nil {
 		rep.Recovery = rec
 		return rep, nil
@@ -290,11 +259,11 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	// not fit the device as-is — replan with a shrinking budget. The
 	// graph is re-split from a clone so buffer IDs (and therefore the
 	// caller's Inputs/Outputs keys) are preserved.
-	for _, frac := range budgets {
+	for _, frac := range ladderBudgets {
 		if !errors.Is(err, ErrOOM) || ctx.Err() != nil {
 			break
 		}
-		target := int64(float64(res.Capacity) * frac)
+		target := int64(float64(capacity) * frac)
 		if target <= 0 {
 			break
 		}
@@ -314,7 +283,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		rec.Replans++
 		rec.ReplanBudgets = append(rec.ReplanBudgets, target)
 		dev.Recover() // fresh allocator, lost flag cleared; clock and stats are kept
-		rep, err = runAttempt(ctx, g2, plan2, in, opt, res, rec)
+		rep, err = runAttempt(ctx, g2, plan2, in, opt, rec)
 		if err == nil {
 			rep.Recovery = rec
 			return rep, nil
@@ -324,7 +293,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	// Final rung: pure-CPU reference execution. Only meaningful when data
 	// is materialized; accounting mode has nothing to compute. A cancelled
 	// caller gets the cancellation error, not a CPU-computed result.
-	if !res.DisableCPUFallback && opt.Mode == Materialized && ctx.Err() == nil {
+	if opt.Mode == Materialized && ctx.Err() == nil {
 		rec.logf("degradation ladder exhausted (%v): falling back to CPU reference", err)
 		opt.Obs.M().Counter("exec.cpu_fallback").Inc()
 		opt.Obs.T().MarkSim(obs.RecoveryTrack, "cpu_fallback", "recovery", dev.Clock(), nil)
@@ -373,7 +342,7 @@ func replan(g *graph.Graph, budget int64) (*graph.Graph, *sched.Plan, error) {
 // runAttempt drives one plan to completion with step-level retry and
 // checkpoint restart. It returns the partial report alongside any error
 // it cannot absorb (persistent OOM for the ladder, plan bugs).
-func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options, res Resilience, rec *Recovery) (*Report, error) {
+func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options, rec *Recovery) (*Report, error) {
 	e, err := newExecutor(g, plan, in, opt)
 	if err != nil {
 		return nil, err
@@ -386,7 +355,7 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 			return e.cancelled(ctx, si)
 		}
 		step := plan.Steps[si]
-		err := e.stepWithRetry(si, step, res.Retry, rec)
+		err := e.stepWithRetry(si, step, rec)
 		if err == nil {
 			if step.Kind == sched.StepSync {
 				cp = e.snapshot(si + 1)
@@ -402,19 +371,19 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 			// Device loss, or a persistent kernel/transfer fault treated
 			// as a device-level reset: restore the last checkpoint and
 			// replay from there.
-			if replays >= res.MaxReplays {
-				rec.logf("step %d: %v: replay budget (%d) exhausted", si, err, res.MaxReplays)
+			if replays >= maxReplays {
+				rec.logf("step %d: %v: replay budget (%d) exhausted", si, err, maxReplays)
 				return e.abort(err)
 			}
 			replays++
 			rec.Replays++
 			rec.logf("step %d: %v: restoring checkpoint at step %d (replay %d/%d)",
-				si, err, cp.next, replays, res.MaxReplays)
+				si, err, cp.next, replays, maxReplays)
 			e.observeFault("checkpoint_restore", si, step, err, map[string]string{
 				"resume_step": fmt.Sprint(cp.next),
-				"replay":      fmt.Sprintf("%d/%d", replays, res.MaxReplays),
+				"replay":      fmt.Sprintf("%d/%d", replays, maxReplays),
 			})
-			if rerr := e.restoreWithRetry(cp, res.Retry, rec); rerr != nil {
+			if rerr := e.restoreWithRetry(cp, rec); rerr != nil {
 				return e.abort(rerr)
 			}
 			si = cp.next
@@ -428,10 +397,10 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 
 // stepWithRetry executes one step, retrying transient faults with capped
 // exponential backoff charged to the simulated clock.
-func (e *executor) stepWithRetry(si int, step sched.Step, retry RetryPolicy, rec *Recovery) error {
+func (e *executor) stepWithRetry(si int, step sched.Step, rec *Recovery) error {
 	err := e.step(si, step)
-	for attempt := 0; err != nil && gpu.IsTransient(err) && attempt < retry.MaxRetries; attempt++ {
-		b := retry.backoff(attempt)
+	for attempt := 0; err != nil && gpu.IsTransient(err) && attempt < maxRetries; attempt++ {
+		b := backoff(attempt)
 		e.dev.ChargeRecovery(b)
 		if e.overlap {
 			e.stall(b)
@@ -472,14 +441,14 @@ func (e *executor) observeFault(action string, si int, step sched.Step, err erro
 
 // restoreWithRetry restores a checkpoint, absorbing transient faults and
 // repeated device losses during the replay itself (restore is idempotent).
-func (e *executor) restoreWithRetry(cp *checkpoint, retry RetryPolicy, rec *Recovery) error {
+func (e *executor) restoreWithRetry(cp *checkpoint, rec *Recovery) error {
 	floats, err := e.restore(cp)
 	rec.ReplayedFloats += floats
-	for attempt := 0; err != nil && attempt < retry.MaxRetries; attempt++ {
+	for attempt := 0; err != nil && attempt < maxRetries; attempt++ {
 		if !(gpu.IsTransient(err) || gpu.IsDeviceLost(err)) {
 			return err
 		}
-		b := retry.backoff(attempt)
+		b := backoff(attempt)
 		e.dev.ChargeRecovery(b)
 		if e.overlap {
 			e.stall(b)

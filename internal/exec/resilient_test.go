@@ -267,10 +267,11 @@ func TestResilientCPUFallback(t *testing.T) {
 			t.Fatalf("fallback output %d differs", id)
 		}
 	}
-	// With fallback disabled the OOM surfaces, with a partial report.
+	// Accounting mode has no data to fall back with: the OOM surfaces,
+	// with a partial report.
 	rep2, err := Run(context.Background(), g, plan, in, Options{
-		Mode: Materialized, Device: gpu.New(spec),
-		Resilient: &Resilience{Capacity: 600, DisableCPUFallback: true},
+		Mode: Accounting, Device: gpu.New(spec),
+		Resilient: &Resilience{Capacity: 600},
 	})
 	if err == nil || !gpu.IsOOM(err) {
 		t.Fatalf("want OOM error, got %v", err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // Fig8Row is one point of Fig. 8: edge-detection execution time versus
@@ -83,14 +82,4 @@ func bestPossible(dim int, spec gpu.Spec) float64 {
 	dev.Launch(flops, outFloats, (inFloats+outFloats)*4)
 	dev.CopyToHost(outFloats)
 	return dev.Stats().TotalTime()
-}
-
-// LowerBoundFloats exposes the I/O lower bound for a dimension (used by
-// reports).
-func LowerBoundFloats(dim int) (int64, error) {
-	g, _, err := paperEdge(dim).Build()
-	if err != nil {
-		return 0, err
-	}
-	return sched.LowerBound(g), nil
 }

@@ -165,13 +165,6 @@ func (a *Allocator) largestFreeLocked() int64 {
 	return m
 }
 
-// Allocations returns the number of live allocations.
-func (a *Allocator) Allocations() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.used)
-}
-
 // FreeSpans returns the number of free spans (fragmentation indicator).
 func (a *Allocator) FreeSpans() int {
 	a.mu.Lock()

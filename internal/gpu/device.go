@@ -305,9 +305,6 @@ func (d *Device) AccountSync() float64 {
 	return t
 }
 
-// Sync accounts a host-GPU synchronization at an offload-unit boundary.
-func (d *Device) Sync() { d.AccountSync() }
-
 // SetWallTime records the overlapped makespan computed by an executor
 // driving the DMA and compute engines concurrently.
 func (d *Device) SetWallTime(t float64) {

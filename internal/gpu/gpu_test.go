@@ -268,8 +268,8 @@ func TestTeslaC1060Spec(t *testing.T) {
 
 func TestSyncAndWallTime(t *testing.T) {
 	d := New(TeslaC870())
-	d.Sync()
-	d.Sync()
+	d.AccountSync()
+	d.AccountSync()
 	st := d.Stats()
 	if st.Syncs != 2 || st.SyncTime != 2*d.Spec.SyncOverhead {
 		t.Fatalf("sync stats = %+v", st)

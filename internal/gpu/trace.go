@@ -71,17 +71,6 @@ func (t *Trace) Span() float64 {
 	return t.maxEnd
 }
 
-// ByEngine returns the events recorded for the named engine, in order.
-func (t *Trace) ByEngine(engine string) []Event {
-	var out []Event
-	for _, e := range t.Events {
-		if e.Engine == engine {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // BusyTime returns the total busy time of the named engine.
 func (t *Trace) BusyTime(engine string) float64 {
 	var busy float64

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -26,24 +25,5 @@ func TestTraceSpanTracksMaxEnd(t *testing.T) {
 	}
 	if tr.Span() != scan {
 		t.Fatalf("incremental span %v != scanned span %v", tr.Span(), scan)
-	}
-}
-
-func TestTraceByEngine(t *testing.T) {
-	tr := &Trace{}
-	tr.Add(Event{Kind: EventH2D, Engine: "dma", Start: 0, End: 1, Label: "a"})
-	tr.Add(Event{Kind: EventKernel, Engine: "compute", Start: 1, End: 2, Label: "b"})
-	tr.Add(Event{Kind: EventD2H, Engine: "dma", Start: 2, End: 3, Label: "c"})
-
-	dma := tr.ByEngine("dma")
-	if len(dma) != 2 || dma[0].Label != "a" || dma[1].Label != "c" {
-		t.Fatalf("ByEngine(dma) = %+v, want events a,c in order", dma)
-	}
-	comp := tr.ByEngine("compute")
-	if len(comp) != 1 || !reflect.DeepEqual(comp[0], tr.Events[1]) {
-		t.Fatalf("ByEngine(compute) = %+v", comp)
-	}
-	if got := tr.ByEngine("nope"); got != nil {
-		t.Fatalf("ByEngine(nope) = %+v, want nil", got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/gpu"
 )
 
 // Chrome trace_event exporter. The emitted JSON opens in Perfetto
@@ -173,20 +171,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
-}
-
-// ImportGPUTrace copies a gpu.Trace's engine timeline into the tracer as
-// simulated-clock spans, one track per engine — the bridge from the
-// executor's flat event list to the hierarchical exporter.
-func (t *Tracer) ImportGPUTrace(gt *gpu.Trace) {
-	if t == nil || gt == nil {
-		return
-	}
-	for _, eng := range []string{"dma", "compute"} {
-		for _, e := range gt.ByEngine(eng) {
-			t.AddSim(eng, e.Label, e.Kind.String(), e.Start, e.End)
-		}
-	}
 }
 
 // TraceCheck summarizes a validated Chrome trace file.

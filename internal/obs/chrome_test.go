@@ -3,8 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/gpu"
 )
 
 func TestWriteChromeValidates(t *testing.T) {
@@ -36,30 +34,6 @@ func TestWriteChromeValidates(t *testing.T) {
 			t.Fatalf("tracks = %v, want %v", c.Tracks, want)
 		}
 	}
-}
-
-func TestImportGPUTrace(t *testing.T) {
-	gt := &gpu.Trace{}
-	gt.Add(gpu.Event{Kind: gpu.EventH2D, Engine: "dma", Label: "H2D Im", Start: 0, End: 1})
-	gt.Add(gpu.Event{Kind: gpu.EventKernel, Engine: "compute", Label: "conv", Start: 1, End: 2})
-	gt.Add(gpu.Event{Kind: gpu.EventSync, Engine: "compute", Label: "", Start: 2, End: 2.1})
-
-	tr := NewTracer()
-	tr.ImportGPUTrace(gt)
-	spans := tr.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d, want 3", len(spans))
-	}
-	if spans[0].Track != "dma" || spans[1].Track != "compute" {
-		t.Fatalf("tracks = %+v", spans)
-	}
-	if spans[2].Name != "SYNC" { // unlabeled events fall back to the kind
-		t.Fatalf("sync span name = %q", spans[2].Name)
-	}
-	// Nil arguments are no-ops.
-	var nilT *Tracer
-	nilT.ImportGPUTrace(gt)
-	tr.ImportGPUTrace(nil)
 }
 
 func TestValidateChromeRejectsBadTraces(t *testing.T) {

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -254,100 +251,4 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		r.descs[k] = metricDesc{name: name, labels: labels}
 	}
 	return h
-}
-
-// Snapshot is the encodable state of a registry.
-type Snapshot struct {
-	Counters   map[string]int64    `json:"counters,omitempty"`
-	Gauges     map[string]float64  `json:"gauges,omitempty"`
-	Histograms map[string]HistStat `json:"histograms,omitempty"`
-}
-
-// Snapshot captures every instrument's current value.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, g := range r.gauges {
-		gauges[k] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	r.mu.Unlock()
-
-	if len(counters) > 0 {
-		s.Counters = make(map[string]int64, len(counters))
-		for k, c := range counters {
-			s.Counters[k] = c.Value()
-		}
-	}
-	if len(gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(gauges))
-		for k, g := range gauges {
-			s.Gauges[k] = g.Value()
-		}
-	}
-	if len(hists) > 0 {
-		s.Histograms = make(map[string]HistStat, len(hists))
-		for k, h := range hists {
-			s.Histograms[k] = h.Stat()
-		}
-	}
-	return s
-}
-
-// WriteText renders every instrument, one per line, sorted by name within
-// each kind — the -metrics CLI output.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	var keys []string
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "counter   %-48s %d\n", k, s.Counters[k]); err != nil {
-			return err
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Gauges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "gauge     %-48s %g\n", k, s.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	keys = keys[:0]
-	for k := range s.Histograms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h := s.Histograms[k]
-		if _, err := fmt.Fprintf(w, "histogram %-48s count=%d sum=%g min=%g max=%g mean=%g\n",
-			k, h.Count, h.Sum, h.Min, h.Max, h.Mean); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON encodes the snapshot as indented JSON (map keys are sorted by
-// encoding/json, so output is deterministic for a deterministic run).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

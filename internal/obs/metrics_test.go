@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -48,7 +48,7 @@ func TestMetricKey(t *testing.T) {
 	}
 }
 
-func TestWriteTextDeterministic(t *testing.T) {
+func TestWritePrometheusDeterministic(t *testing.T) {
 	build := func() string {
 		r := NewRegistry()
 		r.Counter("b").Add(2)
@@ -56,7 +56,7 @@ func TestWriteTextDeterministic(t *testing.T) {
 		r.Gauge("g").Set(3.5)
 		r.Histogram("h").Observe(1)
 		var b strings.Builder
-		if err := r.WriteText(&b); err != nil {
+		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -64,34 +64,18 @@ func TestWriteTextDeterministic(t *testing.T) {
 	first := build()
 	for i := 0; i < 5; i++ {
 		if got := build(); got != first {
-			t.Fatalf("WriteText not deterministic:\n%s\nvs\n%s", first, got)
+			t.Fatalf("WritePrometheus not deterministic:\n%s\nvs\n%s", first, got)
 		}
 	}
-	// Counters sorted before gauges before histograms, each alphabetical.
-	lines := strings.Split(strings.TrimSpace(first), "\n")
-	if len(lines) != 4 || !strings.HasPrefix(lines[0], "counter   a") ||
-		!strings.HasPrefix(lines[1], "counter   b") ||
-		!strings.HasPrefix(lines[2], "gauge     g") ||
-		!strings.HasPrefix(lines[3], "histogram h") {
-		t.Fatalf("unexpected layout:\n%s", first)
+	// Families sorted by name, whatever their kind.
+	var types []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, strings.TrimPrefix(line, "# TYPE "))
+		}
 	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "k", "v").Add(7)
-	r.Gauge("g").Set(1.5)
-	r.Histogram("h").Observe(3)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(b.String()), &s); err != nil {
-		t.Fatalf("WriteJSON output not valid JSON: %v", err)
-	}
-	if s.Counters["c{k=v}"] != 7 || s.Gauges["g"] != 1.5 || s.Histograms["h"].Count != 1 {
-		t.Fatalf("snapshot round trip = %+v", s)
+	if want := []string{"a counter", "b counter", "g gauge", "h histogram"}; !slices.Equal(types, want) {
+		t.Fatalf("families = %q, want %q:\n%s", types, want, first)
 	}
 }
 
@@ -104,12 +88,5 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.Histogram("h").Observe(1)
 	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Histogram("h").Stat().Count != 0 {
 		t.Fatal("nil registry instruments must read zero")
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("nil WriteText: err=%v out=%q", err, b.String())
-	}
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatalf("nil WriteJSON: %v", err)
 	}
 }

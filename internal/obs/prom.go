@@ -10,11 +10,10 @@ import (
 )
 
 // Prometheus text exposition (version 0.0.4) encoder and a conformance
-// checker for it. The registry's canonical name{k=v,...} rendering is a
-// human/CLI format; scraping infrastructure expects HELP/TYPE comment
-// lines, [a-zA-Z_:][a-zA-Z0-9_:]* metric names, quoted-and-escaped label
-// values, and cumulative histogram buckets. WritePrometheus produces
-// that from the same snapshot WriteText and WriteJSON consume;
+// checker for it: the registry's one exposition format, served on
+// /metrics and printed by every -metrics flag. Scraping infrastructure
+// expects HELP/TYPE comment lines, [a-zA-Z_:][a-zA-Z0-9_:]* metric names,
+// quoted-and-escaped label values, and cumulative histogram buckets;
 // ValidatePrometheus parses the output back and checks the format
 // invariants, so the serving layer's /metrics endpoint is testable
 // without a real Prometheus server.
@@ -104,8 +103,7 @@ type promFamily struct {
 // WritePrometheus renders every instrument in the Prometheus text
 // exposition format: one HELP and TYPE line per family, samples sorted
 // within it, histograms expanded into cumulative _bucket/_sum/_count
-// series with an explicit +Inf bucket. The JSON and text encoders are
-// untouched; this is the scrape-facing view of the same registry.
+// series with an explicit +Inf bucket.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil

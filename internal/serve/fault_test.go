@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,6 +142,11 @@ func TestProbeRecoveryReturnsToRotation(t *testing.T) {
 	}
 }
 
+// withBreaker sets the circuit breaker's trip threshold and cooldown.
+func withBreaker(threshold int, cooldown time.Duration) PoolOption {
+	return func(c *poolConfig) { c.breakThresh, c.breakCool = threshold, cooldown }
+}
+
 // Terminal pool failures open the circuit breaker, which sheds further
 // submissions with ErrRetryAfter and a backoff hint.
 func TestBreakerShedsWithRetryAfter(t *testing.T) {
@@ -151,7 +155,7 @@ func TestBreakerShedsWithRetryAfter(t *testing.T) {
 		WithDevices(gpu.TeslaC870()),
 		WithDeviceFaults("Tesla C870", inj),
 		WithHealthPolicy(HealthPolicy{ProbeInterval: time.Hour}),
-		WithBreaker(1, time.Hour),
+		withBreaker(1, time.Hour),
 	)
 	defer p.Close()
 
@@ -324,9 +328,9 @@ func TestCoalescedBatchSurvivesSingleCancel(t *testing.T) {
 }
 
 // Health state and migration counters surface deterministically in
-// /v1/stats JSON and the /metrics text encoding: one job placed on a
-// permanently dead device migrates to the survivor, and the rendered
-// metric lines must match this golden text exactly.
+// /v1/stats JSON and the metrics registry: one job placed on a
+// permanently dead device migrates to the survivor, and every counter
+// and gauge must hold exactly these values.
 func TestHealthAndMigrationMetricsGolden(t *testing.T) {
 	const sick = "Tesla C870"
 	inj := gpu.NewInjector(1).SetRate(gpu.FaultDeviceLost, 1.0, gpu.Persistent)
@@ -365,32 +369,26 @@ func TestHealthAndMigrationMetricsGolden(t *testing.T) {
 		t.Fatalf("pool stats = %+v", st)
 	}
 
-	var text strings.Builder
-	if err := o.M().WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, line := range strings.Split(text.String(), "\n") {
-		if strings.Contains(line, "serve.health") || strings.Contains(line, "serve.migrate") ||
-			strings.Contains(line, "serve.completed") || strings.Contains(line, "serve.device.fault") {
-			got = append(got, line)
+	m := o.M()
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   int64
+	}{
+		{"serve.completed", []string{"device", "GeForce 8800 GTX"}, 1},
+		{"serve.completed", []string{"device", sick}, 0},
+		{"serve.device.fault", []string{"device", sick}, 1},
+		{"serve.health.transition", []string{"device", sick, "from", "healthy", "to", "quarantined"}, 1},
+		{"serve.migrate.batches", []string{"from", sick, "to", "GeForce 8800 GTX"}, 1},
+		{"serve.migrate.jobs", nil, 1},
+	} {
+		if got := m.Counter(c.name, c.labels...).Value(); got != c.want {
+			t.Errorf("counter %s%v = %d, want %d", c.name, c.labels, got, c.want)
 		}
 	}
-	want := []string{
-		"counter   serve.completed{device=GeForce 8800 GTX}         1",
-		"counter   serve.device.fault{device=Tesla C870}            1",
-		"counter   serve.health.transition{device=Tesla C870,from=healthy,to=quarantined} 1",
-		"counter   serve.migrate.batches{from=Tesla C870,to=GeForce 8800 GTX} 1",
-		"counter   serve.migrate.jobs                               1",
-		"gauge     serve.health.state{device=GeForce 8800 GTX}      0",
-		"gauge     serve.health.state{device=Tesla C870}            2",
-	}
-	if len(got) != len(want) {
-		t.Fatalf("metric lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("metric line %d:\n got %q\nwant %q", i, got[i], want[i])
+	for device, want := range map[string]float64{"GeForce 8800 GTX": 0, sick: 2} {
+		if got := m.Gauge("serve.health.state", "device", device).Value(); got != want {
+			t.Errorf("gauge serve.health.state{device=%s} = %v, want %v", device, got, want)
 		}
 	}
 }

@@ -37,8 +37,8 @@ type flightRec struct {
 	dumps    atomic.Int64
 }
 
-func newFlightRec(capacity int, dumpPath string) *flightRec {
-	return &flightRec{rec: obs.NewFlightRecorder(capacity), dumpPath: dumpPath}
+func newFlightRec(dumpPath string) *flightRec {
+	return &flightRec{rec: obs.NewFlightRecorder(obs.DefaultFlightCapacity), dumpPath: dumpPath}
 }
 
 // note records one pool event; detail is alternating key/value pairs.

@@ -63,31 +63,27 @@ type HealthPolicy struct {
 	// escalates a degraded device to quarantined (default 3). Terminal
 	// device faults quarantine immediately regardless.
 	QuarantineAfter int
-	// RecoverAfter is the consecutive clean-execution streak that returns
-	// a degraded device to healthy (default 2).
-	RecoverAfter int
 	// ProbeInterval is how often a quarantined device is re-probed
 	// (default 100ms); it is also the Retry-After hint when the pool
 	// sheds load because no device is in rotation.
 	ProbeInterval time.Duration
-	// MaxMigrations bounds how many times one batch may be migrated
-	// between devices before its jobs fail with the causing error
-	// (default 3).
-	MaxMigrations int
 }
+
+const (
+	// recoverAfter is the consecutive clean-execution streak that returns
+	// a degraded device to healthy.
+	recoverAfter = 2
+	// maxMigrations bounds how many times one batch may be migrated
+	// between devices before its jobs fail with the causing error.
+	maxMigrations = 3
+)
 
 func (p HealthPolicy) withDefaults() HealthPolicy {
 	if p.QuarantineAfter <= 0 {
 		p.QuarantineAfter = 3
 	}
-	if p.RecoverAfter <= 0 {
-		p.RecoverAfter = 2
-	}
 	if p.ProbeInterval <= 0 {
 		p.ProbeInterval = 100 * time.Millisecond
-	}
-	if p.MaxMigrations <= 0 {
-		p.MaxMigrations = 3
 	}
 	return p
 }
@@ -159,7 +155,7 @@ func (h *healthTracker) noteClean() {
 	case Recovered:
 		h.transition(Healthy, "clean execution after probation")
 	case Degraded:
-		if h.cleanStreak >= h.policy.RecoverAfter {
+		if h.cleanStreak >= recoverAfter {
 			h.transition(Healthy, "clean streak")
 		}
 	}
@@ -235,13 +231,14 @@ type breaker struct {
 	opens     int64
 }
 
+// The breaker opens after breakerThreshold consecutive terminal failures
+// and stays open for breakerCooldown.
+const (
+	breakerThreshold = 8
+	breakerCooldown  = 2 * time.Second
+)
+
 func newBreaker(threshold int, cooldown time.Duration, o *obs.Observer, f *flightRec) *breaker {
-	if threshold <= 0 {
-		threshold = 8
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, obs: o, flight: f}
 }
 

@@ -150,7 +150,6 @@ func NewServer(addr string, p *Pool) *http.Server {
 //	GET    /v1/debug/flightrecorder  flight-recorder ring snapshot
 //	GET    /healthz                  liveness + pool health summary
 //	GET    /metrics                  Prometheus text exposition
-//	                                 (?format=json for a JSON snapshot)
 //
 // Submit errors map to status codes: full queue 429, infeasible template
 // 422, bad request 400, body over 1 MiB 413, closed pool 503, load shed
@@ -309,11 +308,6 @@ func NewHandler(p *Pool) http.Handler {
 		reg := p.Observer().M()
 		if reg == nil {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("pool has no observer"))
-			return
-		}
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = reg.WriteJSON(w)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -232,19 +232,6 @@ func TestHTTPHealthStatsMetrics(t *testing.T) {
 	if !strings.Contains(text.String(), "serve_submitted") {
 		t.Fatalf("metrics text missing serve counters:\n%s", text.String())
 	}
-
-	r, err = http.Get(srv.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if snap.Counters["serve.submitted"] < 1 {
-		t.Fatalf("metrics json = %+v", snap.Counters)
-	}
 }
 
 // The observability endpoints: a finished job's lifecycle trace, the

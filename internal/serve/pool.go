@@ -192,9 +192,10 @@ type poolConfig struct {
 	serviceOpts []core.Option
 	faults      map[string]*gpu.Injector
 	health      HealthPolicy
+	// breakThresh and breakCool are breakerThreshold and breakerCooldown
+	// outside tests.
 	breakThresh int
 	breakCool   time.Duration
-	flightCap   int
 	flightDump  string
 	residency   bool
 	gangFirst   bool
@@ -295,23 +296,11 @@ func WithHealthPolicy(hp HealthPolicy) PoolOption {
 	return func(c *poolConfig) { c.health = hp }
 }
 
-// WithBreaker configures the pool circuit breaker: threshold consecutive
-// terminal job failures open it for cooldown (defaults 8, 2s).
-func WithBreaker(threshold int, cooldown time.Duration) PoolOption {
-	return func(c *poolConfig) { c.breakThresh, c.breakCool = threshold, cooldown }
-}
-
-// WithFlightRecorder sizes the pool flight recorder's event ring
-// (default obs.DefaultFlightCapacity). The recorder runs whenever the
-// pool has an observer; this option also enables it without one.
-func WithFlightRecorder(capacity int) PoolOption {
-	return func(c *poolConfig) { c.flightCap = capacity }
-}
-
 // WithFlightDump sets the path the flight ring is snapshotted to when a
 // device is quarantined or the breaker trips (successive incidents get
 // numbered suffixes). Without it, incident dumps only add a marker event
-// and the ring stays query-only.
+// and the ring stays query-only. The recorder runs whenever the pool has
+// an observer; this option also enables it without one.
 func WithFlightDump(path string) PoolOption {
 	return func(c *poolConfig) { c.flightDump = path }
 }
@@ -346,7 +335,8 @@ type Pool struct {
 
 // NewPool assembles a pool and starts its worker streams.
 func NewPool(opts ...PoolOption) *Pool {
-	cfg := poolConfig{queueDepth: 64, streams: 2, maxBatch: 8}
+	cfg := poolConfig{queueDepth: 64, streams: 2, maxBatch: 8,
+		breakThresh: breakerThreshold, breakCool: breakerCooldown}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -375,8 +365,8 @@ func NewPool(opts ...PoolOption) *Pool {
 	if cfg.obs != nil {
 		p.slo = newSLOBoard()
 	}
-	if cfg.obs != nil || cfg.flightCap > 0 || cfg.flightDump != "" {
-		p.flight = newFlightRec(cfg.flightCap, cfg.flightDump)
+	if cfg.obs != nil || cfg.flightDump != "" {
+		p.flight = newFlightRec(cfg.flightDump)
 	}
 	p.breaker = newBreaker(cfg.breakThresh, cfg.breakCool, cfg.obs, p.flight)
 	for _, spec := range cfg.devices {
@@ -1136,7 +1126,7 @@ func (p *Pool) escalate(b *batch, jobs []*Job, cause error) {
 // recompile for the new placement (through its plan cache), re-check
 // admission, enqueue (tryPlace records the hop). Jobs that cannot be
 // placed fail with the typed placement error; a batch that has already
-// bounced MaxMigrations times fails with the causing fault. Jobs that die
+// bounced maxMigrations times fails with the causing fault. Jobs that die
 // here settle on b, for its taker to publish.
 func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
 	live := p.alive(b, from, jobs, time.Time{})
@@ -1144,7 +1134,7 @@ func (p *Pool) migrate(from *device, b *batch, jobs []*Job, cause error) {
 		return
 	}
 	var err error
-	if b.moved.count >= p.cfg.health.MaxMigrations {
+	if b.moved.count >= maxMigrations {
 		err = fmt.Errorf("serve: batch migrated %d times without completing: %w", b.moved.count, cause)
 	} else if _, err = p.place(context.Background(), b.graph, b.accounting, live,
 		move{from, cause, b.moved.count + 1}); err != nil {
@@ -1389,10 +1379,6 @@ func (p *Pool) Observer() *obs.Observer { return p.obs }
 // FlightSnapshot returns the pool flight recorder's current ring
 // contents (zero value when the recorder is disabled).
 func (p *Pool) FlightSnapshot() obs.FlightSnapshot { return p.flight.snapshot() }
-
-// FlightDump writes the flight ring to the configured dump path on
-// demand, recording the given trigger. No-op when disabled.
-func (p *Pool) FlightDump(trigger string) { p.flight.dump(trigger) }
 
 // WriteTrace writes the pool-wide Chrome trace: the shared observer's
 // compile pipeline plus the per-device worker, queue, and probe lanes

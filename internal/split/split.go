@@ -36,11 +36,6 @@ type Options struct {
 	// floats. The paper sets this below the physical memory to leave
 	// headroom for fragmentation.
 	Capacity int64
-	// MaxParts bounds the split factor of a single operator (safety
-	// valve; 0 means no limit beyond the output row count).
-	MaxParts int
-	// MaxRounds bounds the number of node splits performed (0 = 1<<20).
-	MaxRounds int
 	// Obs, when non-nil, records one instant event per node split and the
 	// pass's metrics (nodes split, parts created, rounds).
 	Obs *obs.Observer
@@ -63,26 +58,15 @@ func Feasible(g *graph.Graph, capacity int64) bool {
 	return true
 }
 
-// Oversized returns the nodes whose footprint exceeds capacity.
-func Oversized(g *graph.Graph, capacity int64) []*graph.Node {
-	var out []*graph.Node
-	for _, n := range g.Nodes {
-		if n.Footprint() > capacity {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// maxRounds bounds the number of node splits Apply performs before it
+// reports a graph that does not converge.
+const maxRounds = 1 << 20
 
 // Apply splits operators until every node of g fits within opt.Capacity
 // (paper §3.2 steps 1-3). The graph is modified in place.
 func Apply(g *graph.Graph, opt Options) (Result, error) {
 	if opt.Capacity <= 0 {
 		return Result{}, fmt.Errorf("split: capacity must be positive, got %d", opt.Capacity)
-	}
-	maxRounds := opt.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 1 << 20
 	}
 	var res Result
 	for {
@@ -363,9 +347,6 @@ func partFootprint(n *graph.Node, outReg graph.Region, plan []inputPlan) (int64,
 // (Apply iterates "until it is feasible", §3.2 step 3).
 func chooseParts(n *graph.Node, opt Options) (int, error) {
 	maxK := n.Out.Region.Rows
-	if opt.MaxParts > 0 && opt.MaxParts < maxK {
-		maxK = opt.MaxParts
-	}
 	// When the output is already partitioned (by a downstream split),
 	// prefer aligning to that partition: one part per existing chunk keeps
 	// the whole pipeline chunk-wise, so the depth-first schedule can

@@ -71,9 +71,6 @@ func TestFeasibleNoSplitNeeded(t *testing.T) {
 	if !split.Feasible(g, 1000) || split.Feasible(g, 10) {
 		t.Fatal("split.Feasible wrong")
 	}
-	if len(split.Oversized(g, 10)) != 1 {
-		t.Fatal("split.Oversized wrong")
-	}
 }
 
 func TestSplitElementwiseChain(t *testing.T) {
@@ -372,30 +369,6 @@ func TestUnsplittableOperatorError(t *testing.T) {
 	if _, err := split.Apply(g, split.Options{Capacity: 16}); err == nil ||
 		!strings.Contains(err.Error(), "not splittable") {
 		t.Fatalf("want not-splittable error, got %v", err)
-	}
-}
-
-func TestMaxPartsLimit(t *testing.T) {
-	g := graph.New()
-	in := g.NewBuffer("in", graph.Shape{Rows: 100, Cols: 2})
-	in.IsInput = true
-	out := g.NewBuffer("out", graph.Shape{Rows: 100, Cols: 2})
-	out.IsOutput = true
-	g.MustAddNode("t", ops.NewTanh(), []graph.Arg{graph.SingleArg(in)}, graph.SingleArg(out))
-	// Needs k=40 (footprint 400, capacity 10); MaxParts=4 caps each split
-	// factor, so the pass must converge through repeated rounds instead.
-	res, err := split.Apply(g, split.Options{Capacity: 10, MaxParts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !split.Feasible(g, 10) {
-		t.Fatal("graph still infeasible after iterated splitting")
-	}
-	if res.SplitNodes < 2 {
-		t.Fatalf("expected multiple split rounds, got %+v", res)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
