@@ -528,28 +528,6 @@ func BenchmarkHeuristicPlanLargeCNN(b *testing.B) {
 	b.ReportMetric(float64(floats), "floats")
 }
 
-// BenchmarkPBSolver measures the pseudo-Boolean solver proving optimality
-// on the Fig. 3 instance (631 variables).
-func BenchmarkPBSolver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := templates.EdgeDetectFig3(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := pb.Formulate(g, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := f.Minimize(8, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Status != pb.Sat || res.Cost != 8 {
-			b.Fatalf("unexpected result %+v", res)
-		}
-	}
-}
-
 // BenchmarkExecutorMaterialized measures the simulated-GPU executor with
 // real kernels on a split workload.
 func BenchmarkExecutorMaterialized(b *testing.B) {
@@ -572,107 +550,6 @@ func BenchmarkExecutorMaterialized(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutorPipelined contrasts sequential and pipelined
-// execution of the same materialized prefetched plan. The pipelined side
-// overlaps real copy work with real kernel work across host cores;
-// results are bit-identical (asserted by internal/exec tests), so the
-// interesting number is the wall-clock ratio, which approaches 1.0 on a
-// single-core host and grows with available parallelism.
-func BenchmarkExecutorPipelined(b *testing.B) {
-	g, bufs, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: 256, ImageW: 256, KernelSize: 8, Orientations: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := workload.EdgeInputs(bufs, 1)
-	spec := gpu.Custom("bench", 512<<10)
-	spec.Headroom = 0.7 // fragmentation slack for the prefetch hoist
-	capacity := spec.PlannerCapacity()
-	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-		b.Fatal(err)
-	}
-	plan, err := sched.Heuristic(g, capacity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan = sched.PrefetchH2D(plan, capacity*9/10)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Run(context.Background(), g, plan, in, exec.Options{
-				Mode: exec.Materialized, Device: gpu.New(spec)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Run(context.Background(), g, plan, in, exec.Options{
-				Mode: exec.Materialized, Device: gpu.New(spec), Pipeline: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkLaunchMaterialized is one materialized exec.Run on the plan the
-// repository benchmark's exec_sequential workload runs (Small CNN 160×120,
-// 512 KiB arena, headroom 0.7, prefetch hoist): 1 610 launches through
-// launchMaterialized, 854 uploads, the free list and the lazily created
-// host arrays. -benchmem shows what internal/exec's
-// TestMaterializedRunAllocBudget gates.
-func BenchmarkLaunchMaterialized(b *testing.B) {
-	g, bufs, err := templates.CNN(templates.SmallCNN(160, 120))
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := workload.CNNInputs(bufs, 1)
-	spec := gpu.Custom("bench-arena", 512<<10)
-	spec.Headroom = 0.7
-	capacity := spec.PlannerCapacity()
-	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-		b.Fatal(err)
-	}
-	plan, err := sched.Heuristic(g, capacity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan = sched.PrefetchH2D(plan, capacity*9/10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(context.Background(), g, plan, in, exec.Options{
-			Mode: exec.Materialized, Device: gpu.New(spec)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStepDeps measures the hazard-analysis pass that turns a linear
-// plan into the pipelined executor's dependency DAG, at paper scale.
-func BenchmarkStepDeps(b *testing.B) {
-	g, _, err := templates.CNN(templates.LargeCNN(640, 480))
-	if err != nil {
-		b.Fatal(err)
-	}
-	capacity := gpu.TeslaC870().PlannerCapacity()
-	plan, err := sched.Heuristic(g, capacity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var edges int
-	for i := 0; i < b.N; i++ {
-		d, err := sched.StepDeps(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		edges = d.Edges
-	}
-	b.ReportMetric(float64(len(plan.Steps)), "steps")
-	b.ReportMetric(float64(edges), "edges")
-}
-
 // BenchmarkTensorConv measures the raw host convolution kernel rate
 // (materialized-mode execution cost is dominated by it).
 func BenchmarkTensorConv(b *testing.B) {
@@ -684,27 +561,6 @@ func BenchmarkTensorConv(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := op.Run([]*tensor.Tensor{img, ker}, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVerifyLargeCNN measures static plan verification at paper
-// scale.
-func BenchmarkVerifyLargeCNN(b *testing.B) {
-	g, _, err := templates.CNN(templates.LargeCNN(640, 480))
-	if err != nil {
-		b.Fatal(err)
-	}
-	capacity := gpu.TeslaC870().PlannerCapacity()
-	plan, err := sched.Heuristic(g, capacity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sched.Verify(g, plan, capacity); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -136,16 +136,16 @@ func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
 	}
 }
 
-// Every template, device and planner quoted in the CI workflow, the docs,
-// the verify skill and the commands' package comments is one the shared
-// parsers accept: -template and "template":"…" name a workload.Catalog
-// entry, -device/-devices values parse with gpu.ParseSpec, and -planner
-// values with core.ParsePlanner.
+// Every template, device and planner quoted in the CI workflow, the
+// served smoke script, the docs, the verify skill and the commands'
+// package comments is one the shared parsers accept: -template and
+// "template":"…" name a workload.Catalog entry, -device/-devices values
+// parse with gpu.ParseSpec, and -planner values with core.ParsePlanner.
 func TestQuotedFlagsNameRealEntries(t *testing.T) {
 	flagValue := regexp.MustCompile("(?:^|[\\s`(])-(template|devices?|planner)[ \t]+([^\\s`'\"|\\\\)]+)")
 	wireTemplate := regexp.MustCompile(`"template":\s*"([^"]*)"`)
-	files := []string{".github/workflows/ci.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md",
-		".claude/skills/verify/SKILL.md"}
+	files := []string{".github/workflows/ci.yml", "scripts/served-smoke.sh", "README.md", "DESIGN.md",
+		"EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 	cmds, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
 	if err != nil || len(cmds) == 0 {
 		t.Fatalf("no commands found (err %v)", err)

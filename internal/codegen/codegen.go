@@ -155,7 +155,7 @@ func KernelStubs(plan *sched.Plan) string {
 				b.WriteString("    for (int j = 1; j < n_ins; j++) if (ins[j][i] > m) m = ins[j][i];\n")
 			}
 			b.WriteString("    out[i] = m;\n  }\n")
-		case "copy", "scale", "remap", "bias":
+		case "scale", "remap", "bias":
 			b.WriteString("  memcpy(out, ins[0], (long)rows * cols * sizeof(float));\n")
 			b.WriteString("  // scale/offset/bias parameters are baked into the operator instance;\n")
 			b.WriteString("  // the library's real kernel applies them here.\n")

@@ -207,17 +207,6 @@ func (s *Service) CompileAndSimulate(ctx context.Context, g *graph.Graph) (*exec
 	return s.Simulate(ctx, c)
 }
 
-// CompileAndExecute compiles g (or hits the cache) and runs the plan with
-// real data. Safe for concurrent use: execution state lives in the
-// executor, not the shared compiled artifact.
-func (s *Service) CompileAndExecute(ctx context.Context, g *graph.Graph, in exec.Inputs) (*exec.Report, error) {
-	c, _, err := s.Compile(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute(ctx, c, in)
-}
-
 // Observer returns the service's shared observer (nil when observability
 // is off).
 func (s *Service) Observer() *obs.Observer { return s.eng.cfg.Obs }

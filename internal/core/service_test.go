@@ -186,18 +186,20 @@ func TestServiceConcurrentStress(t *testing.T) {
 	}
 }
 
-// CompileAndExecute through the service must produce the same outputs as
-// a direct engine compile+execute.
+// Compile then Execute through the service must produce the same outputs
+// as a direct engine compile+execute, the second compile a cache hit.
 func TestServiceCompileAndExecute(t *testing.T) {
 	c, in, want, _ := buildEdge(t, 40, 32, 5)
 	svc := NewService(WithDevice(c.Device))
 	var reps [2]*exec.Report
 	for i := range reps {
-		rep, err := svc.CompileAndExecute(context.Background(), edgeGraph(t, 40, 32, 5), in)
+		compiled, _, err := svc.Compile(context.Background(), edgeGraph(t, 40, 32, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[i] = rep
+		if reps[i], err = svc.Execute(context.Background(), compiled, in); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := svc.CacheStats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("cache stats = %+v", st)

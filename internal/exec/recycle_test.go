@@ -259,16 +259,16 @@ func TestMaterializedRunAllocBudget(t *testing.T) {
 	}
 }
 
-// failingOp is a copy operator whose kernel always fails.
+// failingOp is an elementwise operator whose kernel always fails.
 type failingOp struct{ graph.Operator }
 
 var errKernel = errors.New("kernel exploded")
 
 func (failingOp) Run([]*tensor.Tensor, *tensor.Tensor) error { return errKernel }
 
-// failingPlan is copy → failing copy → copy on a roomy device: the plan's
-// second launch fails inside its kernel, after perform allocated the
-// launch's output.
+// failingPlan is scale(1) → failing scale(1) → scale(1) on a roomy
+// device: the plan's second launch fails inside its kernel, after perform
+// allocated the launch's output.
 func failingPlan(t *testing.T) (*graph.Graph, *sched.Plan, Inputs, gpu.Spec) {
 	t.Helper()
 	g := graph.New()
@@ -277,9 +277,9 @@ func failingPlan(t *testing.T) (*graph.Graph, *sched.Plan, Inputs, gpu.Spec) {
 	x.IsInput = true
 	a, b, y := g.NewBuffer("a", s), g.NewBuffer("b", s), g.NewBuffer("y", s)
 	y.IsOutput = true
-	g.MustAddNode("first", ops.NewCopy(), []graph.Arg{graph.SingleArg(x)}, graph.SingleArg(a))
-	g.MustAddNode("second", failingOp{ops.NewCopy()}, []graph.Arg{graph.SingleArg(a)}, graph.SingleArg(b))
-	g.MustAddNode("third", ops.NewCopy(), []graph.Arg{graph.SingleArg(b)}, graph.SingleArg(y))
+	g.MustAddNode("first", ops.NewScale(1), []graph.Arg{graph.SingleArg(x)}, graph.SingleArg(a))
+	g.MustAddNode("second", failingOp{ops.NewScale(1)}, []graph.Arg{graph.SingleArg(a)}, graph.SingleArg(b))
+	g.MustAddNode("third", ops.NewScale(1), []graph.Arg{graph.SingleArg(b)}, graph.SingleArg(y))
 	spec := gpu.Custom("roomy", 1<<20)
 	plan, err := sched.Heuristic(g, spec.PlannerCapacity())
 	if err != nil {

@@ -9,6 +9,16 @@ import (
 	"repro/internal/split"
 )
 
+// shareableSet is res's shareable buffer IDs as a set, the form
+// Options.Resident takes.
+func shareableSet(res *sched.Residency) map[int]bool {
+	m := make(map[int]bool, len(res.Shareable))
+	for _, b := range res.Shareable {
+		m[b.ID] = true
+	}
+	return m
+}
+
 // Residency elision must change only the Actual clock domain: outputs
 // and charged Stats are bit-identical to a run without Resident, while
 // Actual drops exactly the elided transfers.
@@ -36,7 +46,7 @@ func TestResidencyElisionChargedIdenticalActualReduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	elided, err := Run(context.Background(), g, plan, in, Options{
-		Mode: Materialized, Device: gpu.New(spec), Resident: res.ShareableSet()})
+		Mode: Materialized, Device: gpu.New(spec), Resident: shareableSet(res)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +104,7 @@ func TestResidencyResilientCleanMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := res.ShareableSet()
+	resident := shareableSet(res)
 
 	plain, err := Run(context.Background(), g, plan, in,
 		Options{Mode: Materialized, Device: gpu.New(spec), Resident: resident})

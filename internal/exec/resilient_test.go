@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,7 +274,7 @@ func TestResilientCPUFallback(t *testing.T) {
 		Mode: Accounting, Device: gpu.New(spec),
 		Resilient: &Resilience{Capacity: 600},
 	})
-	if err == nil || !gpu.IsOOM(err) {
+	if err == nil || !errors.Is(err, gpu.ErrOOM) {
 		t.Fatalf("want OOM error, got %v", err)
 	}
 	if rep2 == nil {

@@ -86,7 +86,11 @@ func TestScheduleEquivalenceAcrossWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				svc := core.NewService(core.WithDevice(gpu.TeslaC870()), core.WithSchedule(name))
-				rep, err := svc.CompileAndExecute(ctx, g, in)
+				compiled, _, err := svc.Compile(ctx, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := svc.Execute(ctx, compiled, in)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,13 +148,6 @@ func (a *Allocator) FreeBytes() int64 {
 	return a.size - a.usedBytes
 }
 
-// LargestFree returns the largest contiguous free span.
-func (a *Allocator) LargestFree() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.largestFreeLocked()
-}
-
 func (a *Allocator) largestFreeLocked() int64 {
 	var m int64
 	for _, s := range a.free {

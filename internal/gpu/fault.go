@@ -62,7 +62,7 @@ func (c FaultClass) String() string {
 
 // ErrOOM marks device allocation failures (real out-of-memory or
 // fragmentation, and injected persistent malloc faults). Detect with
-// errors.Is(err, ErrOOM) or IsOOM.
+// errors.Is(err, ErrOOM).
 var ErrOOM = errors.New("gpu: out of device memory")
 
 // ErrDeviceLost marks a lost device: every operation fails with it until
@@ -105,9 +105,6 @@ func IsTransient(err error) bool {
 
 // IsDeviceLost reports whether err indicates the device was lost.
 func IsDeviceLost(err error) bool { return errors.Is(err, ErrDeviceLost) }
-
-// IsOOM reports whether err is a device allocation failure.
-func IsOOM(err error) bool { return errors.Is(err, ErrOOM) }
 
 // InjectedFault records one fault the injector fired.
 type InjectedFault struct {

@@ -18,7 +18,7 @@ func TestInjectorScriptedFault(t *testing.T) {
 	if !IsTransient(err) {
 		t.Fatalf("fault must be transient: %v", err)
 	}
-	if IsDeviceLost(err) || IsOOM(err) {
+	if IsDeviceLost(err) || errors.Is(err, ErrOOM) {
 		t.Fatalf("misclassified: %v", err)
 	}
 	// A faulted transfer charges nothing.
@@ -114,13 +114,13 @@ func TestDeviceLostLatches(t *testing.T) {
 
 func TestOOMClassification(t *testing.T) {
 	d := New(Custom("t", 1024))
-	if _, err := d.Malloc(2048); !IsOOM(err) {
+	if _, err := d.Malloc(2048); !errors.Is(err, ErrOOM) {
 		t.Fatalf("real allocation failure must be OOM: %v", err)
 	}
 	d2 := New(Custom("t", 1<<20))
 	d2.SetInjector(NewInjector(1).FailAt(FaultMalloc, 0, Persistent))
 	_, err := d2.Malloc(4)
-	if !IsOOM(err) {
+	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("injected persistent malloc fault must classify as OOM: %v", err)
 	}
 	var fe *FaultError

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,11 +109,8 @@ func TestAllocatorFragmentation(t *testing.T) {
 	if a.FreeBytes() != 50 {
 		t.Fatalf("free=%d", a.FreeBytes())
 	}
-	if a.LargestFree() != 10 {
-		t.Fatalf("largest=%d", a.LargestFree())
-	}
-	if _, err := a.Alloc(20); err == nil {
-		t.Fatal("fragmented allocator must fail a 20-byte request")
+	if _, err := a.Alloc(11); !errors.Is(err, ErrOOM) {
+		t.Fatalf("fragmented allocator (largest span 10) must fail an 11-byte request with ErrOOM: %v", err)
 	}
 	// Freeing the rest must coalesce back to one span.
 	for i := 1; i < 10; i += 2 {
@@ -120,8 +118,8 @@ func TestAllocatorFragmentation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.FreeSpans() != 1 || a.LargestFree() != 100 {
-		t.Fatalf("spans=%d largest=%d", a.FreeSpans(), a.LargestFree())
+	if a.FreeSpans() != 1 || a.FreeBytes() != 100 {
+		t.Fatalf("spans=%d free=%d", a.FreeSpans(), a.FreeBytes())
 	}
 }
 
@@ -376,8 +374,8 @@ func TestAllocatorCompact(t *testing.T) {
 	if moved != 50 {
 		t.Fatalf("moved %d bytes, want 50", moved)
 	}
-	if a.FreeSpans() != 1 || a.LargestFree() != 50 || a.UsedBytes() != 50 {
-		t.Fatalf("after compact: spans=%d largest=%d used=%d", a.FreeSpans(), a.LargestFree(), a.UsedBytes())
+	if a.FreeSpans() != 1 || a.FreeBytes() != 50 || a.UsedBytes() != 50 {
+		t.Fatalf("after compact: spans=%d free=%d used=%d", a.FreeSpans(), a.FreeBytes(), a.UsedBytes())
 	}
 	if _, err := a.Alloc(50); err != nil {
 		t.Fatalf("post-compact 50-byte alloc failed: %v", err)

@@ -13,12 +13,10 @@ type DOTAnnotations struct {
 	BufNotes  map[int]string // appended to the buffer's label
 }
 
-// DOT renders the graph in Graphviz dot syntax, mirroring the paper's
-// figures: ellipses for operators, rectangles for data structures.
-func (g *Graph) DOT(title string) string { return g.DOTAnnotated(title, nil) }
-
-// DOTAnnotated renders the graph like DOT, appending any annotation notes
-// to the element labels. ann may be nil.
+// DOTAnnotated renders the graph in Graphviz dot syntax, mirroring the
+// paper's figures: ellipses for operators, rectangles for data
+// structures. Any annotation notes are appended to the element labels;
+// ann may be nil.
 func (g *Graph) DOTAnnotated(title string, ann *DOTAnnotations) string {
 	note := func(m map[int]string, id int) string {
 		if ann == nil || m == nil {

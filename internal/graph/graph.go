@@ -231,9 +231,9 @@ type Operator interface {
 // coordinate space) to the region of input i required to compute it (in
 // input i's root coordinate space); in carries the node's current input
 // arg regions so the rule can clip at boundaries (padded convolution) and
-// recover full extents (matmul columns). replicate=true means input i must
-// be provided whole regardless of the output region (e.g. a convolution
-// kernel matrix, which the paper notes must not be split).
+// recover full extents (SpMV's matrix columns). replicate=true means
+// input i must be provided whole regardless of the output region (e.g. a
+// convolution kernel matrix, which the paper notes must not be split).
 //
 // Working in root coordinates makes the rules self-consistent under
 // repeated splitting: every operator in the library preserves a fixed

@@ -283,7 +283,7 @@ func TestRemoveNode(t *testing.T) {
 
 func TestDOT(t *testing.T) {
 	g, _ := chain(t, 2)
-	dot := g.DOT("test")
+	dot := g.DOTAnnotated("test", nil)
 	for _, want := range []string{"digraph", "ellipse", "box", "->"} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)

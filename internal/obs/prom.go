@@ -9,14 +9,12 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (version 0.0.4) encoder and a conformance
-// checker for it: the registry's one exposition format, served on
-// /metrics and printed by every -metrics flag. Scraping infrastructure
-// expects HELP/TYPE comment lines, [a-zA-Z_:][a-zA-Z0-9_:]* metric names,
-// quoted-and-escaped label values, and cumulative histogram buckets;
-// ValidatePrometheus parses the output back and checks the format
-// invariants, so the serving layer's /metrics endpoint is testable
-// without a real Prometheus server.
+// Prometheus text exposition (version 0.0.4) encoder: the registry's one
+// exposition format, served on /metrics and printed by every -metrics
+// flag. Scraping infrastructure expects HELP/TYPE comment lines,
+// [a-zA-Z_:][a-zA-Z0-9_:]* metric names, quoted-and-escaped label values,
+// and cumulative histogram buckets; the package tests parse the output
+// back and check those invariants.
 
 // promName sanitizes a registry metric name into the Prometheus charset:
 // dots (and anything else illegal) become underscores.
@@ -214,240 +212,4 @@ func promHistRows(name string, labels []string, h *Histogram) []string {
 		fmt.Sprintf("%s_count%s %d", name, promLabels(labels), count),
 	)
 	return rows
-}
-
-// PromCheck summarizes a validated exposition document.
-type PromCheck struct {
-	Families   int // TYPE lines
-	Samples    int // non-comment sample lines
-	Histograms int // families typed histogram
-}
-
-func (c PromCheck) String() string {
-	return fmt.Sprintf("%d families (%d histograms), %d samples",
-		c.Families, c.Histograms, c.Samples)
-}
-
-// promBase strips the histogram series suffixes from a sample name.
-func promBase(name string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}
-
-// validPromName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validPromName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r == '_' || r == ':':
-		case r >= 'a' && r <= 'z':
-		case r >= 'A' && r <= 'Z':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// parsePromSample splits `name{k="v",...} value` (labels optional) and
-// validates names, label syntax, escaping, and the float value. It
-// returns the metric name and the le label (empty when absent).
-func parsePromSample(line string) (name, le string, err error) {
-	rest := line
-	i := strings.IndexAny(rest, "{ ")
-	if i < 0 {
-		return "", "", fmt.Errorf("no value separator")
-	}
-	name = rest[:i]
-	if !validPromName(name) {
-		return "", "", fmt.Errorf("invalid metric name %q", name)
-	}
-	rest = rest[i:]
-	if rest[0] == '{' {
-		rest = rest[1:]
-		for {
-			if rest == "" {
-				return "", "", fmt.Errorf("unterminated label set")
-			}
-			if rest[0] == '}' {
-				rest = rest[1:]
-				break
-			}
-			eq := strings.Index(rest, "=")
-			if eq < 0 {
-				return "", "", fmt.Errorf("label without '='")
-			}
-			lname := rest[:eq]
-			if !validPromName(lname) || strings.Contains(lname, ":") {
-				return "", "", fmt.Errorf("invalid label name %q", lname)
-			}
-			rest = rest[eq+1:]
-			if rest == "" || rest[0] != '"' {
-				return "", "", fmt.Errorf("label %s: unquoted value", lname)
-			}
-			rest = rest[1:]
-			var val strings.Builder
-			for {
-				if rest == "" {
-					return "", "", fmt.Errorf("label %s: unterminated value", lname)
-				}
-				c := rest[0]
-				if c == '\\' {
-					if len(rest) < 2 || !strings.ContainsRune(`\"n`, rune(rest[1])) {
-						return "", "", fmt.Errorf("label %s: bad escape", lname)
-					}
-					val.WriteByte(rest[1])
-					rest = rest[2:]
-					continue
-				}
-				if c == '\n' {
-					return "", "", fmt.Errorf("label %s: raw newline in value", lname)
-				}
-				if c == '"' {
-					rest = rest[1:]
-					break
-				}
-				val.WriteByte(c)
-				rest = rest[1:]
-			}
-			if lname == "le" {
-				le = val.String()
-			}
-			if strings.HasPrefix(rest, ",") {
-				rest = rest[1:]
-			}
-		}
-	}
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return "", "", fmt.Errorf("missing value")
-	}
-	valTok := strings.Fields(rest)[0]
-	if valTok != "+Inf" && valTok != "-Inf" && valTok != "NaN" {
-		if _, err := strconv.ParseFloat(valTok, 64); err != nil {
-			return "", "", fmt.Errorf("bad value %q", valTok)
-		}
-	}
-	return name, le, nil
-}
-
-// ValidatePrometheus parses data as Prometheus text exposition format
-// and checks conformance: sample and label syntax, a TYPE line for every
-// family appearing before its samples, at most one TYPE per family, and
-// for histogram families cumulative non-decreasing buckets ending in an
-// explicit le="+Inf" bucket. Returns a summary on success.
-func ValidatePrometheus(data []byte) (PromCheck, error) {
-	var c PromCheck
-	types := map[string]string{}
-	seenSample := map[string]bool{}
-	type histState struct {
-		lastLE  float64
-		lastN   float64
-		haveInf bool
-		buckets int
-	}
-	hists := map[string]*histState{}
-
-	for ln, line := range strings.Split(string(data), "\n") {
-		lineNo := ln + 1
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return c, fmt.Errorf("obs: line %d: comment is neither HELP nor TYPE: %q", lineNo, line)
-			}
-			name := fields[2]
-			if !validPromName(name) {
-				return c, fmt.Errorf("obs: line %d: invalid family name %q", lineNo, name)
-			}
-			if fields[1] == "TYPE" {
-				if len(fields) != 4 {
-					return c, fmt.Errorf("obs: line %d: TYPE wants exactly one kind", lineNo)
-				}
-				kind := fields[3]
-				switch kind {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return c, fmt.Errorf("obs: line %d: unknown type %q", lineNo, kind)
-				}
-				if _, dup := types[name]; dup {
-					return c, fmt.Errorf("obs: line %d: duplicate TYPE for %s", lineNo, name)
-				}
-				if seenSample[name] {
-					return c, fmt.Errorf("obs: line %d: TYPE for %s after its samples", lineNo, name)
-				}
-				types[name] = kind
-				c.Families++
-				if kind == "histogram" {
-					c.Histograms++
-					hists[name] = &histState{lastLE: math.Inf(-1)}
-				}
-			}
-			continue
-		}
-
-		name, le, err := parsePromSample(line)
-		if err != nil {
-			return c, fmt.Errorf("obs: line %d: %v (%q)", lineNo, err, line)
-		}
-		c.Samples++
-		base := promBase(name)
-		fam := name
-		if _, ok := types[base]; ok && base != name {
-			fam = base
-		}
-		kind, ok := types[fam]
-		if !ok {
-			return c, fmt.Errorf("obs: line %d: sample %s has no TYPE line", lineNo, name)
-		}
-		seenSample[fam] = true
-		if kind == "histogram" && strings.HasSuffix(name, "_bucket") {
-			h := hists[fam]
-			if le == "" {
-				return c, fmt.Errorf("obs: line %d: histogram bucket without le label", lineNo)
-			}
-			bound := math.Inf(1)
-			if le != "+Inf" {
-				bound, err = strconv.ParseFloat(le, 64)
-				if err != nil {
-					return c, fmt.Errorf("obs: line %d: bad le %q", lineNo, le)
-				}
-			} else {
-				h.haveInf = true
-			}
-			val, _ := strconv.ParseFloat(strings.Fields(line)[len(strings.Fields(line))-1], 64)
-			// Buckets for one series arrive together and ascending; a new
-			// series (different labels) restarts the ladder at a smaller le.
-			if bound < h.lastLE || (bound == h.lastLE && le != "+Inf") {
-				h.lastLE, h.lastN = math.Inf(-1), 0
-			}
-			if bound >= h.lastLE && val < h.lastN {
-				return c, fmt.Errorf("obs: line %d: histogram %s bucket le=%s count %g < previous %g (not cumulative)",
-					lineNo, fam, le, val, h.lastN)
-			}
-			h.lastLE, h.lastN = bound, val
-			h.buckets++
-		}
-	}
-	for name, h := range hists {
-		if h.buckets > 0 && !h.haveInf {
-			return c, fmt.Errorf("obs: histogram %s has buckets but no le=\"+Inf\"", name)
-		}
-	}
-	if c.Families == 0 {
-		return c, fmt.Errorf("obs: document has no metric families")
-	}
-	return c, nil
 }

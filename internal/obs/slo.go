@@ -100,16 +100,6 @@ func (h *SLOHistogram) quantileLocked(q float64) float64 {
 	return h.max
 }
 
-// Quantile returns the q-quantile estimate in seconds (0 for nil/empty).
-func (h *SLOHistogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
 // SLOBucket is one encodable bucket of an SLOStat.
 type SLOBucket struct {
 	// LE is the bucket's upper bound in seconds ("+Inf" for the last).

@@ -11,13 +11,13 @@ func TestSLOHistogramQuantilesAndExemplars(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i)*0.001, fmt.Sprintf("job-%d", i))
 	}
-	if p50 := h.Quantile(0.50); p50 < 0.040 || p50 > 0.060 {
-		t.Fatalf("p50 = %v, want ~0.050", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 < 0.090 || p99 > 0.110 {
-		t.Fatalf("p99 = %v, want ~0.100", p99)
-	}
 	s := h.Stat()
+	if s.P50 < 0.040 || s.P50 > 0.060 {
+		t.Fatalf("p50 = %v, want ~0.050", s.P50)
+	}
+	if s.P99 < 0.090 || s.P99 > 0.110 {
+		t.Fatalf("p99 = %v, want ~0.100", s.P99)
+	}
 	if s.Count != 100 {
 		t.Fatalf("count = %d", s.Count)
 	}
@@ -45,18 +45,15 @@ func TestSLOHistogramOverflowBucket(t *testing.T) {
 		t.Fatalf("overflow: slowest = %q exemplar = %q", s.SlowestBucket, s.Exemplar)
 	}
 	// The +Inf bucket's quantile answers with the observed max, not Inf.
-	if p99 := h.Quantile(0.99); p99 != 7 {
-		t.Fatalf("p99 in overflow = %v, want max 7", p99)
+	if s.P99 != 7 {
+		t.Fatalf("p99 in overflow = %v, want max 7", s.P99)
 	}
 }
 
 func TestSLOHistogramNilSafe(t *testing.T) {
 	var h *SLOHistogram
 	h.Observe(1, "x")
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("nil quantile")
-	}
-	if s := h.Stat(); s.Count != 0 || s.Buckets != nil {
+	if s := h.Stat(); s.Count != 0 || s.P50 != 0 || s.Buckets != nil {
 		t.Fatalf("nil stat = %+v", s)
 	}
 }

@@ -200,14 +200,6 @@ func NewScale(k float32) graph.Operator {
 	}}
 }
 
-// NewCopy returns the identity operator; useful in tests and as a
-// materialization point.
-func NewCopy() graph.Operator {
-	return &elementwise{kind: "copy", nIn: 1, flops: 0, row: func(o []float32, in []*tensor.Tensor, r int) {
-		copy(o, in[0].Row(r))
-	}}
-}
-
 // NewFrontierMask returns the BFS frontier-expansion mask: given
 // [candidates, visited], an element becomes 1 where the candidate value
 // is positive and the vertex is unvisited (visited == 0), else 0. The

@@ -98,82 +98,3 @@ var (
 	_ graph.Splittable     = (*Subsample)(nil)
 	_ graph.ScheduleBinder = (*Subsample)(nil)
 )
-
-// MatMul multiplies A (M×K) by B (K×N) producing M×N. The paper uses it
-// as the example of a split-rule hint: a large matrix multiply is split by
-// breaking up A and the output along rows while B is replicated.
-type MatMul struct {
-	schedulable
-}
-
-// NewMatMul returns a matrix-multiplication operator.
-func NewMatMul() *MatMul { return &MatMul{} }
-
-// BindSchedule implements graph.ScheduleBinder.
-func (m *MatMul) BindSchedule(sch loadbalance.Schedule) graph.Operator {
-	m2 := *m
-	m2.sched = sch
-	return &m2
-}
-
-// Kind implements graph.Operator.
-func (*MatMul) Kind() string { return "matmul" }
-
-// OutShape implements graph.Operator.
-func (m *MatMul) OutShape(in []graph.Shape) (graph.Shape, error) {
-	if err := wantInputs(m.Kind(), in, 2); err != nil {
-		return graph.Shape{}, err
-	}
-	if in[0].Cols != in[1].Rows {
-		return graph.Shape{}, fmt.Errorf("ops: matmul inner dims %v x %v", in[0], in[1])
-	}
-	return graph.Shape{Rows: in[0].Rows, Cols: in[1].Cols}, nil
-}
-
-// Run implements graph.Operator.
-func (m *MatMul) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
-	a, b := in[0], in[1]
-	if a.Rows() != out.Rows() || b.Cols() != out.Cols() || a.Cols() != b.Rows() {
-		return fmt.Errorf("ops: matmul shapes %v x %v -> %v", a, b, out)
-	}
-	k := a.Cols()
-	m.rows(out.Rows(), nil, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			arow := a.Row(r)
-			orow := out.Row(r)
-			for i := range orow {
-				orow[i] = 0
-			}
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				brow := b.Row(kk)
-				for c := range orow {
-					orow[c] += av * brow[c]
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// FLOPs implements graph.Operator.
-func (*MatMul) FLOPs(in []graph.Shape, out graph.Shape) int64 {
-	return 2 * out.Size() * int64(in[0].Cols)
-}
-
-// InputRegion implements graph.Splittable: A splits by output rows
-// (keeping all K columns); B is replicated. Column splits of the output
-// are not supported for A (full row needed), so the rule demands the full
-// column range of A.
-func (*MatMul) InputRegion(i int, out graph.Region, in []graph.Region) (graph.Region, bool) {
-	if i == 1 {
-		return graph.Region{}, true
-	}
-	return graph.Region{Row: out.Row, Col: in[0].Col, Rows: out.Rows, Cols: in[0].Cols}, false
-}
-
-var (
-	_ graph.Operator       = (*MatMul)(nil)
-	_ graph.Splittable     = (*MatMul)(nil)
-	_ graph.ScheduleBinder = (*MatMul)(nil)
-)

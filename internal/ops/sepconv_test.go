@@ -93,7 +93,7 @@ func TestSeparableConvRegionProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !part.AlmostEqual(full.RowRange(chunk[0], chunk[1]).Clone(), 1e-4) {
+			if !part.AlmostEqual(full.View(chunk[0], 0, chunk[1], full.Cols()).Clone(), 1e-4) {
 				return false
 			}
 		}

@@ -132,8 +132,8 @@ func (o *SpMV) FLOPs(in []graph.Shape, out graph.Shape) int64 {
 	return whole * int64(out.Rows) / int64(o.S.Rows)
 }
 
-// InputRegion implements graph.Splittable: like MatMul, A splits by
-// output rows keeping all columns, and the vector is replicated.
+// InputRegion implements graph.Splittable: A splits by output rows
+// keeping all columns, and the vector is replicated.
 func (o *SpMV) InputRegion(i int, out graph.Region, in []graph.Region) (graph.Region, bool) {
 	if i == 1 {
 		return graph.Region{}, true
@@ -168,140 +168,4 @@ var (
 	_ graph.RegionValidator = (*SpMV)(nil)
 	_ graph.ScheduleBinder  = (*SpMV)(nil)
 	_ graph.OpParams        = (*SpMV)(nil)
-)
-
-// SpMM is sparse matrix × dense matrix over a fixed CSR structure:
-// inputs are [A (m×k values as a logical dense buffer), B (k×n dense)],
-// output m×n. Same conventions as SpMV: structure in the operator,
-// values in the buffer, per-row cost = nnz(row), B replicated on split.
-type SpMM struct {
-	schedulable
-	S *tensor.CSR
-}
-
-// NewSpMM returns an SpMM operator over the given sparsity structure.
-func NewSpMM(s *tensor.CSR) *SpMM {
-	if s == nil {
-		panic("ops: spmm needs a CSR structure")
-	}
-	return &SpMM{S: s}
-}
-
-// BindSchedule implements graph.ScheduleBinder.
-func (o *SpMM) BindSchedule(s loadbalance.Schedule) graph.Operator {
-	o2 := *o
-	o2.sched = s
-	return &o2
-}
-
-// Kind implements graph.Operator.
-func (o *SpMM) Kind() string { return "spmm" }
-
-// Params implements graph.OpParams.
-func (o *SpMM) Params() string {
-	return fmt.Sprintf("m=%d,k=%d,nnz=%d,csr=%s", o.S.Rows, o.S.Cols, o.S.NNZ(), o.S.StructureDigest())
-}
-
-// OutShape implements graph.Operator.
-func (o *SpMM) OutShape(in []graph.Shape) (graph.Shape, error) {
-	if err := wantInputs(o.Kind(), in, 2); err != nil {
-		return graph.Shape{}, err
-	}
-	if in[0] != (graph.Shape{Rows: o.S.Rows, Cols: o.S.Cols}) {
-		return graph.Shape{}, fmt.Errorf("ops: spmm matrix shape %v, structure is %dx%d", in[0], o.S.Rows, o.S.Cols)
-	}
-	if in[1].Rows != o.S.Cols {
-		return graph.Shape{}, fmt.Errorf("ops: spmm inner dims %v x %v", in[0], in[1])
-	}
-	return graph.Shape{Rows: o.S.Rows, Cols: in[1].Cols}, nil
-}
-
-// Run implements graph.Operator for the unsplit case.
-func (o *SpMM) Run(in []*tensor.Tensor, out *tensor.Tensor) error {
-	inRegs := []graph.Region{
-		{Rows: in[0].Rows(), Cols: in[0].Cols()},
-		{Rows: in[1].Rows(), Cols: in[1].Cols()},
-	}
-	return o.RunRegion(in, inRegs, out, graph.Region{Rows: out.Rows(), Cols: out.Cols()})
-}
-
-// RunRegion implements graph.RegionRunner: row-scaled saxpy over B's
-// rows selected by the structure's column indices.
-func (o *SpMM) RunRegion(in []*tensor.Tensor, inRegs []graph.Region, out *tensor.Tensor, outReg graph.Region) error {
-	a, b := in[0], in[1]
-	if b.Rows() != o.S.Cols || b.Cols() != out.Cols() {
-		return fmt.Errorf("ops: spmm dense tensor %v, want %dx%d", b, o.S.Cols, out.Cols())
-	}
-	if a.Cols() != o.S.Cols || inRegs[0].Col != 0 {
-		return fmt.Errorf("ops: spmm matrix tensor %v must span all %d columns", a, o.S.Cols)
-	}
-	if out.Rows() != outReg.Rows || outReg.Row+outReg.Rows > o.S.Rows {
-		return fmt.Errorf("ops: spmm output region %v outside structure rows %d", outReg, o.S.Rows)
-	}
-	o.rows(outReg.Rows, func(r int) int64 { return int64(o.S.RowNNZ(outReg.Row+r)) + 1 }, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			gr := outReg.Row + r
-			arow := a.Row(gr - inRegs[0].Row)
-			orow := out.Row(r)
-			for i := range orow {
-				orow[i] = 0
-			}
-			for j := o.S.RowPtr[gr]; j < o.S.RowPtr[gr+1]; j++ {
-				kk := o.S.ColIdx[j]
-				av := arow[kk]
-				brow := b.Row(int(kk))
-				for c := range orow {
-					orow[c] += av * brow[c]
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// FLOPs implements graph.Operator: 2·nnz·n plus a store per output
-// element, scaled like SpMV for split parts.
-func (o *SpMM) FLOPs(in []graph.Shape, out graph.Shape) int64 {
-	whole := 2*int64(o.S.NNZ())*int64(out.Cols) + int64(o.S.Rows)*int64(out.Cols)
-	if out.Rows >= o.S.Rows {
-		return whole
-	}
-	return whole * int64(out.Rows) / int64(o.S.Rows)
-}
-
-// InputRegion implements graph.Splittable: A splits by output rows over
-// all columns; B is replicated.
-func (o *SpMM) InputRegion(i int, out graph.Region, in []graph.Region) (graph.Region, bool) {
-	if i == 1 {
-		return graph.Region{}, true
-	}
-	return graph.Region{Row: out.Row, Col: in[0].Col, Rows: out.Rows, Cols: in[0].Cols}, false
-}
-
-// ValidateRegions implements graph.RegionValidator.
-func (o *SpMM) ValidateRegions(in []graph.Region, out graph.Region) error {
-	if len(in) != 2 {
-		return fmt.Errorf("ops: spmm wants 2 inputs, got %d", len(in))
-	}
-	if in[1].Rows != o.S.Cols || in[1].Cols != out.Cols {
-		return fmt.Errorf("ops: spmm dense region %v, want %dx%d", in[1], o.S.Cols, out.Cols)
-	}
-	if out.Row < 0 || out.Row+out.Rows > o.S.Rows {
-		return fmt.Errorf("ops: spmm output region %v invalid for structure rows %d", out, o.S.Rows)
-	}
-	a := in[0]
-	if a.Col != 0 || a.Cols != o.S.Cols || a.Row != out.Row || a.Rows != out.Rows {
-		return fmt.Errorf("ops: spmm matrix region %v must be rows %d:%d over all %d columns",
-			a, out.Row, out.Row+out.Rows, o.S.Cols)
-	}
-	return nil
-}
-
-var (
-	_ graph.Operator        = (*SpMM)(nil)
-	_ graph.Splittable      = (*SpMM)(nil)
-	_ graph.RegionRunner    = (*SpMM)(nil)
-	_ graph.RegionValidator = (*SpMM)(nil)
-	_ graph.ScheduleBinder  = (*SpMM)(nil)
-	_ graph.OpParams        = (*SpMM)(nil)
 )

@@ -182,8 +182,7 @@ func (p *Plan) TotalTransferFloats() int64 {
 	return h + d
 }
 
-// Counts returns the number of steps of each kind (syncs excluded; see
-// SyncCount).
+// Counts returns the number of steps of each kind, syncs excluded.
 func (p *Plan) Counts() (h2d, d2h, free, launch int) {
 	for _, s := range p.Steps {
 		switch s.Kind {
@@ -198,18 +197,6 @@ func (p *Plan) Counts() (h2d, d2h, free, launch int) {
 		}
 	}
 	return
-}
-
-// SyncCount returns the number of host-GPU synchronizations (one per
-// offload unit).
-func (p *Plan) SyncCount() int {
-	n := 0
-	for _, s := range p.Steps {
-		if s.Kind == StepSync {
-			n++
-		}
-	}
-	return n
 }
 
 func (p *Plan) String() string {

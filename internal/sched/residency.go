@@ -68,19 +68,6 @@ type Residency struct {
 	TailSec float64
 }
 
-// ShareableSet returns the shareable buffer IDs as a set, the form the
-// executor's elision option consumes.
-func (r *Residency) ShareableSet() map[int]bool {
-	if r == nil || len(r.Shareable) == 0 {
-		return nil
-	}
-	m := make(map[int]bool, len(r.Shareable))
-	for _, b := range r.Shareable {
-		m[b.ID] = true
-	}
-	return m
-}
-
 // LeadSec returns the total modeled DMA time of the lead steps whose
 // buffer is NOT in the resident set — the prefetch work a device would
 // actually issue for this plan given what it already holds.

@@ -52,11 +52,12 @@ func TestGangPlacementEndToEnd(t *testing.T) {
 	if st.State != StateDone || st.GangParts != 2 {
 		t.Fatalf("status = %+v", st)
 	}
-	if !st.Placement.Gang() || len(st.Placement.Devices) != 2 ||
+	if len(st.Placement.Devices) != 2 ||
 		st.Placement.Devices[0] != "mini-A" || st.Placement.Devices[1] != "mini-B" {
 		t.Fatalf("placement = %+v", st.Placement)
 	}
-	if st.Placement.Total() <= 0 || st.Placement.String() != "mini-A+mini-B" {
+	if len(st.Placement.Bytes) != 2 || st.Placement.Bytes[0] <= 0 || st.Placement.Bytes[1] <= 0 ||
+		st.Placement.String() != "mini-A+mini-B" {
 		t.Fatalf("placement = %+v", st.Placement)
 	}
 	if st.ModeledSeconds <= 0 {
@@ -289,7 +290,7 @@ func TestGangMemberFaultQuarantinesAndReplaces(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	// Re-placed single-device: the finished execution was not a gang.
-	if st.GangParts != 0 || st.Placement.Gang() {
+	if st.GangParts != 0 || len(st.Placement.Devices) != 1 {
 		t.Fatalf("expected single-device re-placement, status = %+v", st)
 	}
 

@@ -39,18 +39,6 @@ func (pl Placement) Primary() string {
 	return pl.Devices[0]
 }
 
-// Total returns the bytes reserved across all devices.
-func (pl Placement) Total() int64 {
-	var t int64
-	for _, b := range pl.Bytes {
-		t += b
-	}
-	return t
-}
-
-// Gang reports whether the placement spans more than one device.
-func (pl Placement) Gang() bool { return len(pl.Devices) > 1 }
-
 // String renders "c870+8800gtx"-style labels for traces and logs.
 func (pl Placement) String() string { return strings.Join(pl.Devices, "+") }
 

@@ -295,8 +295,8 @@ func TestSplitUnsplitProducerStaysWhole(t *testing.T) {
 }
 
 func TestSplitAlreadyPartitionedOutputGroups(t *testing.T) {
-	// in -> copy -> mid -> tanh -> out. Tight capacity splits tanh into 4
-	// first (reverse topo), then copy must split with an
+	// in -> scale(1) -> mid -> tanh -> out. Tight capacity splits tanh
+	// into 4 first (reverse topo), then scale must split with an
 	// already-partitioned output, exercising groupChunks.
 	g := graph.New()
 	in := g.NewBuffer("in", graph.Shape{Rows: 8, Cols: 4})
@@ -304,7 +304,7 @@ func TestSplitAlreadyPartitionedOutputGroups(t *testing.T) {
 	mid := g.NewBuffer("mid", graph.Shape{Rows: 8, Cols: 4})
 	out := g.NewBuffer("out", graph.Shape{Rows: 8, Cols: 4})
 	out.IsOutput = true
-	g.MustAddNode("copy", ops.NewCopy(), []graph.Arg{graph.SingleArg(in)}, graph.SingleArg(mid))
+	g.MustAddNode("scale", ops.NewScale(1), []graph.Arg{graph.SingleArg(in)}, graph.SingleArg(mid))
 	g.MustAddNode("tanh", ops.NewTanh(), []graph.Arg{graph.SingleArg(mid)}, graph.SingleArg(out))
 
 	inputs := exec.Inputs{in.ID: randTensor(10, 8, 4)}
@@ -325,24 +325,26 @@ func TestSplitAlreadyPartitionedOutputGroups(t *testing.T) {
 	checkEquivalent(t, g, inputs, want)
 }
 
-func TestSplitMatMulReplicatesB(t *testing.T) {
+func TestSplitConvReplicatesKernel(t *testing.T) {
 	g := graph.New()
-	a := g.NewBuffer("A", graph.Shape{Rows: 8, Cols: 4})
-	a.IsInput = true
-	b := g.NewBuffer("B", graph.Shape{Rows: 4, Cols: 6})
-	b.IsInput = true
-	c := g.NewBuffer("C", graph.Shape{Rows: 8, Cols: 6})
-	c.IsOutput = true
-	g.MustAddNode("mm", ops.NewMatMul(),
-		[]graph.Arg{graph.SingleArg(a), graph.SingleArg(b)}, graph.SingleArg(c))
+	img := g.NewBuffer("img", graph.Shape{Rows: 16, Cols: 4})
+	img.IsInput = true
+	ker := g.NewBuffer("ker", graph.Shape{Rows: 3, Cols: 3})
+	ker.IsInput = true
+	out := g.NewBuffer("out", graph.Shape{Rows: 16, Cols: 4})
+	out.IsOutput = true
+	g.MustAddNode("conv", ops.NewConv2DSame(3, 3),
+		[]graph.Arg{graph.SingleArg(img), graph.SingleArg(ker)}, graph.SingleArg(out))
 
-	inputs := exec.Inputs{a.ID: randTensor(11, 8, 4), b.ID: randTensor(12, 4, 6)}
+	inputs := exec.Inputs{img.ID: randTensor(11, 16, 4), ker.ID: randTensor(12, 3, 3)}
 	want, err := exec.RunReference(g, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// footprint = 32+24+48 = 104; capacity 70 -> k=2 (16+24+24 = 64).
-	res, err := split.Apply(g, split.Options{Capacity: 70})
+	// footprint = 64+9+64 = 137; capacity 90 -> k=2 (a 9- or 10-row
+	// image strip with its halo, the 9-float kernel and an 8-row output
+	// part: at most 40+9+32 = 81).
+	res, err := split.Apply(g, split.Options{Capacity: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +352,8 @@ func TestSplitMatMulReplicatesB(t *testing.T) {
 		t.Fatalf("parts = %d, want 2", res.PartsCreated)
 	}
 	for _, n := range g.Nodes {
-		if n.In[1].Bufs[0] != b {
-			t.Fatal("B must be replicated whole")
+		if n.In[1].Bufs[0] != ker {
+			t.Fatal("the kernel must be replicated whole")
 		}
 	}
 	checkEquivalent(t, g, inputs, want)

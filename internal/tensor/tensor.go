@@ -45,9 +45,6 @@ func (t *Tensor) Cols() int { return t.cols }
 // Len returns the number of elements (rows*cols).
 func (t *Tensor) Len() int { return t.rows * t.cols }
 
-// Stride returns the row stride in floats. Stride == Cols for non-views.
-func (t *Tensor) Stride() int { return t.stride }
-
 // Contiguous reports whether the tensor's elements are contiguous in memory.
 func (t *Tensor) Contiguous() bool { return t.stride == t.cols || t.rows <= 1 }
 
@@ -91,11 +88,6 @@ func (t *Tensor) View(rowOff, colOff, rows, cols int) *Tensor {
 		stride: t.stride,
 		data:   t.data[rowOff*t.stride+colOff:],
 	}
-}
-
-// RowRange is shorthand for View(rowOff, 0, rows, t.Cols()).
-func (t *Tensor) RowRange(rowOff, rows int) *Tensor {
-	return t.View(rowOff, 0, rows, t.cols)
 }
 
 // Clone returns a deep, contiguous copy of t.

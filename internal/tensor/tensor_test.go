@@ -66,8 +66,8 @@ func TestViewShapeAndStride(t *testing.T) {
 	if v.Rows() != 2 || v.Cols() != 3 {
 		t.Fatalf("view shape %dx%d, want 2x3", v.Rows(), v.Cols())
 	}
-	if v.Stride() != 7 {
-		t.Fatalf("view stride %d, want 7", v.Stride())
+	if v.stride != 7 {
+		t.Fatalf("view stride %d, want 7", v.stride)
 	}
 	if v.Contiguous() {
 		t.Fatal("2x3 view of 5x7 must not be contiguous")
@@ -89,9 +89,9 @@ func TestRowRange(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		m.Set(r, 0, float32(r))
 	}
-	v := m.RowRange(1, 2)
+	v := m.View(1, 0, 2, m.Cols())
 	if v.Rows() != 2 || v.At(0, 0) != 1 || v.At(1, 0) != 2 {
-		t.Fatalf("RowRange wrong: %v", v.Data())
+		t.Fatalf("row-range view wrong: %v", v.Data())
 	}
 	if !v.Contiguous() {
 		t.Fatal("row range of full-width tensor should be contiguous")

@@ -12,6 +12,43 @@ import (
 	"testing"
 )
 
+// callerRoots are the trees whose non-test files count as callers.
+// Nothing outside this module can import internal/, so a function that
+// none of them calls is test code.
+var callerRoots = []string{"cmd", "internal", "examples", "bench"}
+
+// sources lists the non-test .go files under root, testdata aside.
+func sources(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// parse parses one file into fset.
+func parse(t *testing.T, fset *token.FileSet, path string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // knobPackages names the option types whose constructors must each have
 // a caller: an import path, the directory that defines it, and the
 // option type its constructors return.
@@ -27,42 +64,16 @@ var knobPackages = []struct{ path, dir, option string }{
 // which belongs in a constant.
 func TestEveryOptionHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	sources := func(root string) []string {
-		var files []string
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
 
 	// constructors[import path][func name] counts the calls found.
 	constructors := map[string]map[string]int{}
 	for _, kp := range knobPackages {
 		constructors[kp.path] = map[string]int{}
-		for _, path := range sources(kp.dir) {
+		for _, path := range sources(t, kp.dir) {
 			if filepath.Dir(path) != kp.dir {
 				continue
 			}
-			for _, decl := range parse(path).Decls {
+			for _, decl := range parse(t, fset, path).Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil ||
 					len(fn.Type.Results.List) != 1 {
@@ -78,9 +89,9 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 
-	for _, root := range []string{"cmd", "internal", "examples", "bench"} {
-		for _, path := range sources(root) {
-			f := parse(path)
+	for _, root := range callerRoots {
+		for _, path := range sources(t, root) {
+			f := parse(t, fset, path)
 			// Local import name → the constructors of that package, for
 			// files outside the package itself.
 			local := map[string]map[string]int{}
@@ -131,5 +142,110 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	sort.Strings(unused)
 	if len(unused) > 0 {
 		t.Fatalf("options with no caller outside their package and tests: %s", strings.Join(unused, ", "))
+	}
+}
+
+// interfaceMethods are the standard-library interface methods
+// (error, fmt.Stringer, errors.Unwrap, sort.Interface, heap.Interface)
+// that the runtime, fmt, errors, sort or container/heap call by name.
+var interfaceMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// testOnlyFuncs are the exported functions that only tests call, each
+// with the test that needs it. An entry that gains a non-test caller, or
+// whose function is gone, is stale and fails the guard.
+var testOnlyFuncs = map[string]string{
+	"ops.NewConv2D":                "the reference Conv2DSame and the kernel oracle compare against (ops' convsame_test, kernel_oracle_test)",
+	"sched.GreedyMemoryAwareOrder": "BenchmarkAblationOperatorOrder",
+	"sched.BFSOrder":               "BenchmarkAblationOperatorOrder",
+	"sched.RandomTopoOrder":        "BenchmarkAblationOperatorOrder",
+	"sched.FusedHeuristic":         "BenchmarkAblationGranularity",
+	"obs.(*Tracer).OpenSpans":      "the span-leak assertions of core's and compiler's tests",
+}
+
+// funcKey names a declaration as pkg.Func, pkg.T.Method or
+// pkg.(*T).Method.
+func funcKey(pkg string, fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return pkg + "." + fn.Name.Name
+	}
+	recv, ptr := fn.Recv.List[0].Type, false
+	if s, ok := recv.(*ast.StarExpr); ok {
+		recv, ptr = s.X, true
+	}
+	if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver, T[V]
+		recv = ix.X
+	}
+	name := recv.(*ast.Ident).Name
+	if ptr {
+		name = "(*" + name + ")"
+	}
+	return pkg + "." + name + "." + fn.Name.Name
+}
+
+// TestEveryExportedFuncHasACaller extends the knob-rot guard to every
+// exported function and method declared in a non-test file under
+// internal/: its name must appear as an identifier in a non-test file
+// of cmd/, internal/, examples/ or bench/ other than its own
+// declaration. The check is by name, so a method shares its callers
+// with every same-named one; interfaceMethods and testOnlyFuncs are
+// exempt.
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{}    // key → name
+	declNames := map[*ast.Ident]bool{} // the declarations' own name identifiers
+	used := map[string]bool{}
+	var files []*ast.File
+	for _, root := range callerRoots {
+		for _, path := range sources(t, root) {
+			f := parse(t, fset, path)
+			files = append(files, f)
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				declNames[fn.Name] = true
+				if root != "internal" || !fn.Name.IsExported() ||
+					(fn.Recv != nil && interfaceMethods[fn.Name.Name]) {
+					continue
+				}
+				declared[funcKey(f.Name.Name, fn)] = fn.Name.Name
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+
+	var unused, stale []string
+	for key, name := range declared {
+		_, allowed := testOnlyFuncs[key]
+		switch {
+		case !used[name] && !allowed:
+			unused = append(unused, key)
+		case used[name] && allowed:
+			stale = append(stale, key+" (now has a non-test caller)")
+		}
+	}
+	for key := range testOnlyFuncs {
+		if _, ok := declared[key]; !ok {
+			stale = append(stale, key+" (no longer declared)")
+		}
+	}
+	sort.Strings(unused)
+	sort.Strings(stale)
+	if len(unused) > 0 {
+		t.Errorf("exported functions with no non-test caller: %s", strings.Join(unused, ", "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("stale testOnlyFuncs entries: %s", strings.Join(stale, ", "))
 	}
 }
