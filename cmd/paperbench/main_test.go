@@ -84,10 +84,11 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
-// Every `paperbench` command quoted in the CI workflow, the docs, the
-// verify skill and this command's own package comment uses only flags
-// paperbench defines, and every -ext X / -table N / -fig N it quotes
-// names a catalog entry; the package comment lists every entry.
+// Every `paperbench` command quoted in the CI workflow, the chaos smoke
+// script, the docs, the verify skill and this command's own package
+// comment uses only flags paperbench defines, and every -ext X / -table N
+// / -fig N it quotes names a catalog entry; the package comment lists
+// every entry.
 func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
 	var c commandLine
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
@@ -99,7 +100,7 @@ func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
 	// the value may wrap onto the next line of a paragraph.
 	selector := regexp.MustCompile("paperbench[^`\n]*?-(ext|table|fig)\\s+(\\w+)")
 	flagName := regexp.MustCompile(`(?:^|\s)-(\w+)`)
-	for _, file := range []string{".github/workflows/ci.yml", "README.md", "DESIGN.md",
+	for _, file := range []string{".github/workflows/ci.yml", "scripts/chaos-smoke.sh", "README.md", "DESIGN.md",
 		"EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "cmd/paperbench/main.go"} {
 		data, err := os.ReadFile(filepath.Join(repoRoot, file))
 		if err != nil {
@@ -137,15 +138,15 @@ func TestQuotedCommandsNameCatalogEntries(t *testing.T) {
 }
 
 // Every template, device and planner quoted in the CI workflow, the
-// served smoke script, the docs, the verify skill and the commands'
+// smoke scripts, the docs, the verify skill and the commands'
 // package comments is one the shared parsers accept: -template and
 // "template":"…" name a workload.Catalog entry, -device/-devices values
 // parse with gpu.ParseSpec, and -planner values with core.ParsePlanner.
 func TestQuotedFlagsNameRealEntries(t *testing.T) {
 	flagValue := regexp.MustCompile("(?:^|[\\s`(])-(template|devices?|planner)[ \t]+([^\\s`'\"|\\\\)]+)")
 	wireTemplate := regexp.MustCompile(`"template":\s*"([^"]*)"`)
-	files := []string{".github/workflows/ci.yml", "scripts/served-smoke.sh", "README.md", "DESIGN.md",
-		"EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+	files := []string{".github/workflows/ci.yml", "scripts/served-smoke.sh", "scripts/pipeline-smoke.sh",
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 	cmds, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
 	if err != nil || len(cmds) == 0 {
 		t.Fatalf("no commands found (err %v)", err)

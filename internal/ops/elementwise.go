@@ -134,8 +134,16 @@ func NewAddN(n int) graph.Operator {
 }
 
 // addRow sums the inputs in order into an accumulator that starts at +0,
-// so that, like the per-element sum it replaces, -0 + -0 yields +0.
+// so that, like the per-element sum it replaces, -0 + -0 yields +0. Two
+// inputs, the arity of every add in the CNN templates, take one pass.
 func addRow(o []float32, in []*tensor.Tensor, r int) {
+	if len(in) == 2 {
+		a, b := in[0].Row(r)[:len(o)], in[1].Row(r)[:len(o)]
+		for c := range o {
+			o[c] = (0 + a[c]) + b[c]
+		}
+		return
+	}
 	clear(o)
 	for _, t := range in {
 		x := t.Row(r)[:len(o)]

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -287,10 +288,13 @@ var tensorFills = []struct {
 	fill func(*rand.Rand, int, int) *tensor.Tensor
 }{{"random", randTensor}, {"special", specialTensor}}
 
-// convWidths are the kernel sizes the conv oracles sweep: every width
-// from one tap to two whole groups of four and one more, and the paper's
-// 16-tap edge kernel.
-var convWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16}
+// convWidths are the kernel sizes the conv oracles sweep. convRows cuts a
+// kernel row into groups of four taps while more than five remain, then
+// one last group of the rest, so 1–5 are a last group of 1–5 taps alone,
+// 6–9 and 10–13 a last group of 2–5 after one and after two groups of
+// four, and the paper's 16-tap edge kernel and 17 a last group of four
+// and of five after three.
+var convWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17}
 
 // embedded returns a rows×cols strided View into a larger backing tensor
 // whose every element is fill; the backing is returned so tests can check
@@ -353,9 +357,9 @@ func bind(op graph.ScheduleBinder, s loadbalance.Schedule) graph.Operator {
 // conv2DSameRegions lists the output regions one oracle case checks on an
 // h×w image: the whole image, each corner and each edge (halo clipped on
 // two sides and on one), a strict interior (no clipping when the image is
-// large enough), single rows and columns, a strip narrower than one group
-// of four taps, and the whole of a thin strip (halo clipped on all four
-// sides for kernels taller than the strip).
+// large enough), single rows and columns, a strip of 1–4 columns (narrower
+// than a five-tap group), and the whole of a thin strip (halo clipped on
+// all four sides for kernels taller than the strip).
 func conv2DSameRegions(rng *rand.Rand, h, w int) []graph.Region {
 	rh, rw := 1+rng.Intn(h), 1+rng.Intn(w)
 	regs := []graph.Region{
@@ -367,8 +371,8 @@ func conv2DSameRegions(rng *rand.Rand, h, w int) []graph.Region {
 		{Row: h / 2, Rows: 1, Cols: w},                 // one full row
 		{Col: w / 2, Rows: h, Cols: 1},                 // one full column
 	}
-	if w > 1 { // a strip narrower than one group of four taps
-		n := 1 + rng.Intn(min(3, w-1))
+	if w > 1 { // a strip narrower than a five-tap group
+		n := 1 + rng.Intn(min(4, w-1))
 		regs = append(regs, graph.Region{Col: rng.Intn(w - n + 1), Rows: h, Cols: n})
 	}
 	for i := 0; i < 4; i++ { // random, mostly interior
@@ -398,41 +402,47 @@ func checkConv2DSameRegion(t *testing.T, rng *rand.Rand, op graph.Operator, kh, 
 	onlyViewWritten(t, got, backing)
 }
 
+// TestConv2DSameMatchesNaiveOracle runs one parallel subtest per schedule,
+// each on its own seed: fifteen widths on both axes make it the package's
+// longest test.
 func TestConv2DSameMatchesNaiveOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, sched := range oracleSchedules() {
-		for _, f := range tensorFills {
-			for _, kh := range convWidths {
-				for _, kw := range convWidths {
-					// Images both larger and smaller than the kernel: a 3×4
-					// image under a 7×7 kernel clips the halo on all four
-					// sides, and a 4×3 one is narrower than one tap group.
-					for _, dim := range [][2]int{{3, 4}, {4, 3}, {11 + rng.Intn(8), 9 + rng.Intn(12)}} {
-						h, w := dim[0], dim[1]
-						c := NewConv2DSame(kh, kw)
-						op := bind(c, sched)
-						root := f.fill(rng, h, w)
-						ker := embed(rng, f.fill(rng, kh, kw))
-						full := []graph.Region{{Rows: h, Cols: w}, {Rows: kh, Cols: kw}}
-						for _, outReg := range conv2DSameRegions(rng, h, w) {
-							// The clipped halo the splitting pass supplies …
-							halo, _ := c.InputRegion(0, outReg, full)
-							checkConv2DSameRegion(t, rng, op, kh, kw, root, ker, halo, outReg)
-							// … and any narrower region still covering the
-							// output (ValidateRegions accepts it; the missing
-							// taps read as zero).
-							in := graph.Region{
-								Row: outReg.Row - rng.Intn(outReg.Row-halo.Row+1),
-								Col: outReg.Col - rng.Intn(outReg.Col-halo.Col+1),
+	for i, sched := range oracleSchedules() {
+		t.Run(fmt.Sprintf("schedule%d", i), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(24 + int64(i)))
+			for _, f := range tensorFills {
+				for _, kh := range convWidths {
+					for _, kw := range convWidths {
+						// Images both larger and smaller than the kernel: a 3×4
+						// image under a 7×7 kernel clips the halo on all four
+						// sides, and both are narrower than a five-tap group.
+						for _, dim := range [][2]int{{3, 4}, {4, 3}, {11 + rng.Intn(8), 9 + rng.Intn(12)}} {
+							h, w := dim[0], dim[1]
+							c := NewConv2DSame(kh, kw)
+							op := bind(c, sched)
+							root := f.fill(rng, h, w)
+							ker := embed(rng, f.fill(rng, kh, kw))
+							full := []graph.Region{{Rows: h, Cols: w}, {Rows: kh, Cols: kw}}
+							for _, outReg := range conv2DSameRegions(rng, h, w) {
+								// The clipped halo the splitting pass supplies …
+								halo, _ := c.InputRegion(0, outReg, full)
+								checkConv2DSameRegion(t, rng, op, kh, kw, root, ker, halo, outReg)
+								// … and any narrower region still covering the
+								// output (ValidateRegions accepts it; the missing
+								// taps read as zero).
+								in := graph.Region{
+									Row: outReg.Row - rng.Intn(outReg.Row-halo.Row+1),
+									Col: outReg.Col - rng.Intn(outReg.Col-halo.Col+1),
+								}
+								in.Rows = outReg.Row + outReg.Rows + rng.Intn(halo.Row+halo.Rows-outReg.Row-outReg.Rows+1) - in.Row
+								in.Cols = outReg.Col + outReg.Cols + rng.Intn(halo.Col+halo.Cols-outReg.Col-outReg.Cols+1) - in.Col
+								checkConv2DSameRegion(t, rng, op, kh, kw, root, ker, in, outReg)
 							}
-							in.Rows = outReg.Row + outReg.Rows + rng.Intn(halo.Row+halo.Rows-outReg.Row-outReg.Rows+1) - in.Row
-							in.Cols = outReg.Col + outReg.Cols + rng.Intn(halo.Col+halo.Cols-outReg.Col-outReg.Cols+1) - in.Col
-							checkConv2DSameRegion(t, rng, op, kh, kw, root, ker, in, outReg)
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -442,8 +452,8 @@ func TestConv2DMatchesNaiveOracle(t *testing.T) {
 		for _, f := range tensorFills {
 			for _, kh := range convWidths {
 				for _, kw := range convWidths {
-					// One output narrower than a tap group, one of any width.
-					for _, ow := range []int{1 + rng.Intn(3), 1 + rng.Intn(20)} {
+					// One output narrower than a five-tap group, one of any width.
+					for _, ow := range []int{1 + rng.Intn(4), 1 + rng.Intn(20)} {
 						oh := 1 + rng.Intn(12)
 						img := embed(rng, f.fill(rng, oh+kh-1, ow+kw-1))
 						ker := embed(rng, f.fill(rng, kh, kw))

@@ -49,29 +49,32 @@ func BenchmarkConv2DRowSharding(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2DSameRegion runs the zero-padded 5×5 convolution the CNN
+// BenchmarkConv2DSameRegion runs the zero-padded convolutions the CNN
 // templates are made of over regions of a 160×120 image, as split parts
-// do: an interior band (no tap clipped), the top band (kernel rows
-// clipped) and the whole image (every border).
+// do: 5×5 over an interior band (no tap clipped), the top band (kernel
+// rows clipped) and the whole image (every border), and 3×3, the Small
+// CNN's last two layers, over the whole image.
 func BenchmarkConv2DSameRegion(b *testing.B) {
-	const h, w, k = 160, 120, 5
+	const h, w = 160, 120
 	rng := rand.New(rand.NewSource(1))
-	root, ker := randTensor(rng, h, w), randTensor(rng, k, k)
-	op := NewConv2DSame(k, k)
-	full := []graph.Region{{Rows: h, Cols: w}, {Rows: k, Cols: k}}
+	root := randTensor(rng, h, w)
 	for _, c := range []struct {
 		name string
+		k    int
 		out  graph.Region
 	}{
-		{"interior-32rows", graph.Region{Row: 64, Rows: 32, Cols: w}},
-		{"top-32rows", graph.Region{Rows: 32, Cols: w}},
-		{"whole-image", full[0]},
+		{"interior-32rows", 5, graph.Region{Row: 64, Rows: 32, Cols: w}},
+		{"top-32rows", 5, graph.Region{Rows: 32, Cols: w}},
+		{"whole-image", 5, graph.Region{Rows: h, Cols: w}},
+		{"3x3-whole-image", 3, graph.Region{Rows: h, Cols: w}},
 	} {
+		op := NewConv2DSame(c.k, c.k)
+		full := []graph.Region{{Rows: h, Cols: w}, {Rows: c.k, Cols: c.k}}
+		inReg, _ := op.InputRegion(0, c.out, full)
+		in := []*tensor.Tensor{root.View(inReg.Row, inReg.Col, inReg.Rows, inReg.Cols), randTensor(rng, c.k, c.k)}
+		inRegs := []graph.Region{inReg, full[1]}
+		out := tensor.New(c.out.Rows, c.out.Cols)
 		b.Run(c.name, func(b *testing.B) {
-			inReg, _ := op.InputRegion(0, c.out, full)
-			in := []*tensor.Tensor{root.View(inReg.Row, inReg.Col, inReg.Rows, inReg.Cols), ker}
-			inRegs := []graph.Region{inReg, full[1]}
-			out := tensor.New(c.out.Rows, c.out.Cols)
 			b.ReportAllocs()
 			b.SetBytes(c.out.Size() * 4)
 			for i := 0; i < b.N; i++ {
