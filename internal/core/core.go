@@ -132,7 +132,7 @@ type Config struct {
 // Engine compiles templates for one GPU configuration. It is a thin
 // facade over the internal/compiler pass pipeline: NewEngine captures the
 // configuration, Pipeline assembles the pass sequence it implies, and
-// Compile runs it.
+// Service.Compile runs it.
 type Engine struct {
 	cfg Config
 }
@@ -215,18 +215,13 @@ type Compiled struct {
 	Diags []string
 }
 
-// Compile runs the compilation pipeline on the template graph. The graph
-// is never mutated: read the compiled (bound and, if needed, split)
-// graph the plan refers to from Compiled.Graph. A compile that splits
-// nothing copies no part of the graph but its node list. Cancellation is
-// checked between passes; an infeasible template fails with an error
-// matching errors.Is(err, ErrInfeasible).
-func (e *Engine) Compile(ctx context.Context, g *graph.Graph) (*Compiled, error) {
-	return e.compileObs(ctx, e.cfg.Obs, g)
-}
-
-// compileObs is Compile with an explicit observer, so Service can run
-// concurrent compiles each under its own forked observer.
+// compileObs runs the compilation pipeline on the template graph under
+// observer o, so Service can run concurrent compiles each under its own
+// forked observer. The graph is never mutated: read the compiled (bound
+// and, if needed, split) graph the plan refers to from Compiled.Graph. A
+// compile that splits nothing copies no part of the graph but its node
+// list. Cancellation is checked between passes; an infeasible template
+// fails with an error matching errors.Is(err, ErrInfeasible).
 func (e *Engine) compileObs(ctx context.Context, o *obs.Observer, g *graph.Graph) (*Compiled, error) {
 	if e.cfg.AutoTuneSplit && e.cfg.Planner == HeuristicPlanner {
 		return e.compileAutoTuned(ctx, o, g)
@@ -398,11 +393,6 @@ func (c *Compiled) Run(ctx context.Context, opt RunOptions) (*exec.Report, error
 	return exec.Run(ctx, c.Graph, c.Plan, in, eo)
 }
 
-// Execute runs the compiled plan with real data: Run with inputs only.
-func (c *Compiled) Execute(ctx context.Context, in exec.Inputs) (*exec.Report, error) {
-	return c.Run(ctx, RunOptions{Inputs: in})
-}
-
 // Simulate replays the compiled plan in accounting mode: Run with the
 // Simulate flag.
 func (c *Compiled) Simulate(ctx context.Context) (*exec.Report, error) {
@@ -419,6 +409,3 @@ func (c *Compiled) GenerateCUDA(templateName string) string {
 func (c *Compiled) GenerateKernelStubs() string {
 	return codegen.KernelStubs(c.Plan)
 }
-
-// TransferFloats returns the plan's total host↔GPU volume.
-func (c *Compiled) TransferFloats() int64 { return c.Plan.TotalTransferFloats() }

@@ -7,10 +7,22 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/templates"
 	"repro/internal/workload"
 )
+
+// Compile runs the compilation pipeline on the template graph without
+// Service's plan cache. Binaries compile through Service; this package's
+// tests compile through the engine so that two compiles of one graph
+// (determinism, planner and auto-tune comparisons) are two real
+// compiles rather than a compile and a cache hit. The graph is never
+// mutated: read the compiled graph from Compiled.Graph. An infeasible
+// template fails with an error matching errors.Is(err, ErrInfeasible).
+func (e *Engine) Compile(ctx context.Context, g *graph.Graph) (*Compiled, error) {
+	return e.compileObs(ctx, e.cfg.Obs, g)
+}
 
 func buildEdge(t *testing.T, h, w, k int) (*Compiled, exec.Inputs, exec.Outputs, *Engine) {
 	t.Helper()
@@ -42,7 +54,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	if c.Plan.PeakFloats > eng.Capacity() {
 		t.Fatalf("plan peak %d exceeds capacity %d", c.Plan.PeakFloats, eng.Capacity())
 	}
-	rep, err := c.Execute(context.Background(), in)
+	rep, err := c.Run(context.Background(), RunOptions{Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +63,14 @@ func TestEngineEndToEnd(t *testing.T) {
 			t.Fatalf("output differs by %v", rep.Outputs[id].MaxAbsDiff(w))
 		}
 	}
-	if rep.Stats.TotalFloats() != c.TransferFloats() {
+	if rep.Stats.TotalFloats() != c.Plan.TotalTransferFloats() {
 		t.Fatal("stats/plan transfer mismatch")
 	}
 }
 
 func TestEngineSimulateMatchesExecute(t *testing.T) {
 	c, in, _, _ := buildEdge(t, 40, 32, 5)
-	repE, err := c.Execute(context.Background(), in)
+	repE, err := c.Run(context.Background(), RunOptions{Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +106,12 @@ func TestEnginePlanners(t *testing.T) {
 	base := mk(BaselinePlanner)
 	heur := mk(HeuristicPlanner)
 	opt := mk(PBOptimalPlanner)
-	if !(opt.TransferFloats() <= heur.TransferFloats()) {
-		t.Fatalf("PB %d > heuristic %d", opt.TransferFloats(), heur.TransferFloats())
+	if !(opt.Plan.TotalTransferFloats() <= heur.Plan.TotalTransferFloats()) {
+		t.Fatalf("PB %d > heuristic %d", opt.Plan.TotalTransferFloats(), heur.Plan.TotalTransferFloats())
 	}
-	if !(heur.TransferFloats() < base.TransferFloats()) {
+	if !(heur.Plan.TotalTransferFloats() < base.Plan.TotalTransferFloats()) {
 		t.Fatalf("heuristic %d not better than baseline %d",
-			heur.TransferFloats(), base.TransferFloats())
+			heur.Plan.TotalTransferFloats(), base.Plan.TotalTransferFloats())
 	}
 	if opt.PBStatus == 0 && opt.Plan == nil {
 		t.Fatal("PB planner produced nothing")
@@ -129,16 +141,16 @@ func TestEngineRetargeting(t *testing.T) {
 	// constrained device can never beat it (it may match it when the
 	// split pipeline is perfectly chunk-wise).
 	lbBig := sched.LowerBound(big.Graph)
-	if big.TransferFloats() != lbBig {
+	if big.Plan.TotalTransferFloats() != lbBig {
 		t.Fatalf("ample-memory transfers %d != lower bound %d",
-			big.TransferFloats(), lbBig)
+			big.Plan.TotalTransferFloats(), lbBig)
 	}
 	if small.Split.SplitNodes == 0 {
 		t.Fatal("constrained device should force splitting")
 	}
-	if small.TransferFloats() < sched.LowerBound(small.Graph) {
+	if small.Plan.TotalTransferFloats() < sched.LowerBound(small.Graph) {
 		t.Fatalf("transfers %d below lower bound %d",
-			small.TransferFloats(), sched.LowerBound(small.Graph))
+			small.Plan.TotalTransferFloats(), sched.LowerBound(small.Graph))
 	}
 }
 
@@ -205,8 +217,8 @@ func TestAutoTuneSplitImproves(t *testing.T) {
 	}
 	plain := build(false)
 	tuned := build(true)
-	if tuned.TransferFloats() > plain.TransferFloats() {
-		t.Fatalf("auto-tune regressed: %d > %d", tuned.TransferFloats(), plain.TransferFloats())
+	if tuned.Plan.TotalTransferFloats() > plain.Plan.TotalTransferFloats() {
+		t.Fatalf("auto-tune regressed: %d > %d", tuned.Plan.TotalTransferFloats(), plain.Plan.TotalTransferFloats())
 	}
 	// The tuned plan must still execute correctly.
 	g, bufs, err := templates.EdgeDetect(templates.EdgeConfig{
@@ -220,7 +232,7 @@ func TestAutoTuneSplitImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cloned graphs preserve buffer IDs, so inputs map directly.
-	rep, err := tuned.Execute(context.Background(), in)
+	rep, err := tuned.Run(context.Background(), RunOptions{Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +290,7 @@ func TestEngineOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := over.Execute(context.Background(), in)
+	rep, err := over.Run(context.Background(), RunOptions{Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +322,7 @@ func TestSeparableEdgeEndToEnd(t *testing.T) {
 	if c.Split.SplitNodes == 0 {
 		t.Fatal("expected splitting")
 	}
-	rep, err := c.Execute(context.Background(), in)
+	rep, err := c.Run(context.Background(), RunOptions{Inputs: in})
 	if err != nil {
 		t.Fatal(err)
 	}

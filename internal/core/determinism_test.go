@@ -35,8 +35,8 @@ func TestCompileDeterministic(t *testing.T) {
 	if a.Graph.Fingerprint() != b.Graph.Fingerprint() {
 		t.Fatal("split graphs fingerprint differently across identical compiles")
 	}
-	if a.TransferFloats() != b.TransferFloats() {
-		t.Fatalf("transfer volumes differ: %d vs %d", a.TransferFloats(), b.TransferFloats())
+	if a.Plan.TotalTransferFloats() != b.Plan.TotalTransferFloats() {
+		t.Fatalf("transfer volumes differ: %d vs %d", a.Plan.TotalTransferFloats(), b.Plan.TotalTransferFloats())
 	}
 	if a.GenerateCUDA("edge") != b.GenerateCUDA("edge") {
 		t.Fatal("generated CUDA sources differ")

@@ -19,13 +19,13 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	engine := core.NewEngine(core.Config{Device: gpu.TeslaC870()})
-	compiled, err := engine.Compile(context.Background(), g)
+	svc := core.NewService(core.WithDevice(gpu.TeslaC870()))
+	compiled, _, err := svc.Compile(context.Background(), g)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("operators split:", compiled.Split.SplitNodes)
-	fmt.Println("floats transferred:", compiled.TransferFloats())
+	fmt.Println("floats transferred:", compiled.Plan.TotalTransferFloats())
 	// Output:
 	// operators split: 1
 	// floats transferred: 400000512
@@ -40,13 +40,13 @@ func Example_retargeting() {
 	if err != nil {
 		panic(err)
 	}
-	engine := core.NewEngine(core.Config{Device: gpu.GeForce8800GTX()})
-	compiled, err := engine.Compile(context.Background(), g)
+	svc := core.NewService(core.WithDevice(gpu.GeForce8800GTX()))
+	compiled, _, err := svc.Compile(context.Background(), g)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("operators after split:", len(compiled.Graph.Nodes))
-	fmt.Println("floats transferred:", compiled.TransferFloats())
+	fmt.Println("floats transferred:", compiled.Plan.TotalTransferFloats())
 	// Output:
 	// operators after split: 15
 	// floats transferred: 200300512

@@ -44,7 +44,7 @@ func TestOptionsMatchConfigLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TransferFloats() != b.TransferFloats() || a.Graph.Fingerprint() != b.Graph.Fingerprint() {
+	if a.Plan.TotalTransferFloats() != b.Plan.TotalTransferFloats() || a.Graph.Fingerprint() != b.Graph.Fingerprint() {
 		t.Fatal("options-built service compiled a different plan")
 	}
 }

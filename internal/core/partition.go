@@ -46,7 +46,7 @@ type PartitionedCompiled struct {
 // schedule-bind, operator splitting to the smallest member's planner
 // capacity, validation, then the partition pass (assignment, per-part
 // scheduling and verification, cross-device edges). Config.Device is
-// ignored — the pool is the target. Like Compile, it never mutates g:
+// ignored — the pool is the target. Like Service.Compile, it never mutates g:
 // read the split graph from PartitionedCompiled.Graph. An infeasible
 // template — an operator no split fits under the smallest member, or a
 // partition stripe that comes up empty — fails with an error matching

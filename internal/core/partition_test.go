@@ -65,7 +65,7 @@ func TestCompilePartitionedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c2.Execute(context.Background(), in2)
+	ref, err := c2.Run(context.Background(), RunOptions{Inputs: in2})
 	if err != nil {
 		t.Fatal(err)
 	}

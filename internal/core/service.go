@@ -17,8 +17,8 @@ import (
 // fingerprint + device + planner config) with single-flight semantics, so
 // a fleet of workers compiling the same template does the compile work
 // once; each miss compiles the caller's graph under a forked observer.
-// A compile never mutates the graph it is given (see Engine.Compile),
-// and concurrent traces never interleave mid-span.
+// A compile never mutates the graph it is given, and concurrent traces
+// never interleave mid-span.
 type Service struct {
 	eng    *Engine
 	cache  *compiler.Cache[*Compiled]
@@ -48,8 +48,7 @@ func NewService(opts ...Option) *Service {
 	}
 }
 
-// Engine returns the underlying engine (for Capacity, PassNames, or an
-// uncached Compile).
+// Engine returns the underlying engine (for Capacity or PassNames).
 func (s *Service) Engine() *Engine { return s.eng }
 
 // CacheStats reports the plan cache's hit/miss/eviction counters.
@@ -206,7 +205,3 @@ func (s *Service) CompileAndSimulate(ctx context.Context, g *graph.Graph) (*exec
 	}
 	return s.Simulate(ctx, c)
 }
-
-// Observer returns the service's shared observer (nil when observability
-// is off).
-func (s *Service) Observer() *obs.Observer { return s.eng.cfg.Obs }

@@ -134,7 +134,7 @@ func TestRunRejectsCorruptedPlans(t *testing.T) {
 
 	for _, mode := range []Mode{Materialized, Accounting} {
 		for _, tc := range cases {
-			t.Run(tc.name+"/"+modeName(mode), func(t *testing.T) {
+			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				g, in := edgeGraph(t, 32, 32, 4)
 				plan := compileFor(t, g, 400)
 				bad := &sched.Plan{
@@ -161,11 +161,12 @@ func TestRunRejectsCorruptedPlans(t *testing.T) {
 	}
 }
 
-func modeName(m Mode) string {
-	if m == Materialized {
-		return "materialized"
+// String names the mode in subtest names.
+func (m Mode) String() string {
+	if m == Accounting {
+		return "accounting"
 	}
-	return "accounting"
+	return "materialized"
 }
 
 // The hardened static verifier must catch each corruption Run rejects

@@ -31,13 +31,6 @@ const (
 	Accounting
 )
 
-func (m Mode) String() string {
-	if m == Accounting {
-		return "accounting"
-	}
-	return "materialized"
-}
-
 // Options configures plan execution.
 type Options struct {
 	Mode   Mode

@@ -41,17 +41,6 @@ type PartitionReport struct {
 	CutFloats int64
 }
 
-// PeakResidentBytes returns the largest single-device peak across parts.
-func (pr *PartitionReport) PeakResidentBytes() int64 {
-	var peak int64
-	for _, r := range pr.Parts {
-		if r != nil && r.PeakResidentBytes > peak {
-			peak = r.PeakResidentBytes
-		}
-	}
-	return peak
-}
-
 // Combined returns one report aggregating every part: summed charged and
 // actual stats, the max per-device peak, and the joined outputs. The
 // combined Stats.TotalTime is the sum of device-seconds across the gang;

@@ -302,11 +302,16 @@ func TestResilientChaos(t *testing.T) {
 	probeDev := gpu.New(spec)
 	probe := gpu.NewInjector(1)
 	probeDev.SetInjector(probe)
-	if _, err := Run(context.Background(), gRun, plan, in, Options{
-		Mode: Materialized, Device: probeDev, Resilient: &Resilience{Capacity: capacity}}); err != nil {
+	probeRep, err := Run(context.Background(), gRun, plan, in, Options{
+		Mode: Materialized, Device: probeDev, Resilient: &Resilience{Capacity: capacity}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	nOps, nMalloc := probe.Ops(), probe.Calls(gpu.FaultMalloc)
+	// Every fallible operation of a clean run is a malloc, an H2D, a D2H
+	// or a launch, and the report counts the last three.
+	st := probeRep.Stats
+	nOps := probe.Ops()
+	nMalloc := nOps - st.H2DCalls - st.D2HCalls - st.KernelLaunches
 	if nOps < 10 || nMalloc < 4 {
 		t.Fatalf("plan too short for chaos: %d ops, %d mallocs", nOps, nMalloc)
 	}

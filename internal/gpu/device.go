@@ -105,16 +105,6 @@ func New(spec Spec) *Device {
 	return &Device{Spec: spec, alloc: NewAllocator(spec.MemoryBytes)}
 }
 
-// Reset clears memory, clock, statistics, and any lost-device state.
-func (d *Device) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.alloc = NewAllocator(d.Spec.MemoryBytes)
-	d.clock = 0
-	d.stats = Stats{}
-	d.lost = false
-}
-
 // Recover reinitializes the device after a failure: memory is emptied and
 // the lost flag cleared, but the simulated clock and accumulated
 // statistics are preserved so that the cost of recovery stays visible in
@@ -131,20 +121,6 @@ func (d *Device) SetInjector(in *Injector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.inj = in
-}
-
-// Injector returns the attached fault injector (nil when none).
-func (d *Device) Injector() *Injector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inj
-}
-
-// Lost reports whether the device is lost and must be Recovered.
-func (d *Device) Lost() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lost
 }
 
 // faultLocked gates every fallible operation: a lost device fails

@@ -18,7 +18,7 @@ import (
 type FaultKind int
 
 // Fault kinds. FaultDeviceLost is special: it may fire on any fallible
-// operation and leaves the device unusable until Recover or Reset.
+// operation and leaves the device unusable until Recover.
 const (
 	FaultMalloc FaultKind = iota
 	FaultH2D
@@ -66,8 +66,7 @@ func (c FaultClass) String() string {
 var ErrOOM = errors.New("gpu: out of device memory")
 
 // ErrDeviceLost marks a lost device: every operation fails with it until
-// Recover or Reset. Detect with errors.Is(err, ErrDeviceLost) or
-// IsDeviceLost.
+// Recover. Detect with errors.Is(err, ErrDeviceLost) or IsDeviceLost.
 var ErrDeviceLost = errors.New("gpu: device lost")
 
 // FaultError is an injected fault surfaced by a device operation.
@@ -181,17 +180,6 @@ func (in *Injector) Faults() []InjectedFault {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return append([]InjectedFault(nil), in.log...)
-}
-
-// Calls returns how many fallible operations of the given kind the device
-// has attempted (useful for positioning scripted faults in tests).
-func (in *Injector) Calls(kind FaultKind) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls[kind]
 }
 
 // Ops returns the total number of fallible device operations attempted.

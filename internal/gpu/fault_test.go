@@ -7,7 +7,8 @@ import (
 
 func TestInjectorScriptedFault(t *testing.T) {
 	d := New(Custom("t", 1<<20))
-	d.SetInjector(NewInjector(1).FailAt(FaultH2D, 1, Transient))
+	inj := NewInjector(1).FailAt(FaultH2D, 1, Transient)
+	d.SetInjector(inj)
 	if err := d.CopyToDevice(100); err != nil {
 		t.Fatalf("call 0 must succeed: %v", err)
 	}
@@ -29,7 +30,7 @@ func TestInjectorScriptedFault(t *testing.T) {
 	if err := d.CopyToDevice(100); err != nil {
 		t.Fatalf("retry must succeed: %v", err)
 	}
-	faults := d.Injector().Faults()
+	faults := inj.Faults()
 	if len(faults) != 1 || faults[0].Kind != FaultH2D || faults[0].Call != 1 {
 		t.Fatalf("fault log = %+v", faults)
 	}
@@ -38,11 +39,12 @@ func TestInjectorScriptedFault(t *testing.T) {
 func TestInjectorDeterministic(t *testing.T) {
 	run := func(seed int64) []InjectedFault {
 		d := New(Custom("t", 1<<20))
-		d.SetInjector(NewInjector(seed).SetRate(FaultH2D, 0.3, Transient))
+		inj := NewInjector(seed).SetRate(FaultH2D, 0.3, Transient)
+		d.SetInjector(inj)
 		for i := 0; i < 100; i++ {
 			d.CopyToDevice(10)
 		}
-		return d.Injector().Faults()
+		return inj.Faults()
 	}
 	a, b := run(7), run(7)
 	if len(a) == 0 {
@@ -83,7 +85,7 @@ func TestDeviceLostLatches(t *testing.T) {
 	if !IsDeviceLost(err) {
 		t.Fatalf("want device lost, got %v", err)
 	}
-	if !d.Lost() {
+	if !d.lost {
 		t.Fatal("device must be marked lost")
 	}
 	// Everything fails until recovery, without consuming injector ops.
@@ -95,7 +97,7 @@ func TestDeviceLostLatches(t *testing.T) {
 	}
 	clock, stats := d.Clock(), d.Stats()
 	d.Recover()
-	if d.Lost() {
+	if d.lost {
 		t.Fatal("Recover must clear the lost flag")
 	}
 	if d.Clock() != clock {

@@ -10,8 +10,6 @@
 // Spec.PeerTransfer.
 package gpu
 
-import "fmt"
-
 // TransferRoute names how a cross-device copy travels.
 type TransferRoute int
 
@@ -94,8 +92,4 @@ func (e *TransferEngine) Duration(floats int64) float64 {
 		return lat + float64(floats*4)/e.peerBandwidth()
 	}
 	return e.SrcSec(floats) + e.DstSec(floats)
-}
-
-func (e *TransferEngine) String() string {
-	return fmt.Sprintf("%s→%s (%s)", e.Src.Name, e.Dst.Name, e.route)
 }

@@ -541,17 +541,6 @@ func (g *Graph) Producer() map[int]*Node {
 	return m
 }
 
-// Consumers returns a map from buffer ID to the nodes that read it.
-func (g *Graph) Consumers() map[int][]*Node {
-	m := make(map[int][]*Node)
-	for _, n := range g.Nodes {
-		for _, b := range n.InputBuffers() {
-			m[b.ID] = append(m[b.ID], n)
-		}
-	}
-	return m
-}
-
 // Subgraph returns a read-only view of g restricted to the given nodes
 // (in the given order). Buffers are shared with g — same pointers, same
 // IDs — so buffers cut off from their producers by the restriction keep

@@ -350,25 +350,6 @@ func checkOracles(t *testing.T, name string, g *graph.Graph) {
 	if got, want := g.Deps(), naiveDeps(g); !reflect.DeepEqual(got, want) {
 		fail("Deps", got, want)
 	}
-	pos := make(map[*graph.Node]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		pos[n] = i
-	}
-	byPos := func(ns []*graph.Node) []*graph.Node {
-		s := slices.Clone(ns)
-		sort.Slice(s, func(i, j int) bool { return pos[s[i]] < pos[s[j]] })
-		return s
-	}
-	got, want := g.Dependents(), naiveDependents(g)
-	if len(got) != len(want) {
-		fail("Dependents keys", len(got), len(want))
-	}
-	for id, ws := range want {
-		gs, ok := got[id]
-		if !ok || !reflect.DeepEqual(gs, byPos(ws)) {
-			fail(fmt.Sprintf("Dependents[%d] (ascending g.Nodes position)", id), gs, byPos(ws))
-		}
-	}
 	if got, want := g.LiveBuffers(), naiveLiveBuffers(g); !reflect.DeepEqual(got, want) {
 		fail("LiveBuffers", got, want)
 	}

@@ -95,13 +95,6 @@ func (g *Graph) Deps() map[int][]*Node {
 	return g.deps(g.producers()).fill(make(map[int][]*Node, len(g.Nodes)), g.Nodes)
 }
 
-// Dependents returns the inverse of Deps: for each node, the nodes that
-// consume one of its outputs, in g.Nodes order (so RandomTopoOrder, which
-// draws from these lists, is reproducible).
-func (g *Graph) Dependents() map[int][]*Node {
-	return g.deps(g.producers()).invert().fill(make(map[int][]*Node, len(g.Nodes)), g.Nodes)
-}
-
 // TopoSort returns the nodes in a dependency-respecting order (Kahn's
 // algorithm, always taking the lowest-ID ready node), or an error if the
 // graph has a cycle.

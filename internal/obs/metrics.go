@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -165,40 +164,6 @@ func bucketOf(v float64) int {
 		return math.MinInt32
 	}
 	return int(math.Floor(math.Log2(v)))
-}
-
-// HistStat is an encodable histogram snapshot.
-type HistStat struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	Min     float64          `json:"min"`
-	Max     float64          `json:"max"`
-	Mean    float64          `json:"mean"`
-	Buckets map[string]int64 `json:"buckets,omitempty"`
-}
-
-// Stat returns a snapshot (zero value for nil).
-func (h *Histogram) Stat() HistStat {
-	if h == nil {
-		return HistStat{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count > 0 {
-		s.Mean = h.sum / float64(h.count)
-	}
-	if len(h.buckets) > 0 {
-		s.Buckets = make(map[string]int64, len(h.buckets))
-		for e, n := range h.buckets {
-			if e == math.MinInt32 {
-				s.Buckets["le_0"] = n
-				continue
-			}
-			s.Buckets[fmt.Sprintf("lt_2^%+03d", e+1)] = n
-		}
-	}
-	return s
 }
 
 // Counter returns (creating if needed) the named counter. Nil registry

@@ -73,13 +73,6 @@ func Formulate(g *graph.Graph, capacity int64) (*Formulation, error) {
 	return f, nil
 }
 
-// Solver exposes the underlying PB solver (e.g. to set MaxConflicts).
-func (f *Formulation) Solver() *Solver { return f.solver }
-
-// Objective returns the minimized objective: total floats copied in
-// either direction.
-func (f *Formulation) Objective() []Term { return f.objective }
-
 func (f *Formulation) lit(m map[[2]int]Lit, a, b int) Lit {
 	key := [2]int{a, b}
 	if l, ok := m[key]; ok {

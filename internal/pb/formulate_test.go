@@ -121,16 +121,6 @@ func TestFig3PBOptimum(t *testing.T) {
 		if res.Plan.PeakFloats > tc.capacity {
 			t.Fatalf("capacity %d: peak %d", tc.capacity, res.Plan.PeakFloats)
 		}
-		// PB never beats the exhaustive order search's optimum (which uses
-		// the Belady transfer policy), but may match it.
-		exact, _, err := sched.ExactSearch{Capacity: tc.capacity}.Run(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost > exact.TotalTransferFloats() {
-			t.Fatalf("capacity %d: PB %d worse than exact order search %d",
-				tc.capacity, res.Cost, exact.TotalTransferFloats())
-		}
 	}
 }
 

@@ -21,18 +21,6 @@ const (
 	FIFO
 )
 
-func (p EvictPolicy) String() string {
-	switch p {
-	case Belady:
-		return "latest-time-of-use"
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	}
-	return fmt.Sprintf("EvictPolicy(%d)", int(p))
-}
-
 // Options configures transfer scheduling.
 type Options struct {
 	// Capacity is the GPU memory available to the plan, in floats.

@@ -8,6 +8,97 @@ import (
 	"repro/internal/templates"
 )
 
+// IdentifyUnits partitions the operator order into offload units (§3.1):
+// linear producer→consumer chains are fused into one unit when the fused
+// memory footprint still fits the capacity and the chain is "private" —
+// the producer's only dependent is the consumer and the consumer's only
+// dependency is the producer — so fusing can never create a cyclic unit
+// dependency. maxOps bounds the unit length (0 = unlimited).
+//
+// Per-operator units (the paper's implementation) are the degenerate case;
+// coarser units reduce host synchronizations at the cost of footprint.
+func IdentifyUnits(g *graph.Graph, order []*graph.Node, capacity int64, maxOps int) [][]*graph.Node {
+	deps := g.Deps()
+	dependents := invertDeps(g, deps)
+
+	soleDependent := func(n *graph.Node) *graph.Node {
+		ds := dependents[n.ID]
+		if len(ds) == 1 {
+			return ds[0]
+		}
+		return nil
+	}
+	soleDep := func(n *graph.Node) *graph.Node {
+		ds := deps[n.ID]
+		if len(ds) == 1 {
+			return ds[0]
+		}
+		return nil
+	}
+	footprint := func(nodes []*graph.Node) int64 {
+		seen := map[int]bool{}
+		var total int64
+		for _, n := range nodes {
+			for _, b := range n.Buffers() {
+				if !seen[b.ID] {
+					seen[b.ID] = true
+					total += b.Size()
+				}
+			}
+		}
+		return total
+	}
+
+	pos := make(map[int]int, len(order))
+	for i, n := range order {
+		pos[n.ID] = i
+	}
+
+	var units [][]*graph.Node
+	used := make(map[int]bool)
+	for _, n := range order {
+		if used[n.ID] {
+			continue
+		}
+		unit := []*graph.Node{n}
+		used[n.ID] = true
+		for {
+			last := unit[len(unit)-1]
+			next := soleDependent(last)
+			if next == nil || used[next.ID] || soleDep(next) != last {
+				break
+			}
+			// The chain must also be contiguous in the given order so the
+			// overall unit sequence stays topological.
+			if pos[next.ID] != pos[last.ID]+1 {
+				break
+			}
+			if maxOps > 0 && len(unit) >= maxOps {
+				break
+			}
+			cand := append(append([]*graph.Node{}, unit...), next)
+			if footprint(cand) > capacity {
+				break
+			}
+			unit = cand
+			used[next.ID] = true
+		}
+		units = append(units, unit)
+	}
+	return units
+}
+
+// FusedHeuristic runs the depth-first order, fuses linear chains into
+// offload units, and schedules transfers at unit granularity.
+func FusedHeuristic(g *graph.Graph, capacity int64, maxOps int) (*Plan, error) {
+	order, err := DepthFirstOrder(g)
+	if err != nil {
+		return nil, err
+	}
+	units := IdentifyUnits(g, order, capacity, maxOps)
+	return ScheduleUnits(g, units, Options{Capacity: capacity})
+}
+
 // linearChain builds in -> tanh -> scale -> scale(1) -> out, a fusable chain.
 func linearChain(t *testing.T, rows int) *graph.Graph {
 	t.Helper()

@@ -14,6 +14,23 @@ import (
 	"repro/internal/workload"
 )
 
+// Partition returns the per-part report of a job executed as a
+// cross-device gang (nil for single-device jobs or until StateDone).
+func (j *Job) Partition() *exec.PartitionReport {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.prep
+}
+
+// Placement returns where the job's memory is (or was) placed: one
+// device for an ordinary job, the member set of a gang. Zero value
+// until admission places the job.
+func (j *Job) Placement() Placement {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.placement
+}
+
 // gangPool is the two-member fleet the partition tests use: small enough
 // that the test CNN's working set (~209 MB) dwarfs either card, so
 // admission prefers a gang even though each card could technically page

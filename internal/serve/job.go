@@ -132,23 +132,6 @@ func (j *Job) Report() *exec.Report {
 	return j.rep
 }
 
-// Partition returns the per-part report of a job executed as a
-// cross-device gang (nil for single-device jobs or until StateDone).
-func (j *Job) Partition() *exec.PartitionReport {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.prep
-}
-
-// Placement returns where the job's memory is (or was) placed: one
-// device for an ordinary job, the member set of a gang. Zero value
-// until admission places the job.
-func (j *Job) Placement() Placement {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.placement
-}
-
 // Err returns the failure of a StateFailed job (nil otherwise or while
 // still in flight).
 func (j *Job) Err() error {

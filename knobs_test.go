@@ -1,11 +1,16 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,107 +150,219 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 }
 
-// interfaceMethods are the standard-library interface methods
-// (error, fmt.Stringer, errors.Unwrap, sort.Interface, heap.Interface)
-// that the runtime, fmt, errors, sort or container/heap call by name.
-var interfaceMethods = map[string]bool{
-	"Error": true, "String": true, "Unwrap": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+// unlinkedFuncs are the functions in non-test files under internal/ that
+// no binary links, each with the reason it stays. An entry that becomes
+// linked, or whose function is gone, is stale and fails the guard.
+var unlinkedFuncs = map[string]string{
+	"repro/internal/obs.Tracer.OpenSpans": "the span-leak assertions of core's, compiler's, serve's and obs' tests",
 }
 
-// testOnlyFuncs are the exported functions that only tests call, each
-// with the test that needs it. An entry that gains a non-test caller, or
-// whose function is gone, is stale and fails the guard.
-var testOnlyFuncs = map[string]string{
-	"ops.NewConv2D":                "the reference Conv2DSame and the kernel oracle compare against (ops' convsame_test, kernel_oracle_test)",
-	"sched.GreedyMemoryAwareOrder": "BenchmarkAblationOperatorOrder",
-	"sched.BFSOrder":               "BenchmarkAblationOperatorOrder",
-	"sched.RandomTopoOrder":        "BenchmarkAblationOperatorOrder",
-	"sched.FusedHeuristic":         "BenchmarkAblationGranularity",
-	"obs.(*Tracer).OpenSpans":      "the span-leak assertions of core's and compiler's tests",
+// reflectMethodSyms are the reflect entry points that make the linker
+// keep every exported method of every reachable type, which would hide a
+// dead method from TestEveryFuncIsLinked.
+var reflectMethodSyms = []string{
+	"reflect.Value.Method", "reflect.Value.MethodByName",
+	"reflect.(*rtype).Method", "reflect.(*rtype).MethodByName",
 }
 
-// funcKey names a declaration as pkg.Func, pkg.T.Method or
-// pkg.(*T).Method.
-func funcKey(pkg string, fn *ast.FuncDecl) string {
+// closurePart matches the suffixes the compiler gives a function's
+// closures and go/defer wrappers: func1, gowrap1, deferwrap1, and the 2
+// of a nested func1.2.
+var closurePart = regexp.MustCompile(`^(func|gowrap|deferwrap)?[0-9]+$`)
+
+// symbolKey turns a text symbol as `go tool nm` prints it into the key of
+// the declaration it belongs to: path.Func or path.Type.Method, with the
+// receiver's pointer and every type-argument group dropped and closure,
+// wrapper and method-value (-fm) suffixes cut. ok is false for a symbol
+// of a package outside this module.
+func symbolKey(sym string) (key string, ok bool) {
+	// A generic instantiation prints its shapes inside [...], spaces,
+	// dots and import paths included; drop each group whole.
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	s := b.String()
+	if !strings.HasPrefix(s, "repro/") && !strings.HasPrefix(s, "main.") {
+		return "", false
+	}
+	slash := strings.LastIndex(s, "/") + 1
+	dot := slash + strings.Index(s[slash:], ".")
+	parts := strings.Split(s[dot+1:], ".")
+	name := strings.TrimSuffix(strings.TrimPrefix(parts[0], "(*"), ")")
+	if len(parts) > 1 && !closurePart.MatchString(parts[1]) {
+		name += "." + strings.TrimSuffix(parts[1], "-fm")
+	}
+	return s[:dot] + "." + name, true
+}
+
+// declKey names a declaration the way symbolKey names its symbols.
+func declKey(pkgPath string, fn *ast.FuncDecl) string {
 	if fn.Recv == nil {
-		return pkg + "." + fn.Name.Name
+		return pkgPath + "." + fn.Name.Name
 	}
-	recv, ptr := fn.Recv.List[0].Type, false
+	recv := fn.Recv.List[0].Type
 	if s, ok := recv.(*ast.StarExpr); ok {
-		recv, ptr = s.X, true
+		recv = s.X
 	}
-	if ix, ok := recv.(*ast.IndexExpr); ok { // a generic receiver, T[V]
+	switch ix := recv.(type) { // a generic receiver, T[V] or T[K, V]
+	case *ast.IndexExpr:
+		recv = ix.X
+	case *ast.IndexListExpr:
 		recv = ix.X
 	}
-	name := recv.(*ast.Ident).Name
-	if ptr {
-		name = "(*" + name + ")"
-	}
-	return pkg + "." + name + "." + fn.Name.Name
+	return pkgPath + "." + recv.(*ast.Ident).Name + "." + fn.Name.Name
 }
 
-// TestEveryExportedFuncHasACaller extends the knob-rot guard to every
-// exported function and method declared in a non-test file under
-// internal/: its name must appear as an identifier in a non-test file
-// of cmd/, internal/, examples/ or bench/ other than its own
-// declaration. The check is by name, so a method shares its callers
-// with every same-named one; interfaceMethods and testOnlyFuncs are
-// exempt.
-func TestEveryExportedFuncHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	declared := map[string]string{}    // key → name
-	declNames := map[*ast.Ident]bool{} // the declarations' own name identifiers
-	used := map[string]bool{}
-	var files []*ast.File
-	for _, root := range callerRoots {
-		for _, path := range sources(t, root) {
-			f := parse(t, fset, path)
-			files = append(files, f)
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				declNames[fn.Name] = true
-				if root != "internal" || !fn.Name.IsExported() ||
-					(fn.Recv != nil && interfaceMethods[fn.Name.Name]) {
-					continue
-				}
-				declared[funcKey(f.Name.Name, fn)] = fn.Name.Name
-			}
+// linkedSymbols builds every main package of the module with inlining
+// off, so that a function inlined at each call site still has a symbol,
+// and without DWARF, which nm does not read. It returns each binary's
+// symbol keys by binary name. bench/ is a module of its own and counts
+// only as one more binary.
+func linkedSymbols(t *testing.T) (keys map[string]map[string]bool, reflectUsers []string) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"build", "-gcflags=all=-l", "-ldflags=-w", "-o", dir + string(filepath.Separator), "./cmd/...", "./examples/..."},
+		{"build", "-C", "bench", "-gcflags=all=-l", "-ldflags=-w", "-o", filepath.Join(dir, "bench"), "."},
+	} {
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				used[id.Name] = true
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = map[string]map[string]bool{}
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		linked := map[string]bool{}
+		for _, line := range strings.Split(string(out), "\n") {
+			// "<addr> <type> <name>", the name possibly holding spaces.
+			f := strings.Fields(line)
+			if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+				continue
 			}
-			return true
-		})
+			sym := strings.Join(f[2:], " ")
+			if slices.Contains(reflectMethodSyms, sym) {
+				reflectUsers = append(reflectUsers, bin.Name()+" links "+sym)
+			}
+			if key, ok := symbolKey(sym); ok {
+				linked[key] = true
+			}
+		}
+		keys[bin.Name()] = linked
+	}
+	if len(keys) != 11 {
+		t.Fatalf("built %d binaries, want the 5 of cmd/, the 5 of examples/ and bench", len(keys))
+	}
+	return keys, reflectUsers
+}
+
+// TestEveryFuncIsLinked is the dead-code guard: production code is what
+// a binary links. Every function and method declared in a non-test file
+// under internal/ must be linked by some binary of cmd/, examples/ or
+// bench/, and every function of a cmd/ or examples/ main by that main's
+// own binary. A function only tests call belongs in a _test.go file;
+// unlinkedFuncs lists the exceptions.
+func TestEveryFuncIsLinked(t *testing.T) {
+	binaries, reflectUsers := linkedSymbols(t)
+	if len(reflectUsers) > 0 {
+		t.Fatalf("reflection by method name keeps every exported method, so linkage proves nothing: %s",
+			strings.Join(reflectUsers, ", "))
+	}
+	anyLinked := map[string]bool{}
+	for _, linked := range binaries {
+		for key := range linked {
+			anyLinked[key] = true
+		}
 	}
 
-	var unused, stale []string
-	for key, name := range declared {
-		_, allowed := testOnlyFuncs[key]
-		switch {
-		case !used[name] && !allowed:
-			unused = append(unused, key)
-		case used[name] && allowed:
-			stale = append(stale, key+" (now has a non-test caller)")
+	fset := token.NewFileSet()
+	declared := map[string]bool{}
+	var unlinked, stale []string
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		for _, path := range sources(t, root) {
+			f := parse(t, fset, path)
+			dir := filepath.ToSlash(filepath.Dir(path))
+			pkgPath, linked := "repro/"+dir, anyLinked
+			if root != "internal" {
+				pkgPath, linked = "main", binaries[filepath.Base(dir)]
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || (fn.Recv == nil && fn.Name.Name == "init") {
+					continue
+				}
+				key := declKey(pkgPath, fn)
+				declared[key] = true
+				_, allowed := unlinkedFuncs[key]
+				switch {
+				case !linked[key] && !allowed:
+					unlinked = append(unlinked, fmt.Sprintf("%s (%s)", key, fset.Position(fn.Pos())))
+				case linked[key] && allowed:
+					stale = append(stale, key+" (now linked)")
+				}
+			}
 		}
 	}
-	for key := range testOnlyFuncs {
-		if _, ok := declared[key]; !ok {
+	for key := range unlinkedFuncs {
+		if !declared[key] {
 			stale = append(stale, key+" (no longer declared)")
 		}
 	}
-	sort.Strings(unused)
+	sort.Strings(unlinked)
 	sort.Strings(stale)
-	if len(unused) > 0 {
-		t.Errorf("exported functions with no non-test caller: %s", strings.Join(unused, ", "))
+	if len(unlinked) > 0 {
+		t.Errorf("no binary links these %d functions; move them into tests or delete them:\n%s",
+			len(unlinked), strings.Join(unlinked, "\n"))
 	}
 	if len(stale) > 0 {
-		t.Errorf("stale testOnlyFuncs entries: %s", strings.Join(stale, ", "))
+		t.Errorf("stale unlinkedFuncs entries: %s", strings.Join(stale, ", "))
+	}
+}
+
+// TestSymbolKey pins symbolKey on symbol forms `go tool nm` prints for
+// this module's binaries.
+func TestSymbolKey(t *testing.T) {
+	for _, tc := range []struct{ sym, key string }{
+		// Generic instantiations: shapes with spaces, dots and import
+		// paths inside the brackets.
+		{"repro/internal/graph.(*chunks[go.shape.struct { ID int; Name string; Op repro/internal/graph.Operator; In []repro/internal/graph.Arg; Out repro/internal/graph.Arg }]).next",
+			"repro/internal/graph.chunks.next"},
+		{"repro/internal/compiler.NewCache[go.shape.*uint8]", "repro/internal/compiler.NewCache"},
+		{"repro/internal/compiler.(*Cache[go.shape.*uint8]).Stats.deferwrap1", "repro/internal/compiler.Cache.Stats"},
+		// Closures, go wrappers and method values.
+		{"repro/internal/compiler.PartitionPass.Run.func1", "repro/internal/compiler.PartitionPass.Run"},
+		{"repro/internal/core.(*Engine).compileAutoTuned.func1", "repro/internal/core.Engine.compileAutoTuned"},
+		{"main.(*compileInst).tracedOp.func1.2", "main.compileInst.tracedOp"},
+		{"main.(*serveInst).parallel.gowrap1", "main.serveInst.parallel"},
+		{"main.instance.after-fm", "main.instance.after"},
+		{"main.init.func1", "main.init"},
+		// Value and pointer receivers, and a plain function.
+		{"repro/internal/compiler.BaselinePass.Run", "repro/internal/compiler.BaselinePass.Run"},
+		{"repro/internal/pb.(*Solver).initSlacks", "repro/internal/pb.Solver.initSlacks"},
+		{"repro/internal/sched.DepthFirstOrder", "repro/internal/sched.DepthFirstOrder"},
+		// Outside the module, even when a type argument is inside it.
+		{"slices.Contains[go.shape.[]*repro/internal/graph.Buffer,go.shape.*repro/internal/graph.Buffer]", ""},
+		{"type:.eq.[1]repro/internal/gpu.Spec", ""},
+		{"runtime.main", ""},
+	} {
+		key, ok := symbolKey(tc.sym)
+		if key != tc.key || ok != (tc.key != "") {
+			t.Errorf("symbolKey(%q) = %q, %v; want %q", tc.sym, key, ok, tc.key)
+		}
 	}
 }
