@@ -218,40 +218,6 @@ func BenchmarkAblationAutoTune(b *testing.B) {
 	b.Run("auto-tuned", func(b *testing.B) { build(b, true) })
 }
 
-// BenchmarkAblationSeparableConv compares the full K×K convolution
-// against the two-pass separable variant on the edge template (an
-// operator-library optimization: 2K taps instead of K²).
-func BenchmarkAblationSeparableConv(b *testing.B) {
-	spec := gpu.TeslaC870()
-	run := func(b *testing.B, separable bool) {
-		var secs float64
-		for i := 0; i < b.N; i++ {
-			g, _, err := templates.EdgeDetect(templates.EdgeConfig{
-				ImageH: 4000, ImageW: 4000, KernelSize: 16, Orientations: 4,
-				Separable: separable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			capacity := spec.PlannerCapacity()
-			if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-				b.Fatal(err)
-			}
-			plan, err := sched.Heuristic(g, capacity)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{Mode: exec.Accounting, Device: gpu.New(spec)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			secs = rep.Stats.TotalTime()
-		}
-		b.ReportMetric(secs, "sim-seconds")
-	}
-	b.Run("full-16x16", func(b *testing.B) { run(b, false) })
-	b.Run("separable-16", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkExtensionOverlap measures the asynchronous transfer/compute
 // overlap extension (prefetched plan, two engine timelines) against
 // serialized execution on the Tesla C1060 profile.

@@ -145,9 +145,9 @@ func (p PBPass) Run(c *Compilation, sp *obs.Span) error {
 // placement (sched.PartitionAssign — wins on graphs with independent
 // branches and neither spatial extent nor chains to exploit).
 // Each candidate gets one ordinary per-device transfer plan under each
-// spec's planner capacity and explicit cross-device edges priced by
-// gpu.TransferEngine (sched.BuildPartition — which also verifies every
-// part and its step DAG). The better artifact lands in c.Partition;
+// spec's planner capacity and explicit cross-device edges staged through
+// the host (sched.BuildPartition — which also verifies every part and
+// its step DAG). The better artifact lands in c.Partition;
 // c.Plan stays nil.
 type PartitionPass struct{}
 

@@ -300,35 +300,3 @@ func TestEngineOverlap(t *testing.T) {
 		}
 	}
 }
-
-// The separable edge template runs through the whole pipeline (split +
-// schedule + execute) and needs fewer kernel-parameter transfers.
-func TestSeparableEdgeEndToEnd(t *testing.T) {
-	g, bufs, err := templates.EdgeDetect(templates.EdgeConfig{
-		ImageH: 64, ImageW: 48, KernelSize: 5, Orientations: 4, Separable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := workload.EdgeInputs(bufs, 11)
-	want, err := exec.RunReference(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(Config{Device: gpu.Custom("sep", 40<<10)})
-	c, err := eng.Compile(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Split.SplitNodes == 0 {
-		t.Fatal("expected splitting")
-	}
-	rep, err := c.Run(context.Background(), RunOptions{Inputs: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, w := range want {
-		if !rep.Outputs[id].AlmostEqual(w, 1e-3) {
-			t.Fatalf("separable pipeline differs by %v", rep.Outputs[id].MaxAbsDiff(w))
-		}
-	}
-}

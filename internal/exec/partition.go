@@ -34,8 +34,7 @@ type PartitionReport struct {
 	Outputs Outputs
 	// Makespan is the modeled joined completion time: per-device
 	// timelines replayed with every cut H2D stalled on its producer's
-	// D2H (sched.PartitionedPlan.Makespan — peer-capable pools charge
-	// the direct DMA instead of the staged hops).
+	// D2H (sched.PartitionedPlan.Makespan).
 	Makespan float64
 	// CutFloats is the float volume that crossed device boundaries.
 	CutFloats int64

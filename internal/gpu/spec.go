@@ -48,8 +48,7 @@ type Spec struct {
 	// which models why tiny-kernel convolutions do not reach peak FLOPs.
 	CyclesPerElement float64
 	// SyncOverhead is the fixed host-GPU synchronization cost charged at
-	// each offload-unit boundary; coarser offload units amortize it
-	// (paper §3.1).
+	// each offload-unit boundary, one per operator (paper §3.1).
 	SyncOverhead float64
 	// AsyncTransfer reports whether the device can overlap DMA with
 	// kernel execution. The paper's C870 and 8800 GTX could not (§3.3.2:
@@ -58,15 +57,6 @@ type Spec struct {
 	// capability"); the Tesla C1060 profile models the next generation
 	// that could.
 	AsyncTransfer bool
-	// PeerTransfer reports whether the device can source or sink a
-	// direct device↔device DMA (cudaMemcpyPeer-class hardware). A
-	// cross-device transfer takes the peer route only when both
-	// endpoints set it; otherwise it stages through host memory. None of
-	// the paper-era profiles set it, so the default pool always stages.
-	PeerTransfer bool
-	// PeerBandwidth is the device↔device link speed in bytes/s used on
-	// the peer route (0 → the device's own H2DBandwidth).
-	PeerBandwidth float64
 	// HostMemoryBytes is the host's main memory (8 GB on both paper
 	// systems); executions whose transfer volume exceeds it are flagged
 	// as thrashing, reproducing the erratic entries of Table 2.

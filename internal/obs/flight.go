@@ -35,15 +35,12 @@ type FlightEvent struct {
 	Detail map[string]string `json:"detail,omitempty"`
 }
 
-// DefaultFlightCapacity is the ring size when none is configured.
+// DefaultFlightCapacity is the ring size the serving pool records into.
 const DefaultFlightCapacity = 256
 
 // NewFlightRecorder returns a recorder holding the most recent capacity
-// events (DefaultFlightCapacity when <= 0).
+// events; capacity must be positive.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
 	return &FlightRecorder{epoch: time.Now(), cap: capacity}
 }
 

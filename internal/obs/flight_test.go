@@ -34,7 +34,7 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 }
 
 func TestFlightRecorderUnderCapacity(t *testing.T) {
-	f := NewFlightRecorder(0) // default capacity
+	f := NewFlightRecorder(DefaultFlightCapacity)
 	f.Record("a", nil)
 	f.Record("b", map[string]string{"k": "v"})
 	s := f.Snapshot()

@@ -192,7 +192,7 @@ func TestBindScheduleDoesNotMutate(t *testing.T) {
 	s := randCSR(t, 31, 16, []int{4, 4, 4, 4})
 	binders := []graph.ScheduleBinder{
 		NewSpMV(s), NewConv2D(3, 3), NewConv2DSame(3, 3),
-		NewSubsample(2), NewBiasAdd(), NewSeparableConv2D(5),
+		NewSubsample(2), NewBiasAdd(),
 		NewTanh().(graph.ScheduleBinder), NewAddN(2).(graph.ScheduleBinder),
 	}
 	for _, op := range binders {

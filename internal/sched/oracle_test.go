@@ -21,10 +21,10 @@ import (
 // replaced, kept verbatim (modulo names) as oracles: plans, step DAGs,
 // residency artifacts and every error message must agree with them.
 
-func naiveScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, error) {
-	var order []*graph.Node
-	for _, u := range units {
-		order = append(order, u...)
+func naiveScheduleTransfers(g *graph.Graph, order []*graph.Node, opt Options) (*Plan, error) {
+	units := make([][]*graph.Node, len(order))
+	for i, n := range order {
+		units[i] = []*graph.Node{n}
 	}
 	if !g.IsTopoOrder(order) {
 		return nil, fmt.Errorf("sched: unit sequence is not a topological order of the graph")
@@ -163,8 +163,7 @@ func naiveScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Pl
 				continue
 			}
 			seenIn[b.ID] = true
-			if r, ok := resident[b.ID]; ok {
-				r.usedAt = t
+			if _, ok := resident[b.ID]; ok {
 				continue
 			}
 			if producedHere[b.ID] {
@@ -175,12 +174,12 @@ func naiveScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Pl
 			}
 			emit(StepH2D, b, nil)
 			used += b.Size()
-			resident[b.ID] = &naiveRes{buf: b, loadedAt: t, usedAt: t}
+			resident[b.ID] = &naiveRes{buf: b, loadedAt: t}
 		}
 		for _, b := range unitBufs {
 			if producedHere[b.ID] {
 				used += b.Size()
-				resident[b.ID] = &naiveRes{buf: b, dirty: true, loadedAt: t, usedAt: t}
+				resident[b.ID] = &naiveRes{buf: b, dirty: true, loadedAt: t}
 				validHost[b.ID] = false // GPU will hold the only valid copy
 			}
 		}
@@ -270,15 +269,10 @@ type naiveRes struct {
 	buf      *graph.Buffer
 	dirty    bool // device copy newer than host
 	loadedAt int  // step index when brought to GPU (FIFO)
-	usedAt   int  // last touch (LRU)
 }
 
 func naiveBetterVictim(p EvictPolicy, a, b *naiveRes, t int, nextUse func(id, t int) int) bool {
 	switch p {
-	case LRU:
-		if a.usedAt != b.usedAt {
-			return a.usedAt < b.usedAt
-		}
 	case FIFO:
 		if a.loadedAt != b.loadedAt {
 			return a.loadedAt < b.loadedAt
@@ -773,23 +767,15 @@ func naiveOutputNodes(g *graph.Graph) []*graph.Node {
 type oracleCase struct {
 	name  string
 	g     *graph.Graph
-	units [][]*graph.Node
+	order []*graph.Node
 	opt   Options
 	spec  gpu.Spec
 }
 
-func perOp(order []*graph.Node) [][]*graph.Node {
-	units := make([][]*graph.Node, len(order))
-	for i, n := range order {
-		units[i] = []*graph.Node{n}
-	}
-	return units
-}
-
 // oracleCorpus builds scheduling problems over split and unsplit graphs:
 // the depth-first order and seeded random orders under every eviction
-// policy, with and without eager frees, fused units, and the parts of a
-// cross-device partition (HostValid/Ship sets).
+// policy, with and without eager frees, and the parts of a cross-device
+// partition (HostValid/Ship sets).
 func oracleCorpus(t *testing.T) []oracleCase {
 	t.Helper()
 	arena := gpu.Custom("arena", 512<<10)
@@ -842,7 +828,7 @@ func oracleCorpus(t *testing.T) []oracleCase {
 			nodes []*graph.Node
 			pols  []EvictPolicy
 		}
-		variants := []variant{{"depth-first", df, []EvictPolicy{Belady, LRU, FIFO}}}
+		variants := []variant{{"depth-first", df, []EvictPolicy{Belady, FIFO}}}
 		for seed := int64(0); seed < 2 && !big; seed++ {
 			r, err := RandomTopoOrder(s.g, seed)
 			if err != nil {
@@ -861,14 +847,10 @@ func oracleCorpus(t *testing.T) []oracleCase {
 					}
 					cases = append(cases, oracleCase{
 						name: fmt.Sprintf("%s/%s/%s/noeager=%v", s.name, v.order, pol, noEager),
-						g:    s.g, units: perOp(v.nodes), spec: s.spec,
+						g:    s.g, order: v.nodes, spec: s.spec,
 						opt: Options{Capacity: capacity, Policy: pol, NoEagerFree: noEager}})
 				}
 			}
-		}
-		if !big {
-			cases = append(cases, oracleCase{name: s.name + "/fused", g: s.g, spec: s.spec,
-				units: IdentifyUnits(s.g, df, capacity, 4), opt: Options{Capacity: capacity}})
 		}
 	}
 	// Parts of a cross-device partition: subgraph views with cut buffers
@@ -886,7 +868,7 @@ func oracleCorpus(t *testing.T) []oracleCase {
 	}
 	for p, part := range pp.Parts {
 		cases = append(cases, oracleCase{name: fmt.Sprintf("partition-part-%d", p), g: part.Graph,
-			units: perOp(part.Plan.Order), spec: part.Spec,
+			order: part.Plan.Order, spec: part.Spec,
 			opt: Options{Capacity: part.Capacity, HostValid: part.HostValid, Ship: part.Ship}})
 	}
 	return cases
@@ -936,16 +918,16 @@ func TestSchedPassesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	errText := func(err error) string { return fmt.Sprint(err) }
 	for _, c := range oracleCorpus(t) {
-		plan, err := ScheduleUnits(c.g, c.units, c.opt)
-		want, werr := naiveScheduleUnits(c.g, c.units, c.opt)
+		plan, err := ScheduleTransfers(c.g, c.order, c.opt)
+		want, werr := naiveScheduleTransfers(c.g, c.order, c.opt)
 		if errText(err) != errText(werr) {
-			t.Fatalf("%s: ScheduleUnits error %v, oracle %v", c.name, err, werr)
+			t.Fatalf("%s: ScheduleTransfers error %v, oracle %v", c.name, err, werr)
 		}
 		if err != nil {
 			continue
 		}
 		if !reflect.DeepEqual(plan, want) {
-			t.Fatalf("%s: ScheduleUnits plan differs from the oracle", c.name)
+			t.Fatalf("%s: ScheduleTransfers plan differs from the oracle", c.name)
 		}
 		derived := func(what string, v *Plan) {
 			if got, want := v.Buffers(), naivePlanBuffers(v); !reflect.DeepEqual(got, want) {

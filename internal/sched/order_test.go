@@ -170,8 +170,6 @@ func (p EvictPolicy) String() string {
 	switch p {
 	case Belady:
 		return "latest-time-of-use"
-	case LRU:
-		return "lru"
 	case FIFO:
 		return "fifo"
 	}

@@ -2,15 +2,13 @@
 // should run on several pool devices at once, the split pass has already
 // cut every oversized operator into region parts; this file assigns the
 // resulting nodes to devices, schedules one transfer plan per device with
-// the ordinary single-device machinery (ScheduleUnits over an induced
-// subgraph), and joins the plans with explicit cross-device edges. A cut
-// buffer — produced on one device, consumed on another — travels the
-// staged route the paper-era hardware supports: a D2H on the producer
-// followed by an H2D on the consumer, both already present in the
-// per-part plans (Options.Ship / Options.HostValid). The cross edges
-// record which D2H feeds which H2D, priced by gpu.TransferEngine so a
-// peer-capable pool (Spec.PeerTransfer) models the direct device↔device
-// DMA instead.
+// the ordinary single-device machinery (ScheduleTransfers over an
+// induced subgraph), and joins the plans with explicit cross-device
+// edges. A cut buffer — produced on one device, consumed on another —
+// stages through the host, as the paper-era hardware requires: a D2H on
+// the producer followed by an H2D on the consumer, both already present
+// in the per-part plans (Options.Ship / Options.HostValid). The cross
+// edges record which D2H feeds which H2D.
 package sched
 
 import (
@@ -36,7 +34,7 @@ type PartPlan struct {
 	// HostValid marks cut buffers another part stages to the host before
 	// this part may load them; Ship marks cut buffers this part must
 	// deliver to the host for other parts. Both sets were handed to
-	// ScheduleUnits, so the plan already contains the matching H2D/D2H
+	// ScheduleTransfers, so the plan already contains the matching H2D/D2H
 	// steps.
 	HostValid map[int]bool
 	Ship      map[int]bool
@@ -50,11 +48,9 @@ type CrossEdge struct {
 	From, To int // part indices
 	FromStep int // D2H index in Parts[From].Plan.Steps
 	ToStep   int // H2D index in Parts[To].Plan.Steps
-	// Route is the modeled wire (staged through the host, or a direct
-	// peer DMA when both specs advertise PeerTransfer); Sec is the
-	// engine-priced end-to-end duration of the handoff.
-	Route gpu.TransferRoute
-	Sec   float64
+	// Sec is the modeled end-to-end duration of the handoff: the
+	// producer's D2H followed by the consumer's H2D.
+	Sec float64
 }
 
 // PartitionedPlan is an operator graph cut across k devices: one
@@ -70,24 +66,18 @@ type PartitionedPlan struct {
 // devices by earliest-finish list scheduling (HEFT-style): nodes are
 // visited in the depth-first heuristic order, and each goes to the
 // device where it would finish soonest, modeling the device's kernel
-// time plus a cross-device transfer penalty (gpu.TransferEngine) for
-// every input produced on another device. Chains therefore stay on one
-// device (the transfer penalty beats nothing), while independent
-// branches — parallel CNN planes, split-operator chunks — spill onto
-// idle devices, which is exactly the inter-operator parallelism a
-// partition exists to exploit. The result indexes parallel to g.Nodes.
+// time plus a cross-device transfer penalty (the producer's D2H and the
+// consumer's H2D) for every input produced on another device. Chains
+// therefore stay on one device (the transfer penalty beats nothing),
+// while independent branches — parallel CNN planes, split-operator
+// chunks — spill onto idle devices, which is exactly the inter-operator
+// parallelism a partition exists to exploit. The result indexes
+// parallel to g.Nodes.
 func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 	k := len(specs)
 	devs := make([]*gpu.Device, k)
 	for i, s := range specs {
 		devs[i] = gpu.New(s)
-	}
-	engines := make([][]*gpu.TransferEngine, k)
-	for p := range engines {
-		engines[p] = make([]*gpu.TransferEngine, k)
-		for q := range engines[p] {
-			engines[p][q] = gpu.NewTransferEngine(specs[p], specs[q])
-		}
 	}
 	order, err := DepthFirstOrder(g)
 	if err != nil {
@@ -109,7 +99,7 @@ func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 				}
 				f := finish[pn.ID]
 				if from := partOf[pn.ID]; from != p {
-					f += engines[from][p].Duration(b.Size())
+					f += devs[from].D2HDuration(b.Size()) + devs[p].H2DDuration(b.Size())
 				}
 				if f > start {
 					start = f
@@ -351,11 +341,11 @@ func PartitionChainAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 
 // BuildPartition schedules a cross-device plan: assign[i] names the
 // device (index into specs) that runs g.Nodes[i]. Each part is planned
-// with ScheduleUnits under its own spec's PlannerCapacity — per-operator
-// offload units in a depth-first order, exactly the paper's heuristic —
-// and validated with VerifyPart and StepDeps; cut buffers become
-// Ship/HostValid sets and the returned cross edges. opt supplies the
-// eviction policy, eager-free flag, and observer; opt.Capacity is
+// with ScheduleTransfers under its own spec's PlannerCapacity —
+// per-operator offload units in a depth-first order, exactly the paper's
+// heuristic — and validated with VerifyPart and StepDeps; cut buffers
+// become Ship/HostValid sets and the returned cross edges. opt supplies
+// the eviction policy, eager-free flag, and observer; opt.Capacity is
 // ignored (each part uses its device's capacity).
 func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options) (*PartitionedPlan, error) {
 	k := len(specs)
@@ -412,7 +402,9 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 	}
 
 	pp := &PartitionedPlan{Parts: make([]PartPlan, k)}
+	devs := make([]*gpu.Device, k)
 	for p := 0; p < k; p++ {
+		devs[p] = gpu.New(specs[p])
 		sub := g.Subgraph(partNodes[p])
 		capacity := specs[p].PlannerCapacity()
 		popt := Options{
@@ -475,10 +467,9 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 			if !ok {
 				return nil, fmt.Errorf("sched: partition: part %d never ships cut buffer %s", p, s.Buf)
 			}
-			eng := gpu.NewTransferEngine(specs[p], specs[q])
 			pp.Edges = append(pp.Edges, CrossEdge{
 				Buf: s.Buf, From: p, To: q, FromStep: from, ToStep: si,
-				Route: eng.Route(), Sec: eng.Duration(s.Buf.Size()),
+				Sec: devs[p].D2HDuration(s.Buf.Size()) + devs[q].H2DDuration(s.Buf.Size()),
 			})
 		}
 	}
@@ -504,12 +495,10 @@ func (pp *PartitionedPlan) CutFloats() int64 {
 
 // Makespan models the joined execution: each part replays its plan on
 // its own device timeline (the same cost model the executor charges),
-// and a cut H2D stalls until the producing part's D2H has completed. On
-// the staged route both legs cost what the single-device executor would
-// charge; on the peer route the producer's leg is the single peer DMA
-// and the consumer's leg is free (the same DMA delivered the data), so
-// peer-capable pools finish strictly sooner. Returns an error if the
-// cross edges deadlock, which BuildPartition's construction precludes.
+// and a cut H2D stalls until the producing part's D2H has completed.
+// Both legs cost what the single-device executor would charge. Returns
+// an error if the cross edges deadlock, which BuildPartition's
+// construction precludes.
 func (pp *PartitionedPlan) Makespan() (float64, error) {
 	k := len(pp.Parts)
 	devs := make([]*gpu.Device, k)
@@ -535,24 +524,13 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 	clock := make([]float64, k)
 	idx := make([]int, k)
 
-	stepSec := func(p, si int, s Step) float64 {
+	stepSec := func(p int, s Step) float64 {
 		dev := devs[p]
 		switch s.Kind {
 		case StepH2D:
-			if ei, ok := in[p][si]; ok && pp.Edges[ei].Route == gpu.RoutePeer {
-				return 0 // the peer DMA charged on the producer delivered it
-			}
 			return dev.H2DDuration(s.Buf.Size())
 		case StepD2H:
-			sec := dev.D2HDuration(s.Buf.Size())
-			for _, ei := range out[p][si] {
-				e := pp.Edges[ei]
-				eng := gpu.NewTransferEngine(pp.Parts[e.From].Spec, pp.Parts[e.To].Spec)
-				if s := eng.SrcSec(s.Buf.Size()); s > sec {
-					sec = s
-				}
-			}
-			return sec
+			return dev.D2HDuration(s.Buf.Size())
 		case StepLaunch:
 			sec, _ := kernelTime(dev, s.Node)
 			return sec
@@ -582,7 +560,7 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 						start = ready[ei]
 					}
 				}
-				end := start + stepSec(p, si, s)
+				end := start + stepSec(p, s)
 				for _, ei := range out[p][si] {
 					ready[ei] = end
 					done[ei] = true

@@ -86,9 +86,6 @@ func TestBuildPartitionCNN(t *testing.T) {
 		if to.Kind != StepH2D || to.Buf.ID != e.Buf.ID {
 			t.Fatalf("edge target step %v is not H2D of %s", to, e.Buf)
 		}
-		if e.Route != gpu.RouteStaged {
-			t.Errorf("edge %v took the peer route on non-peer hardware", e)
-		}
 		if e.Sec <= 0 {
 			t.Errorf("edge %v has non-positive duration", e)
 		}
@@ -100,39 +97,6 @@ func TestBuildPartitionCNN(t *testing.T) {
 	}
 	if ms <= 0 || math.IsNaN(ms) {
 		t.Fatalf("makespan = %g", ms)
-	}
-}
-
-func TestBuildPartitionPeerRoute(t *testing.T) {
-	specs := partitionSpecs()
-	g := partitionGraph(t, specs)
-	assign := PartitionAssign(g, specs)
-	staged, err := BuildPartition(g, assign, specs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		specs[i].PeerTransfer = true
-	}
-	peer, err := BuildPartition(g, assign, specs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range peer.Edges {
-		if e.Route != gpu.RoutePeer {
-			t.Fatalf("edge %v not on the peer route with both flags set", e)
-		}
-	}
-	sm, err := staged.Makespan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := peer.Makespan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm >= sm {
-		t.Errorf("peer makespan %g not better than staged %g", pm, sm)
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 type EvictPolicy int
 
 // Eviction policies. Belady is the paper's "latest time of use" rule
-// (§3.3.1), provably optimal for equal-size buffers consumed once; LRU and
-// FIFO are ablation baselines.
+// (§3.3.1), provably optimal for equal-size buffers consumed once; FIFO
+// is the naive baseline of Fig. 3.
 const (
 	Belady EvictPolicy = iota
-	LRU
 	FIFO
 )
 
@@ -44,37 +43,20 @@ type Options struct {
 	// Ship marks buffer IDs that must reach the host even though they are
 	// not template outputs — the cut buffers other parts of a cross-device
 	// partition consume. Each is copied down (once) as soon as its
-	// producing unit completes, so consumer parts can start early, and the
-	// plan fails if one never reaches the host.
+	// producing operator completes, so consumer parts can start early, and
+	// the plan fails if one never reaches the host.
 	Ship map[int]bool
 }
 
 // ScheduleTransfers infers a minimal set of host↔GPU data transfers for
 // executing the nodes in the given operator order within opt.Capacity
 // floats of device memory (paper §3.3.1, second stage), with each operator
-// as its own offload unit (the paper's implementation choice, §3.1). It
-// returns an error if some node's own footprint exceeds the capacity (the
-// operator splitting pass must run first) or if the order is not
-// topological.
+// as its own offload unit (the paper's implementation choice, §3.1): its
+// operands are resident for its launch, and one host synchronization
+// follows it. It returns an error if some node's own footprint exceeds
+// the capacity (the operator splitting pass must run first) or if the
+// order is not topological.
 func ScheduleTransfers(g *graph.Graph, order []*graph.Node, opt Options) (*Plan, error) {
-	units := make([][]*graph.Node, len(order))
-	for i := range order {
-		units[i] = order[i : i+1 : i+1]
-	}
-	return ScheduleUnits(g, units, opt)
-}
-
-// ScheduleUnits schedules transfers for coarser-grained offload units:
-// each unit's operators execute back to back with a single host
-// synchronization at the unit boundary, and data produced and consumed
-// entirely within a unit never crosses the bus (though it still occupies
-// device memory for the unit's duration, which is why coarser units have
-// larger footprints — the trade-off §3.1 describes).
-func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, error) {
-	var order []*graph.Node
-	for _, u := range units {
-		order = append(order, u...)
-	}
 	if !g.IsTopoOrder(order) {
 		return nil, fmt.Errorf("sched: unit sequence is not a topological order of the graph")
 	}
@@ -83,26 +65,24 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 	}
 
 	sp := opt.Obs.T().Begin("sched:unit-analysis", "compile").
-		SetArgf("units", "%d", len(units)).
+		SetArgf("units", "%d", len(order)).
 		SetArgf("capacity_floats", "%d", opt.Capacity)
 
-	// Per-buffer state is indexed by buffer ID. The per-unit sets are
-	// stamps: pinned[id] == t+1 means "pinned in unit t", so no set is
-	// cleared or reallocated between units.
+	// Per-buffer state is indexed by buffer ID. The per-operator sets are
+	// stamps: pinned[id] == t+1 means "pinned for operator t", so no set
+	// is cleared or reallocated between operators.
 	nb := g.NumBufferIDs()
 	pinned := make([]int32, nb)
 	producedHere := make([]int32, nb)
 
-	// Static use positions per buffer, at unit granularity ("latest time
-	// of use" is computable statically once the schedule is known).
+	// Static use positions per buffer ("latest time of use" is
+	// computable statically once the schedule is known).
 	usePos := make([][]int, nb)
-	for t, u := range units {
-		for _, n := range u {
-			for _, a := range n.In {
-				for _, b := range a.Bufs {
-					if us := usePos[b.ID]; len(us) == 0 || us[len(us)-1] != t {
-						usePos[b.ID] = append(us, t)
-					}
+	for t, n := range order {
+		for _, a := range n.In {
+			for _, b := range a.Bufs {
+				if us := usePos[b.ID]; len(us) == 0 || us[len(us)-1] != t {
+					usePos[b.ID] = append(us, t)
 				}
 			}
 		}
@@ -136,7 +116,7 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 	}
 	load := func(b *graph.Buffer, dirty bool, t int) {
 		used += b.Size()
-		slots[b.ID] = res{buf: b, dirty: dirty, loadedAt: t, usedAt: t, at: len(onDevice)}
+		slots[b.ID] = res{buf: b, dirty: dirty, loadedAt: t, at: len(onDevice)}
 		onDevice = append(onDevice, &slots[b.ID])
 	}
 	free := func(r *res) {
@@ -163,10 +143,9 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 	}
 
 	var unitBufs, ins []*graph.Buffer
-	for t, unit := range units {
-		// The unit's operand sets: everything any member touches is pinned
-		// for the unit's duration; buffers produced within the unit need
-		// space but no inbound transfer.
+	for t, n := range order {
+		// The operator's operand sets: everything it touches is pinned for
+		// its launch; its outputs need space but no inbound transfer.
 		stamp := int32(t + 1)
 		unitBufs, ins = unitBufs[:0], ins[:0]
 		pin := func(bs []*graph.Buffer) {
@@ -177,22 +156,18 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 				}
 			}
 		}
-		for _, n := range unit {
-			for _, b := range n.Out.Bufs {
-				producedHere[b.ID] = stamp
-			}
+		for _, b := range n.Out.Bufs {
+			producedHere[b.ID] = stamp
 		}
-		for _, n := range unit {
-			for _, a := range n.In {
-				pin(a.Bufs)
-				for _, b := range a.Bufs {
-					if producedHere[b.ID] != stamp {
-						ins = append(ins, b)
-					}
+		for _, a := range n.In {
+			pin(a.Bufs)
+			for _, b := range a.Bufs {
+				if producedHere[b.ID] != stamp {
+					ins = append(ins, b)
 				}
 			}
-			pin(n.Out.Bufs)
 		}
+		pin(n.Out.Bufs)
 		var need int64
 		for _, b := range unitBufs {
 			if slots[b.ID].buf == nil {
@@ -229,8 +204,7 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		}
 
 		for _, b := range ins {
-			if r := &slots[b.ID]; r.buf != nil {
-				r.usedAt = t
+			if slots[b.ID].buf != nil {
 				continue
 			}
 			if !validHost[b.ID] {
@@ -248,12 +222,10 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 		if used > plan.PeakFloats {
 			plan.PeakFloats = used
 		}
-		for _, n := range unit {
-			emit(StepLaunch, nil, n)
-		}
+		emit(StepLaunch, nil, n)
 		emit(StepSync, nil, nil)
 
-		// Ship cut buffers the moment their producing unit completes,
+		// Ship cut buffers the moment their producing operator completes,
 		// whether or not this part still uses them: a consumer part is
 		// blocked on the host copy, so a late (drain-time) D2H would
 		// serialize the whole partition.
@@ -326,8 +298,7 @@ func ScheduleUnits(g *graph.Graph, units [][]*graph.Node, opt Options) (*Plan, e
 type res struct {
 	buf      *graph.Buffer
 	dirty    bool // device copy newer than host
-	loadedAt int  // step index when brought to GPU (FIFO)
-	usedAt   int  // last touch (LRU)
+	loadedAt int  // operator index when brought to GPU (FIFO)
 	at       int  // index in the resident list
 }
 
@@ -337,10 +308,6 @@ type res struct {
 // policies break remaining ties by buffer ID so plans are deterministic.
 func betterVictim(p EvictPolicy, a, b *res, t int, nextUse func(id, t int) int) bool {
 	switch p {
-	case LRU:
-		if a.usedAt != b.usedAt {
-			return a.usedAt < b.usedAt
-		}
 	case FIFO:
 		if a.loadedAt != b.loadedAt {
 			return a.loadedAt < b.loadedAt

@@ -25,11 +25,6 @@ type CNNLayer struct {
 	OutPlanes  int
 	KernelSize int
 	Factor     int
-	// Connections optionally gives a torch5-style partial connection
-	// table for a conv layer: Connections[j] lists the input-plane
-	// indices feeding output plane j (LeNet's classic C3 sparsity). Nil
-	// means full connectivity, the Fig. 7 case.
-	Connections [][]int
 }
 
 // CNNConfig parametrizes the CNN template.
@@ -125,41 +120,17 @@ func CNN(cfg CNNConfig) (*graph.Graph, *CNNBuffers, error) {
 			if layer.OutPlanes <= 0 || layer.KernelSize <= 0 {
 				return nil, nil, fmt.Errorf("templates: layer %d: bad conv params %+v", li, layer)
 			}
-			if layer.Connections != nil {
-				if len(layer.Connections) != layer.OutPlanes {
-					return nil, nil, fmt.Errorf("templates: layer %d: connection table has %d rows for %d output planes",
-						li, len(layer.Connections), layer.OutPlanes)
-				}
-				for j, conn := range layer.Connections {
-					if len(conn) == 0 {
-						return nil, nil, fmt.Errorf("templates: layer %d: output plane %d has no inputs", li, j)
-					}
-					for _, i := range conn {
-						if i < 0 || i >= len(planes) {
-							return nil, nil, fmt.Errorf("templates: layer %d: output %d references input plane %d of %d",
-								li, j, i, len(planes))
-						}
-					}
-				}
-			}
 			// One operator value per layer: every node of the layer
 			// shares it, so compiling binds each once.
 			conv := ops.NewConv2DSame(layer.KernelSize, layer.KernelSize)
 			biasAdd, add := ops.NewBiasAdd(), ops.NewAddN(2)
 			next := make([]*graph.Buffer, layer.OutPlanes)
 			for j := 0; j < layer.OutPlanes; j++ {
-				connected := planes
-				if layer.Connections != nil {
-					connected = make([]*graph.Buffer, len(layer.Connections[j]))
-					for ci, i := range layer.Connections[j] {
-						connected[ci] = planes[i]
-					}
-				}
 				bias := g.NewBuffer(name("B", li+1, j+1), graph.Shape{Rows: 1, Cols: 1})
 				bias.IsInput = true
 				bufs.Params = append(bufs.Params, bias)
 				var acc *graph.Buffer
-				for i, in := range connected {
+				for i, in := range planes {
 					k := g.NewBuffer(name("K", li+1, i+1, j+1),
 						graph.Shape{Rows: layer.KernelSize, Cols: layer.KernelSize})
 					k.IsInput = true

@@ -52,11 +52,6 @@ type EdgeConfig struct {
 	// and 2 remaps" for 4 orientations). Must be even and >= 2.
 	Orientations int
 	Combine      CombineOp
-	// Separable replaces each K×K convolution with a rank-1 two-pass
-	// separable convolution (column and row kernel vectors as inputs),
-	// trading K²-tap kernels for 2K taps — an operator-library
-	// optimization available when the edge filters factorize.
-	Separable bool
 }
 
 // EdgeBuffers exposes the template's external buffers.
@@ -98,31 +93,15 @@ func EdgeDetect(cfg EdgeConfig) (*graph.Graph, *EdgeBuffers, error) {
 	maps := make([]*graph.Buffer, 0, cfg.Orientations)
 
 	// One operator value per layer, shared by the layer's nodes.
-	var conv graph.Operator
-	if cfg.Separable {
-		conv = ops.NewSeparableConv2D(cfg.KernelSize)
-	} else {
-		conv = ops.NewConv2DSame(cfg.KernelSize, cfg.KernelSize)
-	}
+	conv := ops.NewConv2DSame(cfg.KernelSize, cfg.KernelSize)
 	convOuts := make([]*graph.Buffer, nc)
 	for i := 0; i < nc; i++ {
 		e := g.NewBuffer(name("E", i+1), imgShape)
-		if cfg.Separable {
-			col := g.NewBuffer(name("Kc", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: 1})
-			col.IsInput = true
-			row := g.NewBuffer(name("Kr", i+1), graph.Shape{Rows: 1, Cols: cfg.KernelSize})
-			row.IsInput = true
-			bufs.Kernels = append(bufs.Kernels, col, row)
-			g.MustAddNode(name("C", i+1), conv,
-				[]graph.Arg{graph.SingleArg(img), graph.SingleArg(col), graph.SingleArg(row)},
-				graph.SingleArg(e))
-		} else {
-			k := g.NewBuffer(name("K", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: cfg.KernelSize})
-			k.IsInput = true
-			bufs.Kernels = append(bufs.Kernels, k)
-			g.MustAddNode(name("C", i+1), conv,
-				[]graph.Arg{graph.SingleArg(img), graph.SingleArg(k)}, graph.SingleArg(e))
-		}
+		k := g.NewBuffer(name("K", i+1), graph.Shape{Rows: cfg.KernelSize, Cols: cfg.KernelSize})
+		k.IsInput = true
+		bufs.Kernels = append(bufs.Kernels, k)
+		g.MustAddNode(name("C", i+1), conv,
+			[]graph.Arg{graph.SingleArg(img), graph.SingleArg(k)}, graph.SingleArg(e))
 		convOuts[i] = e
 		maps = append(maps, e)
 	}

@@ -21,11 +21,12 @@ type SparseConfig struct {
 	// Iterations is the number of power-iteration / frontier-expansion
 	// rounds (>= 1).
 	Iterations int
-	// Alpha is the PageRank damping factor (0 < Alpha < 1; 0 = 0.85).
-	Alpha float32
 }
 
-func (cfg *SparseConfig) validate() error {
+// pageRankAlpha is the PageRank damping factor.
+const pageRankAlpha float32 = 0.85
+
+func (cfg SparseConfig) validate() error {
 	if cfg.Structure == nil {
 		return fmt.Errorf("templates: sparse config needs a CSR structure")
 	}
@@ -35,12 +36,6 @@ func (cfg *SparseConfig) validate() error {
 	}
 	if cfg.Iterations < 1 {
 		return fmt.Errorf("templates: iterations must be >= 1, got %d", cfg.Iterations)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.85
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		return fmt.Errorf("templates: alpha must be in (0,1), got %g", cfg.Alpha)
 	}
 	return nil
 }
@@ -91,8 +86,8 @@ func PageRank(cfg SparseConfig) (*graph.Graph, *SparseBuffers, error) {
 
 	bufs := &SparseBuffers{A: a, X: x}
 	cur := x
-	teleport := (1 - cfg.Alpha) / float32(n)
-	spmv, damp := ops.NewSpMV(s), ops.NewRemap(cfg.Alpha, teleport, -1e30, 1e30)
+	teleport := (1 - pageRankAlpha) / float32(n)
+	spmv, damp := ops.NewSpMV(s), ops.NewRemap(pageRankAlpha, teleport, -1e30, 1e30)
 	for t := 1; t <= cfg.Iterations; t++ {
 		y := g.NewBuffer(name("y", t), vec)
 		g.MustAddNode(name("spmv", t), spmv,

@@ -61,7 +61,6 @@ func TestSparseConfigValidation(t *testing.T) {
 		{Structure: nil, Iterations: 1},
 		{Structure: rect, Iterations: 1},
 		{Structure: good, Iterations: 0},
-		{Structure: good, Iterations: 1, Alpha: 1.5},
 	}
 	for i, cfg := range cases {
 		if _, _, err := PageRank(cfg); err == nil {

@@ -286,50 +286,6 @@ func randTensor(seed int64, rows, cols int) *tensor.Tensor {
 	return t
 }
 
-func TestEdgeDetectSeparable(t *testing.T) {
-	g, bufs, err := EdgeDetect(EdgeConfig{
-		ImageH: 32, ImageW: 24, KernelSize: 5, Orientations: 4, Separable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two separable convs contribute a column and a row kernel each.
-	if len(bufs.Kernels) != 4 {
-		t.Fatalf("kernels = %d, want 4 (2 col + 2 row)", len(bufs.Kernels))
-	}
-	for _, n := range g.Nodes {
-		if n.Op.Kind() == "conv2d-same" {
-			t.Fatal("separable template must not use full convolution")
-		}
-	}
-	// Kernel parameter volume shrinks from 2*K^2 to 4*K floats.
-	var kernelFloats int64
-	for _, kb := range bufs.Kernels {
-		kernelFloats += kb.Size()
-	}
-	if kernelFloats != 4*5 {
-		t.Fatalf("kernel floats = %d, want 20", kernelFloats)
-	}
-}
-
-func TestEdgeDetectSeparableExecutes(t *testing.T) {
-	g, bufs, err := EdgeDetect(EdgeConfig{
-		ImageH: 32, ImageW: 24, KernelSize: 5, Orientations: 4, Separable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := exec.Inputs{bufs.Image.ID: randTensor(1, 32, 24)}
-	for i, kb := range bufs.Kernels {
-		in[kb.ID] = randTensor(int64(20+i), kb.Shape().Rows, kb.Shape().Cols)
-	}
-	out, err := exec.RunReference(g, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("outputs = %d", len(out))
-	}
-}
-
 // TestCNNFig7Transformation pins the exact Fig. 7 layer expansion: a
 // convolutional layer with 3 input planes and 2 output planes becomes 6
 // convolutions plus 6 adds (a bias add and two accumulating adds per
@@ -377,59 +333,6 @@ func TestCNNFig7Transformation(t *testing.T) {
 		}
 		if depth != 3 {
 			t.Fatalf("accumulation chain depth = %d, want 3", depth)
-		}
-	}
-}
-
-func TestCNNConnectionTable(t *testing.T) {
-	// LeNet-C3-style sparsity: 3 inputs, 4 outputs, each output fed by 2
-	// inputs -> 8 convolutions + 8 adds instead of 12 + 12.
-	table := [][]int{{0, 1}, {1, 2}, {0, 2}, {0, 1}}
-	g, bufs, err := CNN(CNNConfig{
-		Name: "sparse", ImageH: 8, ImageW: 8, InPlanes: 3,
-		Layers: []CNNLayer{{Kind: LayerConv, OutPlanes: 4, KernelSize: 3, Connections: table}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	convs := 0
-	for _, n := range g.Nodes {
-		if n.Op.Kind() == "conv2d-same" {
-			convs++
-		}
-	}
-	if convs != 8 {
-		t.Fatalf("convs = %d, want 8 (partial table)", convs)
-	}
-	// Kernels: 8; biases: 4.
-	if len(bufs.Params) != 12 {
-		t.Fatalf("params = %d, want 12", len(bufs.Params))
-	}
-	// Executes correctly end to end.
-	in := exec.Inputs{}
-	seed := int64(30)
-	for _, b := range append(append([]*graph.Buffer{}, bufs.Inputs...), bufs.Params...) {
-		in[b.ID] = randTensor(seed, b.Shape().Rows, b.Shape().Cols)
-		seed++
-	}
-	if _, err := exec.RunReference(g, in); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCNNConnectionTableErrors(t *testing.T) {
-	base := CNNConfig{Name: "bad", ImageH: 8, ImageW: 8, InPlanes: 2}
-	cases := [][][]int{
-		{{0}},       // wrong row count for 2 outputs
-		{{0}, {}},   // empty row
-		{{0}, {5}},  // out-of-range plane
-		{{0}, {-1}}, // negative plane
-	}
-	for i, table := range cases {
-		cfg := base
-		cfg.Layers = []CNNLayer{{Kind: LayerConv, OutPlanes: 2, KernelSize: 3, Connections: table}}
-		if _, _, err := CNN(cfg); err == nil {
-			t.Fatalf("case %d: bad table accepted", i)
 		}
 	}
 }

@@ -86,67 +86,16 @@ func RandomTensor(seed int64, rows, cols int, scale float32) *tensor.Tensor {
 	return t
 }
 
-// Gaussian1D returns a K-tap Gaussian smoothing vector as a K×1 tensor.
-func Gaussian1D(k int) *tensor.Tensor {
-	t := tensor.New(k, 1)
-	cx := float64(k-1) / 2
-	sigma := float64(k) / 4
-	for i := 0; i < k; i++ {
-		d := float64(i) - cx
-		t.Set(i, 0, float32(math.Exp(-d*d/(2*sigma*sigma))))
-	}
-	return t
-}
-
-// GaussianDeriv1D returns the K-tap first-derivative-of-Gaussian vector
-// as a K×1 tensor.
-func GaussianDeriv1D(k int) *tensor.Tensor {
-	t := tensor.New(k, 1)
-	cx := float64(k-1) / 2
-	sigma := float64(k) / 4
-	for i := 0; i < k; i++ {
-		d := float64(i) - cx
-		t.Set(i, 0, float32(-d/(sigma*sigma)*math.Exp(-d*d/(2*sigma*sigma))))
-	}
-	return t
-}
-
 // EdgeInputs builds the input map for an edge-detection template: the
-// synthetic image plus one rotated kernel per convolution (or, for the
-// separable variant, alternating Gaussian/derivative column-row pairs so
-// successive convolutions respond to horizontal and vertical edges).
+// synthetic image plus one rotated K×K kernel per convolution.
 func EdgeInputs(bufs *templates.EdgeBuffers, seed int64) exec.Inputs {
 	in := exec.Inputs{
 		bufs.Image.ID: Image(seed, bufs.Image.Shape().Rows, bufs.Image.Shape().Cols),
 	}
 	n := len(bufs.Kernels)
-	pair := 0
 	for i, kb := range bufs.Kernels {
-		s := kb.Shape()
-		switch {
-		case s.Cols == 1 && s.Rows > 1: // separable column vector
-			if pair%2 == 0 {
-				in[kb.ID] = GaussianDeriv1D(s.Rows)
-			} else {
-				in[kb.ID] = Gaussian1D(s.Rows)
-			}
-		case s.Rows == 1 && s.Cols > 1: // separable row vector
-			var v *tensor.Tensor
-			if pair%2 == 0 {
-				v = Gaussian1D(s.Cols)
-			} else {
-				v = GaussianDeriv1D(s.Cols)
-			}
-			row := tensor.New(1, s.Cols)
-			for c := 0; c < s.Cols; c++ {
-				row.Set(0, c, v.At(c, 0))
-			}
-			in[kb.ID] = row
-			pair++
-		default: // full K×K rotated filter
-			angle := math.Pi * float64(i) / float64(2*n)
-			in[kb.ID] = EdgeKernel(s.Rows, angle)
-		}
+		angle := math.Pi * float64(i) / float64(2*n)
+		in[kb.ID] = EdgeKernel(kb.Shape().Rows, angle)
 	}
 	return in
 }

@@ -1,14 +1,20 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
@@ -364,5 +370,336 @@ func TestSymbolKey(t *testing.T) {
 		if key != tc.key || ok != (tc.key != "") {
 			t.Errorf("symbolKey(%q) = %q, %v; want %q", tc.sym, key, ok, tc.key)
 		}
+	}
+}
+
+// loadbalanceSeam is why the loadbalance schedules' overrides stay:
+// binaries run the defaults, and the ops kernel oracle and loadbalance's
+// coverage tests set them to shard small shapes across goroutines on any
+// core count.
+const loadbalanceSeam = "test seam: tests shard small shapes across goroutines on any core count"
+
+// unwrittenFields are the exported fields of config structs under
+// internal/ that no non-test file writes, each with the reason it stays.
+// An entry that gains a production writer, or whose field is gone, is
+// stale and fails the guard.
+var unwrittenFields = map[string]string{
+	"repro/internal/loadbalance.MergePath.MinRows": loadbalanceSeam,
+	"repro/internal/loadbalance.WorkSteal.Workers": loadbalanceSeam,
+	"repro/internal/loadbalance.WorkSteal.Chunk":   loadbalanceSeam,
+	"repro/internal/loadbalance.WorkSteal.MinRows": loadbalanceSeam,
+}
+
+// fieldKey names a struct field by package path, type and field name.
+// A field loaded from export data is not the same object as the field
+// checked from source, so fields compare by name.
+type fieldKey struct{ pkg, typ, field string }
+
+func (k fieldKey) String() string { return k.pkg + "." + k.typ + "." + k.field }
+
+// namedOf returns the generic origin of t's named type, through one
+// pointer and any alias, or nil.
+func namedOf(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin()
+	}
+	return nil
+}
+
+// structOf returns the struct underlying t, through one pointer, or nil.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// fieldWrites returns the fields the files write: each key of a keyed
+// composite literal, every field of an unkeyed one, and the selected
+// field on the left of an assignment, ++ or --, or under &.
+func fieldWrites(info *types.Info, files []*ast.File) map[fieldKey]bool {
+	written := map[fieldKey]bool{}
+	mark := func(owner types.Type, f *types.Var) {
+		if n := namedOf(owner); n != nil && f.Pkg() != nil {
+			written[fieldKey{f.Pkg().Path(), n.Obj().Name(), f.Name()}] = true
+		}
+	}
+	selected := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s, ok := info.Selections[sel]
+		if !ok || s.Kind() != types.FieldVal {
+			return
+		}
+		// Walk the embedding path to the struct that declares the field.
+		owner, path := s.Recv(), s.Index()
+		for _, i := range path[:len(path)-1] {
+			owner = structOf(owner).Field(i).Type()
+		}
+		mark(owner, s.Obj().(*types.Var))
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := info.Types[n].Type
+				st := structOf(typ)
+				if st == nil {
+					return true
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(typ, f)
+						}
+					} else {
+						mark(typ, st.Field(i))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					selected(lhs)
+				}
+			case *ast.IncDecStmt:
+				selected(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selected(n.X)
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// configFields returns the exported, non-embedded fields of pkg's
+// exported struct types, less those with a json tag: a decoder writes
+// those.
+func configFields(pkg *types.Package) []fieldKey {
+	var fields []fieldKey
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Exported() || f.Embedded() || tagged {
+				continue
+			}
+			fields = append(fields, fieldKey{pkg.Path(), name, f.Name()})
+		}
+	}
+	return fields
+}
+
+// checkDir type-checks the non-test files of the package in dir, as
+// go/build selects them, under the import path pkgPath.
+func checkDir(fset *token.FileSet, dir, pkgPath string, imp types.Importer) (*types.Package, map[fieldKey]bool, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(pkgPath, fset, files, info)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, fieldWrites(info, files), nil
+}
+
+// modulePackages lists the packages of the module rooted at dir by
+// import path → directory, and returns an importer that loads every
+// dependency from the compiler export data `go list -export` builds.
+func modulePackages(t *testing.T, fset *token.FileSet, dir string) (map[string]string, types.Importer) {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps",
+		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Dir}}\t{{with .Module}}{{.Main}}{{end}}", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -export in %s: %v", dir, err)
+	}
+	exports, pkgs := map[string]string{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		exports[f[0]] = f[1]
+		if f[3] == "true" {
+			pkgs[f[0]] = f[2]
+		}
+	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	return pkgs, imp
+}
+
+// TestEveryFieldIsWritten is the dead-setting guard: every exported
+// field of an exported struct type declared in a non-test file under
+// internal/ must be written by some non-test file of this module or of
+// bench/. A field only tests set selects behaviour no binary can reach
+// — the blind spot of TestEveryFuncIsLinked, since the code behind it
+// is still linked. Fields with a json tag are exempt, because a decoder
+// writes them; unwrittenFields lists the other exceptions.
+func TestEveryFieldIsWritten(t *testing.T) {
+	fset := token.NewFileSet()
+	written := map[fieldKey]bool{}
+	var fields []fieldKey
+	for _, mod := range []string{".", "bench"} {
+		pkgs, imp := modulePackages(t, fset, mod)
+		for path, dir := range pkgs {
+			pkg, writes, err := checkDir(fset, dir, path, imp)
+			if err != nil {
+				var noGo *build.NoGoError
+				if errors.As(err, &noGo) {
+					continue // the root package holds only tests
+				}
+				t.Fatalf("%s: %v", path, err)
+			}
+			for k := range writes {
+				written[k] = true
+			}
+			if strings.HasPrefix(path, "repro/internal/") {
+				fields = append(fields, configFields(pkg)...)
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	var unwritten, stale []string
+	for _, f := range fields {
+		key := f.String()
+		declared[key] = true
+		_, allowed := unwrittenFields[key]
+		switch {
+		case !written[f] && !allowed:
+			unwritten = append(unwritten, key)
+		case written[f] && allowed:
+			stale = append(stale, key+" (now written)")
+		}
+	}
+	for key := range unwrittenFields {
+		if !declared[key] {
+			stale = append(stale, key+" (no longer declared)")
+		}
+	}
+	sort.Strings(unwritten)
+	sort.Strings(stale)
+	if len(unwritten) > 0 {
+		t.Errorf("no non-test file writes these %d fields; delete them and what they select, or make them constants:\n%s",
+			len(unwritten), strings.Join(unwritten, "\n"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("stale unwrittenFields entries: %s", strings.Join(stale, ", "))
+	}
+}
+
+// TestFieldWrites pins what fieldWrites counts as a write on small
+// packages: each case's files, and the fields configFields should still
+// report unwritten.
+func TestFieldWrites(t *testing.T) {
+	const decls = `package p
+
+type T struct{ F, G int }
+
+type Inner struct{ F int }
+
+type Outer struct{ B Inner }
+
+type L struct{ K, N int }
+
+type J struct {
+	F int ` + "`json:\"f\"`" + `
+}
+
+type Hidden struct{ f int }
+
+type Embeds struct{ T }
+`
+	for _, tc := range []struct {
+		name      string
+		files     map[string]string
+		unwritten []string
+	}{
+		// J.F (json tag), Hidden.f (unexported) and Embeds.T (embedded)
+		// are never candidates.
+		{"no writes", nil,
+			[]string{"T.F", "T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"keyed literal", map[string]string{"w.go": "var _ = T{F: 1}"},
+			[]string{"T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"unkeyed literal", map[string]string{"w.go": "var _ = T{1, 2}"},
+			[]string{"Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"nested selector", map[string]string{"w.go": "func w(a *Outer) { a.B.F = 1 }"},
+			[]string{"T.F", "T.G", "Outer.B", "L.K", "L.N"}},
+		{"compound assignment", map[string]string{"w.go": "func w(x *T) { x.F += 1 }"},
+			[]string{"T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"increment", map[string]string{"w.go": "func w(x *T) { x.G++ }"},
+			[]string{"T.F", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"address taken", map[string]string{"w.go": "func w(x *T) *int { return &x.F }"},
+			[]string{"T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"elided element types", map[string]string{"w.go": "var _ = []L{{K: 1}}\nvar _ = map[int]*L{0: {N: 1}}"},
+			[]string{"T.F", "T.G", "Inner.F", "Outer.B"}},
+		{"promoted field", map[string]string{"w.go": "func w(e *Embeds) { e.G = 1 }"},
+			[]string{"T.F", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"read only", map[string]string{"w.go": "func w(x T) int { return x.F }"},
+			[]string{"T.F", "T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+		{"written only in a test file", map[string]string{"w_test.go": "var _ = T{F: 1, G: 2}"},
+			[]string{"T.F", "T.G", "Inner.F", "Outer.B", "L.K", "L.N"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string]string{"decls.go": decls}
+			for name, src := range tc.files {
+				files[name] = "package p\n\n" + src + "\n"
+			}
+			for name, src := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pkg, written, err := checkDir(token.NewFileSet(), dir, "p", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var unwritten []string
+			for _, f := range configFields(pkg) {
+				if !written[f] {
+					unwritten = append(unwritten, f.typ+"."+f.field)
+				}
+			}
+			sort.Strings(unwritten)
+			want := slices.Clone(tc.unwritten)
+			sort.Strings(want)
+			if !slices.Equal(unwritten, want) {
+				t.Errorf("unwritten = %v, want %v", unwritten, want)
+			}
+		})
 	}
 }
