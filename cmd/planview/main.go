@@ -102,23 +102,20 @@ func main() {
 
 	ctx := context.Background()
 	before := g.Stats()
-	svc := core.NewService(
+	opts := []core.Option{
 		core.WithDevice(spec),
 		core.WithPlanner(planner),
 		core.WithObserver(o),
 		core.WithSchedule(*schedF),
-	)
+	}
+	if *overlap {
+		opts = append(opts, core.WithOverlap())
+	}
+	svc := core.NewService(opts...)
 	eng := svc.Engine()
 	if *passes {
-		// List with the -overlap flag applied so the prefetch pass shows
-		// on async-capable devices (the replay path applies it manually).
-		listOpts := []core.Option{core.WithDevice(spec), core.WithPlanner(planner)}
-		if *overlap {
-			listOpts = append(listOpts, core.WithOverlap())
-		}
-		list := core.NewService(listOpts...).Engine()
 		fmt.Printf("compile pipeline for %s (planner %s):\n", spec.Name, planner)
-		for i, name := range list.PassNames() {
+		for i, name := range eng.PassNames() {
 			fmt.Printf("  %2d. %s\n", i+1, name)
 		}
 		return
@@ -183,13 +180,8 @@ func main() {
 	}
 	if *showTrace {
 		tr := &gpu.Trace{}
-		dev := gpu.New(spec)
-		plan := compiled.Plan
-		if *overlap {
-			plan = sched.PrefetchH2D(plan, eng.Capacity()*9/10)
-		}
-		if _, err := exec.Run(ctx, g, plan, nil, exec.Options{
-			Mode: exec.Accounting, Device: dev, Trace: tr, Overlap: *overlap}); err != nil {
+		if _, err := exec.Run(ctx, g, compiled.Plan, nil, exec.Options{
+			Mode: exec.Accounting, Device: gpu.New(spec), Trace: tr, Overlap: compiled.Overlap}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Print(tr.Gantt(100))

@@ -13,11 +13,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/split"
 	"repro/internal/tensor"
 )
 
@@ -256,9 +256,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	}
 
 	// Degradation ladder: persistent OOM means the plan's residency does
-	// not fit the device as-is — replan with a shrinking budget. The
-	// graph is re-split from a clone so buffer IDs (and therefore the
-	// caller's Inputs/Outputs keys) are preserved.
+	// not fit the device as-is — replan with a shrinking budget.
 	for _, frac := range ladderBudgets {
 		if !errors.Is(err, ErrOOM) || ctx.Err() != nil {
 			break
@@ -274,7 +272,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 			"budget_floats": fmt.Sprint(target),
 			"fraction":      fmt.Sprintf("%.0f%%", frac*100),
 		})
-		g2, plan2, perr := replan(g, target)
+		g2, plan2, perr := replan(ctx, g, target)
 		if perr != nil {
 			rec.logf("replan at %d floats failed: %v", target, perr)
 			err = fmt.Errorf("%w (replan at %d floats: %v)", err, target, perr)
@@ -317,26 +315,20 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	return rep, err
 }
 
-// replan re-derives a feasible plan for a fresh clone of the graph under
-// the given memory budget (floats): split until every operator fits, then
-// schedule with the paper's heuristic. The plan must pass the static
-// verifier before it is allowed near the device.
-func replan(g *graph.Graph, budget int64) (*graph.Graph, *sched.Plan, error) {
-	g2 := g.Clone()
-	if _, err := split.Apply(g2, split.Options{Capacity: budget}); err != nil {
-		return nil, nil, fmt.Errorf("split: %w", err)
+// replan re-derives a feasible plan for the graph under the given memory
+// budget (floats) through the compile pipeline's split, validate,
+// heuristic and verify passes: the plan must pass the static verifier
+// before it is allowed near the device. The split pass rewrites a clone,
+// so buffer IDs (and therefore the caller's Inputs/Outputs keys) are
+// preserved and g is never written.
+func replan(ctx context.Context, g *graph.Graph, budget int64) (*graph.Graph, *sched.Plan, error) {
+	c := &compiler.Compilation{Graph: g, Capacity: budget, SplitTarget: budget}
+	p := compiler.NewPipeline(compiler.SplitPass{}, compiler.ValidatePass{},
+		compiler.HeuristicPass{}, compiler.VerifyPass{})
+	if err := p.Run(ctx, c); err != nil {
+		return nil, nil, err
 	}
-	if err := g2.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("split graph invalid: %w", err)
-	}
-	plan, err := sched.Heuristic(g2, budget)
-	if err != nil {
-		return nil, nil, fmt.Errorf("schedule: %w", err)
-	}
-	if err := sched.Verify(g2, plan, budget); err != nil {
-		return nil, nil, fmt.Errorf("verify: %w", err)
-	}
-	return g2, plan, nil
+	return c.Graph, c.Plan, nil
 }
 
 // runAttempt drives one plan to completion with step-level retry and

@@ -207,7 +207,6 @@ func TestResilientOOMDegradationLadder(t *testing.T) {
 	// Plan compiled against triple the device's real budget: its resident
 	// set cannot fit, so execution hits a genuine allocator OOM and the
 	// degradation ladder must replan at the true capacity.
-	plan := compileFor(t, g.Clone(), capacity*3)
 	want, err := RunReference(g, in)
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +214,7 @@ func TestResilientOOMDegradationLadder(t *testing.T) {
 
 	gOver := g.Clone()
 	planOver := compileFor(t, gOver, capacity*3)
+	fp := gOver.Fingerprint()
 	rep, err := Run(context.Background(), gOver, planOver, in, Options{
 		Mode: Materialized, Device: gpu.New(spec),
 		Resilient: &Resilience{Capacity: capacity},
@@ -237,7 +237,11 @@ func TestResilientOOMDegradationLadder(t *testing.T) {
 			t.Fatalf("output %d differs after replan by %v", id, rep.Outputs[id].MaxAbsDiff(w))
 		}
 	}
-	_ = plan
+	// The ladder's replan splits a copy: the graph the caller executes is
+	// never written.
+	if got := gOver.Fingerprint(); got != fp {
+		t.Fatalf("replan wrote the caller's graph: fingerprint %s, want %s", got, fp)
+	}
 }
 
 func TestResilientCPUFallback(t *testing.T) {

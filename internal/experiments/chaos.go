@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gpu"
-	"repro/internal/sched"
-	"repro/internal/split"
 )
 
 // ChaosRow is one point of the fault-injection sweep: edge detection
@@ -91,18 +90,9 @@ func chaosRun(dim int, spec gpu.Spec, inj *gpu.Injector) (*exec.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := spec.PlannerCapacity()
-	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-		return nil, err
-	}
-	plan, err := sched.Heuristic(g, capacity)
+	c, err := compile(g, spec, core.WithFaults(inj))
 	if err != nil {
 		return nil, err
 	}
-	dev := gpu.New(spec)
-	dev.SetInjector(inj)
-	return exec.Run(context.Background(), g, plan, nil, exec.Options{
-		Mode: exec.Accounting, Device: dev,
-		Resilient: &exec.Resilience{Capacity: capacity},
-	})
+	return c.Run(context.Background(), core.RunOptions{Simulate: true, Resilient: true})
 }

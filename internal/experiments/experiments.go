@@ -12,11 +12,11 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/sched"
-	"repro/internal/split"
 	"repro/internal/workload"
 )
 
@@ -27,34 +27,43 @@ func paperEdge(dim int) workload.Spec {
 	return workload.Spec{Template: "edge", H: dim, W: dim, Kernel: 16, Orientations: 4}
 }
 
-// compileAndSimulate splits the graph for the device, schedules it with
-// the paper's heuristic, and replays the plan in accounting mode on the
+// compile runs the framework's one compile pipeline (core.Service:
+// split, validate, schedule, prefetch when opts ask for overlap,
+// residency, verify) on g for the device. g itself is not written.
+func compile(g *graph.Graph, spec gpu.Spec, opts ...core.Option) (*core.Compiled, error) {
+	svc := core.NewService(append([]core.Option{core.WithDevice(spec)}, opts...)...)
+	c, _, err := svc.Compile(context.Background(), g)
+	return c, err
+}
+
+// compileAndSimulate compiles the graph for the device with the paper's
+// heuristic planner and replays the plan in accounting mode on the
 // device's timing model.
 func compileAndSimulate(g *graph.Graph, spec gpu.Spec) (*sched.Plan, *exec.Report, error) {
-	capacity := spec.PlannerCapacity()
-	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-		return nil, nil, err
-	}
-	plan, err := sched.Heuristic(g, capacity)
+	c, err := compile(g, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	dev := gpu.New(spec)
-	rep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{Mode: exec.Accounting, Device: dev})
+	rep, err := c.Simulate(context.Background())
 	if err != nil {
 		return nil, nil, err
 	}
-	return plan, rep, nil
+	return c.Plan, rep, nil
 }
 
 // simulateBaseline builds the paper's baseline plan (no split pass: the
-// baseline is a manual port that assumes each operator's data fits) and
-// replays it. It returns feasible=false when some operator exceeds the
-// device memory, the paper's "N/A" entries.
+// baseline is a manual port that assumes each operator's data fits),
+// checks it with the static verifier, and replays it. It returns
+// feasible=false when some operator exceeds the device memory, the
+// paper's "N/A" entries.
 func simulateBaseline(g *graph.Graph, spec gpu.Spec) (*sched.Plan, gpu.Stats, bool, error) {
-	plan, err := sched.Baseline(g, spec.PlannerCapacity())
+	capacity := spec.PlannerCapacity()
+	plan, err := sched.Baseline(g, capacity)
 	if err != nil {
 		return nil, gpu.Stats{}, false, nil // infeasible: N/A
+	}
+	if err := sched.Verify(g, plan, capacity); err != nil {
+		return nil, gpu.Stats{}, false, err
 	}
 	dev := gpu.New(spec)
 	rep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{Mode: exec.Accounting, Device: dev})

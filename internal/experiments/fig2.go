@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"context"
-	"repro/internal/exec"
+
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/graph"
 	"repro/internal/ops"
-	"repro/internal/sched"
 )
 
 // Fig2Row is one bar of Fig. 2: the breakdown of execution time into
@@ -37,12 +37,11 @@ func Fig2(imageDim int, kernelSizes []int, spec gpu.Spec) ([]Fig2Row, error) {
 		g.MustAddNode("conv", ops.NewConv2DSame(k, k),
 			[]graph.Arg{graph.SingleArg(img), graph.SingleArg(ker)}, graph.SingleArg(out))
 
-		plan, err := sched.Baseline(g, spec.PlannerCapacity())
+		c, err := compile(g, spec, core.WithPlanner(core.BaselinePlanner))
 		if err != nil {
 			return nil, err
 		}
-		dev := gpu.New(spec)
-		rep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{Mode: exec.Accounting, Device: dev})
+		rep, err := c.Simulate(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
-	"repro/internal/exec"
+
+	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/sched"
-	"repro/internal/split"
 )
 
 // OverlapRow is one point of the asynchronous-overlap extension
@@ -37,26 +36,22 @@ func Overlap(dims []int, spec gpu.Spec) ([]OverlapRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		capacity := spec.PlannerCapacity()
-		if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-			return nil, err
-		}
-		plan, err := sched.Heuristic(g, capacity)
+		// The async run compiles with overlap: the prefetch pass hoists
+		// H2D copies as early as memory allows so the DMA engine works
+		// ahead of the kernels.
+		plain, err := compile(g, spec)
 		if err != nil {
 			return nil, err
 		}
-		syncRep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{Mode: exec.Accounting, Device: gpu.New(spec)})
+		prefetched, err := compile(g, spec, core.WithOverlap())
 		if err != nil {
 			return nil, err
 		}
-		// The async run prefetches: H2D copies are hoisted as early as
-		// memory allows so the DMA engine works ahead of the kernels. The
-		// prefetch budget keeps 10% of the planner capacity in reserve
-		// because raising the residency high-watermark also raises
-		// fragmentation pressure in the first-fit allocator.
-		prefetched := sched.PrefetchH2D(plan, capacity*9/10)
-		asyncRep, err := exec.Run(context.Background(), g, prefetched, nil, exec.Options{
-			Mode: exec.Accounting, Device: gpu.New(spec), Overlap: true})
+		syncRep, err := plain.Simulate(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		asyncRep, err := prefetched.Simulate(context.Background())
 		if err != nil {
 			return nil, err
 		}

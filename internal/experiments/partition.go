@@ -17,7 +17,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gpu"
 	"repro/internal/graph"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -125,14 +124,12 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 	}
 
 	// Single-device paged baselines: the whole template through one card.
+	g, _, err := workload.Spec{Template: "cnn-large", H: h, W: w}.Build()
+	if err != nil {
+		return nil, err
+	}
+	res.WorkingSetBytes = liveRootBytes(g)
 	for _, spec := range specs {
-		g, _, err := workload.Spec{Template: "cnn-large", H: h, W: w}.Build()
-		if err != nil {
-			return nil, err
-		}
-		if res.WorkingSetBytes == 0 {
-			res.WorkingSetBytes = liveRootBytes(g)
-		}
 		_, rep, err := compileAndSimulate(g, spec)
 		if err != nil {
 			return nil, fmt.Errorf("baseline %s: %w", spec.Name, err)
@@ -147,10 +144,6 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 
 	// Partitioned across the pool: compile once, execute rounds times in
 	// accounting mode on fresh member-sized devices.
-	g, _, err := workload.Spec{Template: "cnn-large", H: h, W: w}.Build()
-	if err != nil {
-		return nil, err
-	}
 	eng := core.NewEngine(core.Config{})
 	pc, err := eng.CompilePartitioned(context.Background(), g, specs)
 	if err != nil {
@@ -222,13 +215,11 @@ func partitionExperiment(h, w, vh, vw, rounds int) (*PartitionResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verify compile: %w", err)
 	}
-	refSpec := gpu.Custom("ref", 1<<32)
-	refPlan, err := sched.Heuristic(vpc.Graph, refSpec.PlannerCapacity())
+	refc, err := compile(vpc.Graph, gpu.Custom("ref", 1<<32))
 	if err != nil {
 		return nil, fmt.Errorf("verify reference plan: %w", err)
 	}
-	ref, err := exec.Run(context.Background(), vpc.Graph, refPlan, in, exec.Options{
-		Mode: exec.Materialized, Device: gpu.New(refSpec)})
+	ref, err := refc.Run(context.Background(), core.RunOptions{Inputs: in})
 	if err != nil {
 		return nil, fmt.Errorf("verify reference run: %w", err)
 	}

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gpu"
-	"repro/internal/sched"
-	"repro/internal/split"
 	"repro/internal/workload"
 )
 
@@ -73,17 +72,14 @@ func Pipeline() ([]PipelineRow, error) {
 		// Prefetch raises the residency high-watermark; reserve extra
 		// fragmentation headroom as the overlap experiment does.
 		spec.Headroom = 0.7
-		capacity := spec.PlannerCapacity()
-		if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
-			return nil, err
-		}
-		plan, err := sched.Heuristic(g, capacity)
+		// The pipeline compile adds the prefetch pass, whose H2D hoist is
+		// what decouples the next chunk's upload from the current chunk's
+		// kernels; both sides run the same plan.
+		c, err := compile(g, spec, core.WithPipeline())
 		if err != nil {
 			return nil, err
 		}
-		// The prefetch hoist is what decouples the next chunk's upload
-		// from the current chunk's kernels; both sides run the same plan.
-		plan = sched.PrefetchH2D(plan, capacity*9/10)
+		g, plan := c.Graph, c.Plan
 
 		seqRep, err := exec.Run(context.Background(), g, plan, in, exec.Options{
 			Mode: exec.Materialized, Device: gpu.New(spec)})

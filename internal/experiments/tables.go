@@ -44,11 +44,7 @@ func Table1(specs []TemplateSpec) ([]Table1Row, error) {
 			row.Baseline = -1
 		}
 		for i, spec := range []gpu.Spec{c870, g8800} {
-			gg, err := ts.Build()
-			if err != nil {
-				return nil, err
-			}
-			plan, _, err := compileAndSimulate(gg, spec)
+			plan, _, err := compileAndSimulate(g, spec)
 			if err != nil {
 				return nil, err
 			}
@@ -86,24 +82,20 @@ func Table2(specs []TemplateSpec) ([]Table2Row, error) {
 	devices := []gpu.Spec{gpu.TeslaC870(), gpu.GeForce8800GTX()}
 	var rows []Table2Row
 	for _, ts := range specs {
+		g, err := ts.Build()
+		if err != nil {
+			return nil, err
+		}
 		row := Table2Row{Template: ts.Name, Input: ts.Input,
 			BaselineC870: -1, OptimizedC870: -1, Baseline8800: -1, Optimized8800: -1}
 		for di, spec := range devices {
-			gb, err := ts.Build()
-			if err != nil {
-				return nil, err
-			}
 			var baseT float64 = -1
-			if _, stats, ok, err := simulateBaseline(gb, spec); err != nil {
+			if _, stats, ok, err := simulateBaseline(g, spec); err != nil {
 				return nil, err
 			} else if ok {
 				baseT = stats.TotalTime()
 			}
-			go2, err := ts.Build()
-			if err != nil {
-				return nil, err
-			}
-			_, rep, err := compileAndSimulate(go2, spec)
+			_, rep, err := compileAndSimulate(g, spec)
 			if err != nil {
 				return nil, err
 			}

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -505,18 +506,27 @@ func configFields(pkg *types.Package) []fieldKey {
 	return fields
 }
 
+// checkedPackage is one type-checked package: its non-test files and
+// what the checker recorded about them.
+type checkedPackage struct {
+	path  string
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
 // checkDir type-checks the non-test files of the package in dir, as
 // go/build selects them, under the import path pkgPath.
-func checkDir(fset *token.FileSet, dir, pkgPath string, imp types.Importer) (*types.Package, map[fieldKey]bool, error) {
+func checkDir(fset *token.FileSet, dir, pkgPath string, imp types.Importer) (*checkedPackage, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -527,22 +537,21 @@ func checkDir(fset *token.FileSet, dir, pkgPath string, imp types.Importer) (*ty
 	}
 	pkg, err := (&types.Config{Importer: imp}).Check(pkgPath, fset, files, info)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return pkg, fieldWrites(info, files), nil
+	return &checkedPackage{pkgPath, pkg, info, files}, nil
 }
 
 // modulePackages lists the packages of the module rooted at dir by
 // import path → directory, and returns an importer that loads every
 // dependency from the compiler export data `go list -export` builds.
-func modulePackages(t *testing.T, fset *token.FileSet, dir string) (map[string]string, types.Importer) {
-	t.Helper()
+func modulePackages(fset *token.FileSet, dir string) (map[string]string, types.Importer, error) {
 	cmd := exec.Command("go", "list", "-export", "-deps",
 		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.Dir}}\t{{with .Module}}{{.Main}}{{end}}", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list -export in %s: %v", dir, err)
+		return nil, nil, fmt.Errorf("go list -export in %s: %v", dir, err)
 	}
 	exports, pkgs := map[string]string{}, map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -558,7 +567,48 @@ func modulePackages(t *testing.T, fset *token.FileSet, dir string) (map[string]s
 		}
 		return os.Open(exports[path])
 	})
-	return pkgs, imp
+	return pkgs, imp, nil
+}
+
+// modules holds every non-test package of this module and of bench/,
+// type-checked once for the guards that read them.
+var modules struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []*checkedPackage
+	err  error
+}
+
+// checkedPackages returns the type-checked non-test packages of this
+// module and of bench/, and the file set their positions refer to.
+func checkedPackages(t *testing.T) (*token.FileSet, []*checkedPackage) {
+	t.Helper()
+	modules.once.Do(func() {
+		modules.fset = token.NewFileSet()
+		for _, mod := range []string{".", "bench"} {
+			pkgs, imp, err := modulePackages(modules.fset, mod)
+			if err != nil {
+				modules.err = err
+				return
+			}
+			for path, dir := range pkgs {
+				cp, err := checkDir(modules.fset, dir, path, imp)
+				var noGo *build.NoGoError
+				if errors.As(err, &noGo) {
+					continue // the root package holds only tests
+				}
+				if err != nil {
+					modules.err = fmt.Errorf("%s: %v", path, err)
+					return
+				}
+				modules.pkgs = append(modules.pkgs, cp)
+			}
+		}
+	})
+	if modules.err != nil {
+		t.Fatal(modules.err)
+	}
+	return modules.fset, modules.pkgs
 }
 
 // TestEveryFieldIsWritten is the dead-setting guard: every exported
@@ -569,26 +619,15 @@ func modulePackages(t *testing.T, fset *token.FileSet, dir string) (map[string]s
 // is still linked. Fields with a json tag are exempt, because a decoder
 // writes them; unwrittenFields lists the other exceptions.
 func TestEveryFieldIsWritten(t *testing.T) {
-	fset := token.NewFileSet()
+	_, pkgs := checkedPackages(t)
 	written := map[fieldKey]bool{}
 	var fields []fieldKey
-	for _, mod := range []string{".", "bench"} {
-		pkgs, imp := modulePackages(t, fset, mod)
-		for path, dir := range pkgs {
-			pkg, writes, err := checkDir(fset, dir, path, imp)
-			if err != nil {
-				var noGo *build.NoGoError
-				if errors.As(err, &noGo) {
-					continue // the root package holds only tests
-				}
-				t.Fatalf("%s: %v", path, err)
-			}
-			for k := range writes {
-				written[k] = true
-			}
-			if strings.HasPrefix(path, "repro/internal/") {
-				fields = append(fields, configFields(pkg)...)
-			}
+	for _, cp := range pkgs {
+		for k := range fieldWrites(cp.info, cp.files) {
+			written[k] = true
+		}
+		if strings.HasPrefix(cp.path, "repro/internal/") {
+			fields = append(fields, configFields(cp.pkg)...)
 		}
 	}
 
@@ -684,12 +723,13 @@ type Embeds struct{ T }
 					t.Fatal(err)
 				}
 			}
-			pkg, written, err := checkDir(token.NewFileSet(), dir, "p", nil)
+			cp, err := checkDir(token.NewFileSet(), dir, "p", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			written := fieldWrites(cp.info, cp.files)
 			var unwritten []string
-			for _, f := range configFields(pkg) {
+			for _, f := range configFields(cp.pkg) {
 				if !written[f] {
 					unwritten = append(unwritten, f.typ+"."+f.field)
 				}
@@ -701,5 +741,109 @@ type Embeds struct{ T }
 				t.Errorf("unwritten = %v, want %v", unwritten, want)
 			}
 		})
+	}
+}
+
+// compilePieces are the functions the compile pipeline's passes wrap.
+// Outside the packages that define and wrap them, a call to one of them
+// is a second compile path: a plan that skips the pipeline's other
+// passes, verification among them.
+var compilePieces = []string{
+	"repro/internal/split.Apply",
+	"repro/internal/sched.Heuristic",
+	"repro/internal/sched.HeuristicWithOptions",
+	"repro/internal/sched.PrefetchH2D",
+}
+
+// compilePieceOwners are the packages that may call compilePieces: the
+// pipeline's passes and the pieces themselves.
+var compilePieceOwners = []string{
+	"repro/internal/compiler",
+	"repro/internal/sched",
+	"repro/internal/split",
+}
+
+const benchFrozen = "the benchmark's exec workloads build their plan by hand; bench/ changes only with the benchmark"
+
+// compilePathExceptions are the non-test files that call a compile
+// piece directly, keyed by file and piece, each with its reason. An
+// entry whose call is gone is stale and fails the guard.
+var compilePathExceptions = map[string]string{
+	"internal/experiments/fig1c.go split.Apply":    "Fig. 1(c) measures the split itself",
+	"internal/experiments/fig3.go sched.Heuristic": "Fig. 3's illustration sets the heuristic's plan against hand-written orders and the PB optimum",
+	"bench/execw.go split.Apply":                   benchFrozen,
+	"bench/execw.go sched.Heuristic":               benchFrozen,
+	"bench/execw.go sched.PrefetchH2D":             benchFrozen,
+}
+
+// TestOneCompilePath is the one-compile-path guard: every plan a binary
+// executes comes out of the compile pipeline (core.Service or a
+// compiler.Pipeline), so it has passed the pipeline's verify pass. It
+// fails on any non-test use of a compile piece outside the packages
+// that own them, in this module and in bench/, unless
+// compilePathExceptions names the file and the piece.
+func TestOneCompilePath(t *testing.T) {
+	fset, pkgs := checkedPackages(t)
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieces := map[string]bool{}
+	for _, p := range compilePieces {
+		pieces[p] = true
+	}
+	sites := map[string][]string{} // "file piece" → "file:line in func"
+	for _, cp := range pkgs {
+		if slices.Contains(compilePieceOwners, cp.path) {
+			continue
+		}
+		for _, f := range cp.files {
+			for _, decl := range f.Decls {
+				where := "package scope"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					where = fd.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := cp.info.Uses[id].(*types.Func)
+					if !ok || fn.Pkg() == nil || !pieces[fn.Pkg().Path()+"."+fn.Name()] {
+						return true
+					}
+					pos := fset.Position(id.Pos())
+					file, err := filepath.Rel(root, pos.Filename)
+					if err != nil {
+						t.Fatal(err)
+					}
+					file = filepath.ToSlash(file)
+					key := file + " " + fn.Pkg().Name() + "." + fn.Name()
+					sites[key] = append(sites[key], fmt.Sprintf("%s:%d in %s", file, pos.Line, where))
+					return true
+				})
+			}
+		}
+	}
+
+	var second, stale []string
+	for key, at := range sites {
+		if _, ok := compilePathExceptions[key]; !ok {
+			second = append(second, fmt.Sprintf("%s (%s)", key, strings.Join(at, ", ")))
+		}
+	}
+	for key := range compilePathExceptions {
+		if sites[key] == nil {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(second)
+	sort.Strings(stale)
+	if len(second) > 0 {
+		t.Errorf("%d non-test call sites build a plan outside the compile pipeline; compile through core.Service or a compiler.Pipeline instead:\n%s",
+			len(second), strings.Join(second, "\n"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("stale compilePathExceptions entries: %s", strings.Join(stale, ", "))
 	}
 }

@@ -3,18 +3,22 @@
 # failing on the first command that does not succeed:
 #
 #   1. the pass list for the default device and planner, and for a c1060
-#      with overlap and the pb-optimal planner (the prefetch pass appears);
+#      with overlap and the pb-optimal planner, which must list the
+#      prefetch pass;
 #   2. a PageRank plan's DOT export, which must label its sparse matrix
 #      with its packed size;
-#   3. a Small CNN compiled partitioned across the C870 + 8800 GTX pool.
+#   3. a Small CNN compiled partitioned across the C870 + 8800 GTX pool;
+#   4. README's overlapped timeline: an edge plan compiled with overlap
+#      for the c1060 and replayed as an ASCII Gantt chart.
 #
 # Run from the repository root: bash scripts/pipeline-smoke.sh
 set -euo pipefail
 
 go run ./cmd/planview -passes
-go run ./cmd/planview -passes -device c1060 -overlap -planner pb-optimal
 # grep reads to the end (no -q), so planview never writes into a closed
 # pipe and pipefail sees only grep's verdict.
+go run ./cmd/planview -passes -device c1060 -overlap -planner pb-optimal | grep 'prefetch' >/dev/null
 go run ./cmd/planview -template pagerank -h 512 -dot | grep 'packed' >/dev/null
 go run ./cmd/planview -template cnn-small -h 512 -w 384 -partition
+go run ./cmd/planview -template edge -h 3000 -w 3000 -device c1060 -trace -overlap
 echo "pipeline smoke: OK"
