@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -36,7 +35,7 @@ var (
 	device     = flag.String("device", "c870", "GPU: c870, 8800, c1060, or mem=<bytes>")
 	dot        = flag.Bool("dot", false, "print the (split) graph in Graphviz dot, annotated with plan positions")
 	showPlan   = flag.Bool("plan", false, "print the full plan step list")
-	showTrace  = flag.Bool("trace", false, "replay the plan and print the device timeline")
+	showTrace  = flag.Bool("trace", false, "fold the plan's modeled clock and print the device timeline")
 	overlap    = flag.Bool("overlap", false, "enable async transfer overlap (c1060 only)")
 	savePlan   = flag.String("save-plan", "", "write the plan as JSON to this file")
 	loadPlan   = flag.String("load-plan", "", "load a JSON plan instead of scheduling, verify, and use it")
@@ -180,10 +179,7 @@ func main() {
 	}
 	if *showTrace {
 		tr := &gpu.Trace{}
-		if _, err := exec.Run(ctx, g, compiled.Plan, nil, exec.Options{
-			Mode: exec.Accounting, Device: gpu.New(spec), Trace: tr, Overlap: compiled.Overlap}); err != nil {
-			log.Fatal(err)
-		}
+		sched.Fold(compiled.Plan, spec, compiled.Overlap, tr)
 		fmt.Print(tr.Gantt(100))
 		fmt.Print(tr.Summary())
 	}

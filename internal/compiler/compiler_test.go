@@ -11,6 +11,9 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/sched"
+	"repro/internal/split"
+	"repro/internal/templates"
 )
 
 func testSpec(name string) gpu.Spec { return gpu.Custom(name, 1<<20) }
@@ -245,5 +248,33 @@ func TestKeyDiscriminates(t *testing.T) {
 	}
 	if strings.ContainsAny(base, " \n") || len(base) != 64 {
 		t.Fatalf("key %q is not a hex digest", base)
+	}
+}
+
+// When every partition candidate fails, the error names each one with its
+// own reason, not only the first.
+func TestPartitionPassNamesEveryFailedCandidate(t *testing.T) {
+	g, _, err := templates.EdgeDetect(templates.EdgeConfig{
+		ImageH: 64, ImageW: 48, KernelSize: 5, Orientations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := split.Apply(g, split.Options{Capacity: 9000}); err != nil {
+		t.Fatal(err)
+	}
+	// Cards far smaller than any operator: every candidate's per-part
+	// schedule is infeasible.
+	c := &Compilation{Graph: g, PoolSpecs: []gpu.Spec{gpu.Custom("a", 4096), gpu.Custom("b", 4096)}}
+	err = PartitionPass{}.Run(c, nil)
+	if err == nil {
+		t.Fatal("partitioning onto 4 KiB cards succeeded")
+	}
+	for _, name := range []string{"stripe", "chain", "heft"} {
+		if !strings.Contains(err.Error(), name+": ") {
+			t.Errorf("error does not name candidate %s: %v", name, err)
+		}
+	}
+	if !errors.Is(err, sched.ErrInfeasible) {
+		t.Errorf("error does not wrap sched.ErrInfeasible: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/pb"
@@ -165,7 +166,9 @@ func (PartitionPass) Run(c *Compilation, sp *obs.Span) error {
 		ms   float64
 	}
 	var best *candidate
-	var firstErr error
+	// A failure names every candidate, each with its own reason.
+	var failed []string
+	var errs []any
 	try := func(name string, assign []int) {
 		pp, err := sched.BuildPartition(c.Graph, assign, c.PoolSpecs, sched.Options{Obs: c.Obs})
 		if err == nil {
@@ -177,19 +180,22 @@ func (PartitionPass) Run(c *Compilation, sp *obs.Span) error {
 				return
 			}
 		}
-		if firstErr == nil {
-			firstErr = err
-		}
+		failed = append(failed, name+": %w")
+		errs = append(errs, err)
 	}
 	if assign, ok := sched.PartitionStripeAssign(c.Graph, c.PoolSpecs); ok {
 		try("stripe", assign)
+	} else {
+		failed = append(failed, "stripe: no operator spans part of its root's rows")
 	}
 	if assign, ok := sched.PartitionChainAssign(c.Graph, c.PoolSpecs); ok {
 		try("chain", assign)
+	} else {
+		failed = append(failed, "chain: fewer chains than devices")
 	}
 	try("heft", sched.PartitionAssign(c.Graph, c.PoolSpecs))
 	if best == nil {
-		return fmt.Errorf("graph partitioning: %w", firstErr)
+		return fmt.Errorf("graph partitioning: "+strings.Join(failed, "; "), errs...)
 	}
 	pp, ms := best.pp, best.ms
 	c.Partition = pp

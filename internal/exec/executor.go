@@ -35,11 +35,12 @@ const (
 type Options struct {
 	Mode   Mode
 	Device *gpu.Device
-	// Overlap runs transfers and kernels on concurrent engine timelines
-	// when the device supports asynchronous transfer (the extension the
-	// paper describes in §3.3.2 but could not evaluate on its hardware).
-	// The reported WallTime is the two-engine makespan; transfer volumes
-	// and results are unchanged.
+	// Overlap steps the run's sched.Clock with two engines when the
+	// device supports asynchronous transfer (the extension the paper
+	// describes in §3.3.2 but could not evaluate on its hardware): a
+	// finished run's WallTime is the two-engine makespan, and its Stats
+	// equal sched.Fold(plan, spec, true, nil) when no fault or compaction
+	// was charged. Transfer volumes and results are unchanged.
 	Overlap bool
 	// Pipeline executes the plan concurrently — a DMA goroutine and a
 	// compute-worker pool synchronized by the step-dependency DAG
@@ -51,10 +52,6 @@ type Options struct {
 	// PipelineWorkers bounds the compute-worker pool of a pipelined
 	// execution (0 → GOMAXPROCS).
 	PipelineWorkers int
-	// Trace, when non-nil, records every transfer, kernel, and sync as a
-	// timeline event (see gpu.Trace). Recording large plans is cheap but
-	// produces one event per step.
-	Trace *gpu.Trace
 	// WallTrace, when non-nil, receives host wall-clock events (seconds
 	// since the run started) from a pipelined execution: one event per
 	// transfer performed by the DMA goroutine and per kernel run by the
@@ -207,8 +204,6 @@ type executor struct {
 	// — never enter it.
 	free       map[int][][]float32
 	freeFloats int64
-	// seen is account's scratch for de-duplicating a launch's buffers.
-	seen map[int]bool
 
 	// obs is opt.Obs; loaded marks buffers that have been device-resident
 	// once (transferred up or produced by a launch), distinguishing
@@ -224,13 +219,10 @@ type executor struct {
 	accLive     map[int]bool
 	accResident int64
 
-	// Overlapped-execution timelines: the DMA engine and the compute
-	// engine advance independently; ready[id] is the simulated time at
-	// which a buffer's device copy becomes available (transfer complete
-	// or producing kernel finished).
-	overlap           bool
-	dmaFree, compFree float64
-	ready             map[int]float64
+	// clk is the run's modeled clock: account steps it in plan order, and
+	// Report.Stats is what it charged. The resilient driver shares one
+	// clock across the attempts of a run.
+	clk *sched.Clock
 
 	// Residency-elision accumulators (Options.Resident): the charged H2D
 	// volume/time that capture subtracts to form Report.Actual. Written
@@ -259,10 +251,8 @@ func newExecutor(g *graph.Graph, plan *sched.Plan, in Inputs, opt Options) (*exe
 		hs:       opt.shared,
 		resident: make(map[int]*devBuf),
 		free:     make(map[int][][]float32),
-		seen:     make(map[int]bool),
 		accLive:  make(map[int]bool),
-		overlap:  opt.Overlap && dev.Spec.AsyncTransfer,
-		ready:    make(map[int]float64),
+		clk:      &sched.Clock{Spec: dev.Spec, Overlap: opt.Overlap},
 		obs:      opt.Obs,
 	}
 	if e.obs != nil {
@@ -331,10 +321,13 @@ func (e *executor) newTensor(rows, cols int) *tensor.Tensor {
 		e.hs.mu.Unlock()
 		return tensor.New(rows, cols)
 	}
+	// Take the storage under the lock: once free[n] is shortened, the
+	// next recycle appends into the slot this read would see.
+	d := l[len(l)-1]
 	e.free[n] = l[:len(l)-1]
 	e.freeFloats -= int64(n)
 	e.hs.mu.Unlock()
-	return tensor.FromSlice(rows, cols, l[len(l)-1])
+	return tensor.FromSlice(rows, cols, d)
 }
 
 // recycle puts the storage of a device tensor no step can reach any more
@@ -371,20 +364,11 @@ func arg(n *graph.Node, i int) graph.Arg {
 	return n.Out
 }
 
-func (e *executor) rec(kind gpu.EventKind, label, engine string, start, end float64) {
-	if e.opt.Trace != nil {
-		e.opt.Trace.Add(gpu.Event{Kind: kind, Label: label, Engine: engine, Start: start, End: end})
-	}
-	e.obs.T().AddSim(engine, label, kind.String(), start, end)
-}
-
 // observe feeds the metrics registry and residency profiler after a step
-// was accounted. Residency timestamps use the device's serialized clock
-// even in overlapped mode, so the profile lines up with Stats' time
-// buckets.
+// was accounted. Residency timestamps use the serialized clock even in
+// overlapped mode, so the profile lines up with Stats' time buckets.
 func (e *executor) observe(si int, step sched.Step, t0 float64) {
 	m := e.obs.M()
-	dev := e.dev
 	switch step.Kind {
 	case sched.StepH2D:
 		b := step.Buf
@@ -403,12 +387,12 @@ func (e *executor) observe(si int, step sched.Step, t0 float64) {
 		m.Counter("exec.d2h.bytes").Add(step.Buf.Bytes())
 		m.Counter("exec.d2h.calls").Inc()
 	case sched.StepFree:
-		e.obs.R().Free(step.Buf.ID, dev.Clock())
+		e.obs.R().Free(step.Buf.ID, e.clk.Now())
 	case sched.StepLaunch:
 		n := step.Node
 		kind := n.Op.Kind()
 		m.Counter("exec.launches", "op", kind).Inc()
-		m.Histogram("exec.kernel.seconds", "op", kind).Observe(dev.Clock() - t0)
+		m.Histogram("exec.kernel.seconds", "op", kind).Observe(e.clk.Now() - t0)
 		for _, b := range n.Out.Bufs {
 			// Outputs the launch allocated open residency intervals here;
 			// already-resident operands are a no-op. Device-produced buffers
@@ -425,7 +409,7 @@ func (e *executor) observe(si int, step sched.Step, t0 float64) {
 // malloc allocates device memory, defragmenting the arena and retrying
 // once when the failure is pure external fragmentation: enough free
 // bytes, no contiguous span. The framework placed every live allocation
-// on the device, so it can slide them down (Device.Compact charges the
+// on the device, so it can slide them down (the clock charges the
 // modeled D2D copy time) and fix up its own offsets — which is what
 // makes a plan the scheduler verified against the planner's byte budget
 // run without OOM even when first-fit layout fragments. Disabled under
@@ -440,7 +424,8 @@ func (e *executor) malloc(n int64) (int64, error) {
 	if e.dev.Allocator().FreeBytes() < n {
 		return off, err // genuine capacity overrun, not fragmentation
 	}
-	moves := e.dev.Compact()
+	moves := e.dev.Allocator().Compact()
+	e.clk.Compact(moves)
 	e.hs.mu.Lock()
 	remap := make(map[int64]int64, len(moves))
 	for _, m := range moves {
@@ -453,13 +438,6 @@ func (e *executor) malloc(n int64) (int64, error) {
 	}
 	e.hs.mu.Unlock()
 	return e.dev.Malloc(n)
-}
-
-// stall pushes both engine timelines forward by t seconds (retry backoff
-// in overlapped mode: the whole device idles).
-func (e *executor) stall(t float64) {
-	e.dmaFree += t
-	e.compFree += t
 }
 
 // perform executes the state-changing half of step si: fault gates,
@@ -646,49 +624,28 @@ func (e *executor) perform(si int, step sched.Step) error {
 	return nil
 }
 
-// account charges step si to the simulated clock and statistics, records
-// trace events, replays the plan-order residency (peak bytes), and feeds
-// the observer. It must be called exactly once per performed step, in
-// plan order — which makes statistics bit-identical between sequential
-// and pipelined execution by construction.
+// account charges step si to the modeled clock, records its trace event,
+// replays the plan-order residency (peak bytes), and feeds the observer.
+// It must be called exactly once per performed step, in plan order —
+// which makes statistics bit-identical between sequential and pipelined
+// execution, and equal to sched.Fold's, by construction.
 func (e *executor) account(si int, step sched.Step) {
-	dev := e.dev
-	t0 := dev.Clock()
+	t0 := e.clk.Now()
+	if ev, ok := e.clk.Step(step); ok {
+		e.obs.T().AddSim(ev.Engine, ev.Label, ev.Kind.String(), ev.Start, ev.End)
+	}
 	switch step.Kind {
 	case sched.StepH2D:
 		b := step.Buf
-		dev.AccountH2D(b.Size())
 		if e.opt.Resident[b.ID] {
-			// Charged stats above stay bit-identical; the elision only
-			// moves this transfer out of the Actual domain at capture.
+			// Charged stats stay bit-identical; the elision only moves
+			// this transfer out of the Actual domain at capture.
 			e.elidedFloats += b.Size()
 			e.elidedCalls++
-			e.elidedTime += dev.H2DDuration(b.Size())
-		}
-		if e.overlap {
-			start := e.dmaFree
-			e.dmaFree = start + dev.H2DDuration(b.Size())
-			e.ready[b.ID] = e.dmaFree
-			e.rec(gpu.EventH2D, b.Name, "dma", start, e.dmaFree)
-		} else {
-			e.rec(gpu.EventH2D, b.Name, "dma", t0, dev.Clock())
+			e.elidedTime += e.clk.Spec.H2DDuration(b.Size())
 		}
 		e.accLive[b.ID] = true
 		e.accResident += b.Bytes()
-
-	case sched.StepD2H:
-		b := step.Buf
-		dev.AccountD2H(b.Size())
-		if e.overlap {
-			start := e.dmaFree
-			if r, ok := e.ready[b.ID]; ok && r > start {
-				start = r
-			}
-			e.dmaFree = start + dev.D2HDuration(b.Size())
-			e.rec(gpu.EventD2H, b.Name, "dma", start, e.dmaFree)
-		} else {
-			e.rec(gpu.EventD2H, b.Name, "dma", t0, dev.Clock())
-		}
 
 	case sched.StepFree:
 		b := step.Buf
@@ -696,65 +653,13 @@ func (e *executor) account(si int, step sched.Step) {
 			delete(e.accLive, b.ID)
 			e.accResident -= b.Bytes()
 		}
-		// Clear the buffer's DMA-ready timestamp: a later re-upload under
-		// a reused buffer ID must not inherit this lifetime's completion
-		// time.
-		delete(e.ready, b.ID)
 
 	case sched.StepLaunch:
-		n := step.Node
-		// The kernel's memory traffic: each distinct buffer once.
-		var bytes int64
-		clear(e.seen)
-		for i := 0; i <= len(n.In); i++ {
-			for _, b := range arg(n, i).Bufs {
-				if !e.seen[b.ID] {
-					e.seen[b.ID] = true
-					bytes += b.Bytes()
-				}
-			}
-		}
-		for _, b := range n.Out.Bufs {
+		for _, b := range step.Node.Out.Bufs {
 			if !e.accLive[b.ID] {
 				e.accLive[b.ID] = true
 				e.accResident += b.Bytes()
 			}
-		}
-		inShapes := make([]graph.Shape, len(n.In))
-		for i, a := range n.In {
-			inShapes[i] = a.Shape()
-		}
-		flops := n.Op.FLOPs(inShapes, n.Out.Shape())
-		dev.AccountLaunch(flops, n.Out.Region.Size(), bytes)
-		if e.overlap {
-			start := e.compFree
-			for _, a := range n.In {
-				for _, b := range a.Bufs {
-					if r, ok := e.ready[b.ID]; ok && r > start {
-						start = r
-					}
-				}
-			}
-			e.compFree = start + dev.KernelTime(flops, n.Out.Region.Size(), bytes)
-			for _, b := range n.Out.Bufs {
-				e.ready[b.ID] = e.compFree
-			}
-			e.rec(gpu.EventKernel, n.Name, "compute", start, e.compFree)
-		} else {
-			e.rec(gpu.EventKernel, n.Name, "compute", t0, dev.Clock())
-		}
-
-	case sched.StepSync:
-		dev.AccountSync()
-		if e.overlap {
-			// Asynchronous streams do not join the host at unit
-			// boundaries: the sync degenerates to a stream-ordered
-			// event, charged on the compute timeline only. Cross-engine
-			// ordering is still enforced through the ready times.
-			e.rec(gpu.EventSync, "", "compute", e.compFree, e.compFree+dev.Spec.SyncOverhead)
-			e.compFree += dev.Spec.SyncOverhead
-		} else {
-			e.rec(gpu.EventSync, "", "compute", t0, dev.Clock())
 		}
 	}
 	if e.accResident > e.rep.PeakResidentBytes {
@@ -801,8 +706,8 @@ func (e *executor) cancelled(ctx context.Context, si int) (*Report, error) {
 // both at successful completion and to produce the partial report
 // returned alongside an execution error.
 func (e *executor) capture() *Report {
-	e.obs.R().CloseAll(e.dev.Clock())
-	e.rep.Stats = e.dev.Stats()
+	e.obs.R().CloseAll(e.clk.Now())
+	e.rep.Stats = e.clk.Stats()
 	if hm := e.dev.Spec.HostMemoryBytes; hm > 0 && e.rep.Stats.TotalFloats()*4 > hm {
 		e.rep.Thrashing = true
 	}
@@ -832,9 +737,7 @@ func (e *executor) finish() (*Report, error) {
 	if len(e.resident) != 0 {
 		return e.abort(fmt.Errorf("exec: %d buffers leaked on the device", len(e.resident)))
 	}
-	if e.overlap {
-		e.dev.SetWallTime(max(e.dmaFree, e.compFree))
-	}
+	e.clk.Finish()
 	e.capture()
 	if e.opt.Mode == Materialized {
 		e.rep.Outputs = templateOutputs(outs, e.hs)

@@ -151,12 +151,13 @@ func TestExecutorTraceRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &gpu.Trace{}
 	dev := gpu.New(gpu.TeslaC870())
-	rep, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: dev, Trace: tr})
+	rep, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := &gpu.Trace{}
+	sched.Fold(plan, dev.Spec, false, tr)
 	kernels, h2d, d2h, syncs := 0, 0, 0, 0
 	for _, e := range tr.Events {
 		switch e.Kind {
@@ -200,13 +201,15 @@ func TestExecutorTraceOverlapShorterSpan(t *testing.T) {
 	spec.MemoryBytes = capacity * 6
 
 	syncTr := &gpu.Trace{}
-	if _, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: gpu.New(spec), Trace: syncTr}); err != nil {
+	if _, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: gpu.New(spec)}); err != nil {
 		t.Fatal(err)
 	}
+	sched.Fold(plan, spec, false, syncTr)
 	asyncTr := &gpu.Trace{}
-	if _, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: gpu.New(spec), Trace: asyncTr, Overlap: true}); err != nil {
+	if _, err := Run(context.Background(), g, plan, in, Options{Mode: Materialized, Device: gpu.New(spec), Overlap: true}); err != nil {
 		t.Fatal(err)
 	}
+	sched.Fold(plan, spec, true, asyncTr)
 	if asyncTr.Span() >= syncTr.Span() {
 		t.Fatalf("overlapped span %v should beat serialized %v", asyncTr.Span(), syncTr.Span())
 	}

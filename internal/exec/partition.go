@@ -102,8 +102,6 @@ func RunPartitioned(ctx context.Context, g *graph.Graph, pp *sched.PartitionedPl
 		unsupported = "Pipeline"
 	case opt.Resilient != nil:
 		unsupported = "Resilient"
-	case opt.Trace != nil:
-		unsupported = "Trace"
 	case opt.WallTrace != nil:
 		unsupported = "WallTrace"
 	}

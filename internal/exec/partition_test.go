@@ -196,7 +196,6 @@ func TestRunPartitionedValidation(t *testing.T) {
 	for name, opt := range map[string]Options{
 		"Pipeline":  {Pipeline: true},
 		"Resilient": {Resilient: &Resilience{}},
-		"Trace":     {Trace: &gpu.Trace{}},
 		"WallTrace": {WallTrace: &gpu.Trace{}},
 	} {
 		_, err := RunPartitioned(context.Background(), g, pp, newPartDevices(specs), in, opt)

@@ -238,42 +238,6 @@ func TestPipelinedFaultFailsCleanly(t *testing.T) {
 	}
 }
 
-// Regression: a StepFree must clear the freed buffer's DMA-ready
-// timestamp. Before the fix, a stale entry survived the free, and a later
-// re-upload of the same buffer under overlapped accounting could order a
-// kernel against the previous incarnation's ready time.
-func TestStepFreeClearsReady(t *testing.T) {
-	g, in := edgeGraph(t, 64, 64, 8)
-	spec := gpu.TeslaC1060() // AsyncTransfer: overlap accounting populates ready
-	spec.MemoryBytes = 32 << 10
-	capacity := spec.PlannerCapacity()
-	plan := compileFor(t, g, capacity)
-
-	e, err := newExecutor(g, plan, in, Options{
-		Mode: Materialized, Device: gpu.New(spec), Overlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frees := 0
-	for si, step := range plan.Steps {
-		if err := e.step(si, step); err != nil {
-			t.Fatalf("step %d: %v", si, err)
-		}
-		if step.Kind == sched.StepFree {
-			frees++
-			if _, ok := e.ready[step.Buf.ID]; ok {
-				t.Fatalf("step %d: freed buffer %s still has a ready timestamp", si, step.Buf)
-			}
-		}
-	}
-	if frees == 0 {
-		t.Fatal("plan exercised no frees; regression not covered")
-	}
-	if _, err := e.finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The pipelined run's wall-clock instrumentation: opt.WallTrace receives
 // real host-time events from both engines, and the observer's timeline
 // grows per-engine wall lanes.

@@ -108,21 +108,19 @@ type checkpoint struct {
 	resident  []int // buffer IDs resident at the boundary, ascending
 	data      map[int]*tensor.Tensor
 	hostValid map[int]bool
-	dmaFree   float64
-	compFree  float64
-	ready     map[int]float64
+	clk       sched.Clock // engine free times and ready times at the boundary
 }
 
-// snapshot captures a checkpoint after step si completed.
-func (e *executor) snapshot(next int) *checkpoint {
-	cp := &checkpoint{
+// snapshot overwrites cp with the restart point before step next. A run
+// keeps one checkpoint and overwrites it at every sync.
+func (e *executor) snapshot(cp *checkpoint, next int) {
+	*cp = checkpoint{
 		next:      next,
+		resident:  cp.resident[:0],
 		data:      make(map[int]*tensor.Tensor, len(e.resident)),
 		hostValid: make(map[int]bool, len(e.hs.valid)),
-		dmaFree:   e.dmaFree,
-		compFree:  e.compFree,
-		ready:     make(map[int]float64, len(e.ready)),
 	}
+	cp.clk.Rewind(e.clk)
 	for id, db := range e.resident {
 		cp.resident = append(cp.resident, id)
 		if db.data != nil {
@@ -133,10 +131,6 @@ func (e *executor) snapshot(next int) *checkpoint {
 	for id, v := range e.hs.valid {
 		cp.hostValid[id] = v
 	}
-	for id, t := range e.ready {
-		cp.ready[id] = t
-	}
-	return cp
 }
 
 // restore recovers the device and rebuilds the checkpointed residency,
@@ -144,7 +138,7 @@ func (e *executor) snapshot(next int) *checkpoint {
 // floats re-transferred (even on error, for accounting) and is idempotent:
 // a failed restore can simply be run again.
 func (e *executor) restore(cp *checkpoint) (int64, error) {
-	e.obs.R().CloseAll(e.dev.Clock()) // device reset drops all allocations
+	e.obs.R().CloseAll(e.clk.Now()) // device reset drops all allocations
 	e.dev.Recover()
 	for _, db := range e.resident {
 		e.recycle(db.data)
@@ -158,11 +152,7 @@ func (e *executor) restore(cp *checkpoint) (int64, error) {
 	for id, v := range cp.hostValid {
 		e.hs.valid[id] = v
 	}
-	e.dmaFree, e.compFree = cp.dmaFree, cp.compFree
-	e.ready = make(map[int]float64, len(cp.ready))
-	for id, t := range cp.ready {
-		e.ready[id] = t
-	}
+	e.clk.Rewind(&cp.clk)
 	e.accLive = make(map[int]bool, len(cp.resident))
 	e.accResident = 0
 	// Resident IDs always name buffers the plan touches, so the plan's
@@ -178,15 +168,16 @@ func (e *executor) restore(cp *checkpoint) (int64, error) {
 		if !ok {
 			return floats, fmt.Errorf("exec: restore: unknown buffer %d", id)
 		}
-		t0 := e.dev.Clock()
+		t0 := e.clk.Now()
 		off, err := e.dev.Malloc(b.Bytes())
 		if err != nil {
 			return floats, fmt.Errorf("exec: restore %s: %w", b, err)
 		}
-		if err := e.dev.CopyToDevice(b.Size()); err != nil {
+		if err := e.dev.Gate(gpu.FaultH2D); err != nil {
 			_ = e.dev.FreeMem(off)
 			return floats, fmt.Errorf("exec: restore %s: %w", b, err)
 		}
+		e.clk.Step(sched.Step{Kind: sched.StepH2D, Buf: b})
 		floats += b.Size()
 		e.obs.M().Counter("exec.h2d.bytes", "cause", "checkpoint_replay").Add(b.Bytes())
 		e.obs.R().Alloc(b.ID, b.Name, b.Bytes(), t0)
@@ -201,10 +192,6 @@ func (e *executor) restore(cp *checkpoint) (int64, error) {
 		e.resident[id] = db
 		e.accLive[id] = true
 		e.accResident += b.Bytes()
-		if e.overlap {
-			e.dmaFree += e.dev.H2DDuration(b.Size())
-			e.ready[id] = e.dmaFree
-		}
 	}
 	if e.accResident > e.rep.PeakResidentBytes {
 		e.rep.PeakResidentBytes = e.accResident
@@ -249,7 +236,10 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	opt.Pipeline = false
 
 	rec := &Recovery{}
-	rep, err := runAttempt(ctx, g, plan, in, opt, rec)
+	// One clock runs across every attempt, so the failed attempts' time
+	// stays charged.
+	clk := &sched.Clock{Spec: dev.Spec, Overlap: opt.Overlap}
+	rep, err := runAttempt(ctx, g, plan, in, opt, rec, clk)
 	if err == nil {
 		rep.Recovery = rec
 		return rep, nil
@@ -268,7 +258,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		rec.logf("persistent OOM (%v): replanning with budget %d floats (%.0f%% of capacity)",
 			err, target, frac*100)
 		opt.Obs.M().Counter("exec.replans").Inc()
-		opt.Obs.T().MarkSim(obs.RecoveryTrack, "replan", "recovery", dev.Clock(), map[string]string{
+		opt.Obs.T().MarkSim(obs.RecoveryTrack, "replan", "recovery", clk.Now(), map[string]string{
 			"budget_floats": fmt.Sprint(target),
 			"fraction":      fmt.Sprintf("%.0f%%", frac*100),
 		})
@@ -280,8 +270,9 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		}
 		rec.Replans++
 		rec.ReplanBudgets = append(rec.ReplanBudgets, target)
-		dev.Recover() // fresh allocator, lost flag cleared; clock and stats are kept
-		rep, err = runAttempt(ctx, g2, plan2, in, opt, rec)
+		dev.Recover()              // fresh allocator, lost flag cleared
+		clk.Rewind(&sched.Clock{}) // the new plan starts with idle engines
+		rep, err = runAttempt(ctx, g2, plan2, in, opt, rec, clk)
 		if err == nil {
 			rep.Recovery = rec
 			return rep, nil
@@ -294,7 +285,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 	if opt.Mode == Materialized && ctx.Err() == nil {
 		rec.logf("degradation ladder exhausted (%v): falling back to CPU reference", err)
 		opt.Obs.M().Counter("exec.cpu_fallback").Inc()
-		opt.Obs.T().MarkSim(obs.RecoveryTrack, "cpu_fallback", "recovery", dev.Clock(), nil)
+		opt.Obs.T().MarkSim(obs.RecoveryTrack, "cpu_fallback", "recovery", clk.Now(), nil)
 		outs, rerr := RunReference(g, in)
 		if rerr != nil {
 			return rep, fmt.Errorf("exec: CPU fallback failed: %v (after %w)", rerr, err)
@@ -303,7 +294,7 @@ func runResilient(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inpu
 		if rep == nil {
 			rep = &Report{}
 		}
-		rep.Stats = dev.Stats()
+		rep.Stats = clk.Stats()
 		rep.Actual = rep.Stats // CPU fallback elides nothing further
 		rep.Outputs = outs
 		rep.Recovery = rec
@@ -332,14 +323,17 @@ func replan(ctx context.Context, g *graph.Graph, budget int64) (*graph.Graph, *s
 }
 
 // runAttempt drives one plan to completion with step-level retry and
-// checkpoint restart. It returns the partial report alongside any error
-// it cannot absorb (persistent OOM for the ladder, plan bugs).
-func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options, rec *Recovery) (*Report, error) {
+// checkpoint restart, charging clk. It returns the partial report
+// alongside any error it cannot absorb (persistent OOM for the ladder,
+// plan bugs).
+func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs, opt Options, rec *Recovery, clk *sched.Clock) (*Report, error) {
 	e, err := newExecutor(g, plan, in, opt)
 	if err != nil {
 		return nil, err
 	}
-	cp := e.snapshot(0) // restart point before the first step
+	e.clk = clk
+	cp := &checkpoint{}
+	e.snapshot(cp, 0) // restart point before the first step
 	replays := 0
 	si := 0
 	for si < len(plan.Steps) {
@@ -350,7 +344,7 @@ func runAttempt(ctx context.Context, g *graph.Graph, plan *sched.Plan, in Inputs
 		err := e.stepWithRetry(si, step, rec)
 		if err == nil {
 			if step.Kind == sched.StepSync {
-				cp = e.snapshot(si + 1)
+				e.snapshot(cp, si+1)
 			}
 			si++
 			continue
@@ -393,10 +387,7 @@ func (e *executor) stepWithRetry(si int, step sched.Step, rec *Recovery) error {
 	err := e.step(si, step)
 	for attempt := 0; err != nil && gpu.IsTransient(err) && attempt < maxRetries; attempt++ {
 		b := backoff(attempt)
-		e.dev.ChargeRecovery(b)
-		if e.overlap {
-			e.stall(b)
-		}
+		e.clk.Stall(b)
 		rec.Retries++
 		rec.BackoffSeconds += b
 		rec.logf("step %d (%s): transient fault (%v): retry %d after %.1fms",
@@ -428,7 +419,7 @@ func (e *executor) observeFault(action string, si int, step sched.Step, err erro
 	}
 	args["step"] = fmt.Sprintf("%d (%s)", si, step.Kind)
 	args["fault"] = kind
-	e.obs.T().MarkSim(obs.RecoveryTrack, action, "recovery", e.dev.Clock(), args)
+	e.obs.T().MarkSim(obs.RecoveryTrack, action, "recovery", e.clk.Now(), args)
 }
 
 // restoreWithRetry restores a checkpoint, absorbing transient faults and
@@ -441,10 +432,7 @@ func (e *executor) restoreWithRetry(cp *checkpoint, rec *Recovery) error {
 			return err
 		}
 		b := backoff(attempt)
-		e.dev.ChargeRecovery(b)
-		if e.overlap {
-			e.stall(b)
-		}
+		e.clk.Stall(b)
 		rec.Retries++
 		rec.BackoffSeconds += b
 		rec.logf("checkpoint restore failed (%v): retry %d after %.1fms", err, attempt+1, b*1e3)

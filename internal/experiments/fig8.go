@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/gpu"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // Fig8Row is one point of Fig. 8: edge-detection execution time versus
@@ -52,24 +53,21 @@ func Fig8(dims []int, spec gpu.Spec) ([]Fig8Row, error) {
 // kernel, so only the input image and output edge map cross the bus and
 // there is exactly one kernel launch. g is the unsplit template.
 func bestPossible(g *graph.Graph, spec gpu.Spec) float64 {
-	dev := gpu.New(spec)
-	var inFloats, outFloats int64
+	var inFloats, outFloats, flops int64
 	for _, b := range g.InputBuffers() {
 		inFloats += b.Size()
 	}
 	for _, b := range g.OutputBuffers() {
 		outFloats += b.Size()
 	}
-	dev.CopyToDevice(inFloats)
-	var flops int64
+	var clk sched.Clock // the per-launch cost
 	for _, n := range g.Nodes {
-		inShapes := make([]graph.Shape, len(n.In))
-		for i, a := range n.In {
-			inShapes[i] = a.Shape()
-		}
-		flops += n.Op.FLOPs(inShapes, n.Out.Shape())
+		f, _, _ := clk.Launch(n)
+		flops += f
 	}
-	dev.Launch(flops, outFloats, (inFloats+outFloats)*4)
-	dev.CopyToHost(outFloats)
-	return dev.Stats().TotalTime()
+	st := gpu.Stats{
+		TransferTime: spec.H2DDuration(inFloats) + spec.D2HDuration(outFloats),
+		ComputeTime:  spec.KernelTime(flops, outFloats, (inFloats+outFloats)*4),
+	}
+	return st.TotalTime()
 }

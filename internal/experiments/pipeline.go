@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gpu"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -98,26 +99,17 @@ func Pipeline() ([]PipelineRow, error) {
 			}
 		}
 
-		// Modeled overlap on the async part: same plan, simulated clock.
+		// Modeled overlap on the async part: same plan, folded serially
+		// and with two engines.
 		model := gpu.TeslaC1060()
-		model.MemoryBytes = wl.memBytes
-		model.Headroom = spec.Headroom
-		syncRep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{
-			Mode: exec.Accounting, Device: gpu.New(model)})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s modeled sync: %w", wl.template, input, err)
-		}
-		overlapRep, err := exec.Run(context.Background(), g, plan, nil, exec.Options{
-			Mode: exec.Accounting, Device: gpu.New(model), Overlap: true})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s modeled overlap: %w", wl.template, input, err)
-		}
+		serial := sched.Fold(plan, model, false, nil)
+		overlapped := sched.Fold(plan, model, true, nil)
 
 		rows = append(rows, PipelineRow{
 			Template:       wl.template,
 			Input:          input,
 			Steps:          len(plan.Steps),
-			ModeledSpeedup: syncRep.Stats.TotalTime() / overlapRep.Stats.TotalTime(),
+			ModeledSpeedup: serial.TotalTime() / overlapped.TotalTime(),
 			OutputsEqual:   equal,
 		})
 	}

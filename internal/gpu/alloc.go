@@ -104,8 +104,8 @@ type Move struct{ Old, New, Len int64 }
 // order, leaving all free space coalesced into one tail span, and returns
 // the moves so the owner can redirect its handles. The framework manages
 // device memory itself, so — unlike a raw driver allocator — it can
-// defragment: every live buffer is one it placed, and the simulated
-// device charges the D2D copy cost of the moves (Device.Compact).
+// defragment: every live buffer is one it placed, and the modeled clock
+// charges the D2D copy cost of the moves (sched.Clock.Compact).
 func (a *Allocator) Compact() []Move {
 	a.mu.Lock()
 	defer a.mu.Unlock()

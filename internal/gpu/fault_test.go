@@ -9,10 +9,10 @@ func TestInjectorScriptedFault(t *testing.T) {
 	d := New(Custom("t", 1<<20))
 	inj := NewInjector(1).FailAt(FaultH2D, 1, Transient)
 	d.SetInjector(inj)
-	if err := d.CopyToDevice(100); err != nil {
+	if err := d.Gate(FaultH2D); err != nil {
 		t.Fatalf("call 0 must succeed: %v", err)
 	}
-	err := d.CopyToDevice(100)
+	err := d.Gate(FaultH2D)
 	if err == nil {
 		t.Fatal("call 1 must fail")
 	}
@@ -22,12 +22,8 @@ func TestInjectorScriptedFault(t *testing.T) {
 	if IsDeviceLost(err) || errors.Is(err, ErrOOM) {
 		t.Fatalf("misclassified: %v", err)
 	}
-	// A faulted transfer charges nothing.
-	if got := d.Stats().H2DCalls; got != 1 {
-		t.Fatalf("H2DCalls = %d, want 1", got)
-	}
 	// The scripted fault fired once: the retry succeeds.
-	if err := d.CopyToDevice(100); err != nil {
+	if err := d.Gate(FaultH2D); err != nil {
 		t.Fatalf("retry must succeed: %v", err)
 	}
 	faults := inj.Faults()
@@ -42,7 +38,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj := NewInjector(seed).SetRate(FaultH2D, 0.3, Transient)
 		d.SetInjector(inj)
 		for i := 0; i < 100; i++ {
-			d.CopyToDevice(10)
+			d.Gate(FaultH2D)
 		}
 		return inj.Faults()
 	}
@@ -78,10 +74,10 @@ func TestDeviceLostLatches(t *testing.T) {
 	if _, err := d.Malloc(400); err != nil { // op 0
 		t.Fatal(err)
 	}
-	if err := d.CopyToDevice(100); err != nil { // op 1
+	if err := d.Gate(FaultH2D); err != nil { // op 1
 		t.Fatal(err)
 	}
-	err := d.Launch(1000, 100, 400) // op 2: loss fires
+	err := d.Gate(FaultLaunch) // op 2: loss fires
 	if !IsDeviceLost(err) {
 		t.Fatalf("want device lost, got %v", err)
 	}
@@ -92,19 +88,12 @@ func TestDeviceLostLatches(t *testing.T) {
 	if _, err := d.Malloc(4); !IsDeviceLost(err) {
 		t.Fatalf("lost device Malloc: %v", err)
 	}
-	if err := d.CopyToHost(1); !IsDeviceLost(err) {
+	if err := d.Gate(FaultD2H); !IsDeviceLost(err) {
 		t.Fatalf("lost device D2H: %v", err)
 	}
-	clock, stats := d.Clock(), d.Stats()
 	d.Recover()
 	if d.lost {
 		t.Fatal("Recover must clear the lost flag")
-	}
-	if d.Clock() != clock {
-		t.Fatal("Recover must preserve the clock")
-	}
-	if d.Stats() != stats {
-		t.Fatal("Recover must preserve statistics")
 	}
 	if got := d.Allocator().UsedBytes(); got != 0 {
 		t.Fatalf("Recover must empty device memory, used=%d", got)
@@ -134,31 +123,13 @@ func TestOOMClassification(t *testing.T) {
 	}
 }
 
-func TestChargeRecovery(t *testing.T) {
-	d := New(Custom("t", 1<<20))
-	d.CopyToDevice(1 << 20)
-	base := d.Stats().TotalTime()
-	d.ChargeRecovery(0.5)
-	s := d.Stats()
-	if s.RecoveryTime != 0.5 {
-		t.Fatalf("RecoveryTime = %v", s.RecoveryTime)
-	}
-	if got := s.TotalTime(); got != base+0.5 {
-		t.Fatalf("TotalTime = %v, want %v", got, base+0.5)
-	}
-	if d.Clock() != base+0.5 {
-		t.Fatalf("clock = %v", d.Clock())
-	}
-}
-
 func TestNilInjectorIsNoop(t *testing.T) {
 	d := New(Custom("t", 1<<20))
 	for i := 0; i < 10; i++ {
-		if err := d.CopyToDevice(10); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Launch(100, 10, 40); err != nil {
-			t.Fatal(err)
+		for _, k := range []FaultKind{FaultH2D, FaultLaunch, FaultD2H} {
+			if err := d.Gate(k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package gpu simulates the GPU platforms the paper evaluates on. The
 // simulator enforces the properties that drive the framework's two
 // problems — a fixed device-memory capacity (with real first-fit
-// fragmentation) and a narrow host↔device link — and advances a simulated
-// clock using a calibrated performance model, while kernels themselves are
-// executed for real on the host by the plan executor.
+// fragmentation) and a narrow host↔device link — and its Spec carries the
+// calibrated performance model the modeled clock (sched.Clock) advances
+// by, while kernels themselves are executed for real on the host by the
+// plan executor.
 package gpu
 
 import (
@@ -71,6 +72,41 @@ func (s Spec) PlannerCapacity() int64 {
 		h = 0.95
 	}
 	return int64(float64(s.MemoryBytes) * h / 4)
+}
+
+// H2DDuration returns the modeled host→device DMA duration.
+func (s Spec) H2DDuration(floats int64) float64 {
+	return s.TransferLatency + float64(floats*4)/s.H2DBandwidth
+}
+
+// D2HDuration returns the modeled device→host DMA duration.
+func (s Spec) D2HDuration(floats int64) float64 {
+	return s.TransferLatency + float64(floats*4)/s.D2HBandwidth
+}
+
+// KernelTime returns the modeled duration of a kernel producing the given
+// number of output elements with the given FLOP count and total bytes
+// touched in device memory: the maximum of the arithmetic, issue-floor,
+// and memory-bandwidth bounds, plus launch overhead.
+func (s Spec) KernelTime(flops, elements, bytes int64) float64 {
+	arith := float64(flops) / s.GFLOPS
+	issue := float64(elements) * s.CyclesPerElement / (float64(s.Cores) * s.ClockGHz * 1e9)
+	mem := float64(bytes) / s.DeviceBandwidth
+	t := arith
+	if issue > t {
+		t = issue
+	}
+	if mem > t {
+		t = mem
+	}
+	return s.LaunchOverhead + t
+}
+
+// CompactDuration returns the modeled cost of defragmenting the arena by
+// moving the given bytes: each is read once and written once at the
+// device memory bandwidth.
+func (s Spec) CompactDuration(bytes int64) float64 {
+	return 2 * float64(bytes) / s.DeviceBandwidth
 }
 
 func (s Spec) String() string {

@@ -555,7 +555,6 @@ func naiveDedupDeps(deps []int, self int) []int {
 }
 
 func naiveAnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
-	dev := gpu.New(spec) // duration helpers are pure functions of the spec
 
 	written := make(map[int]bool) // launch output or D2H target
 	h2dSteps := make(map[int][]int)
@@ -662,7 +661,7 @@ func naiveAnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 			res.LeadSteps = append(res.LeadSteps, LeadStep{
 				BufID:  s.Buf.ID,
 				Floats: s.Buf.Size(),
-				Sec:    dev.H2DDuration(s.Buf.Size()),
+				Sec:    spec.H2DDuration(s.Buf.Size()),
 			})
 		}
 	}
@@ -680,7 +679,7 @@ func naiveAnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 			for j, a := range n.In {
 				inShapes[j] = a.Shape()
 			}
-			res.TailSec += dev.KernelTime(n.Op.FLOPs(inShapes, n.Out.Shape()), n.Out.Region.Size(), bytes)
+			res.TailSec += spec.KernelTime(n.Op.FLOPs(inShapes, n.Out.Shape()), n.Out.Region.Size(), bytes)
 		case StepSync:
 			res.TailSec += spec.SyncOverhead
 		}

@@ -75,10 +75,7 @@ type PartitionedPlan struct {
 // parallel to g.Nodes.
 func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 	k := len(specs)
-	devs := make([]*gpu.Device, k)
-	for i, s := range specs {
-		devs[i] = gpu.New(s)
-	}
+	var clk Clock // Launch's scratch
 	order, err := DepthFirstOrder(g)
 	if err != nil {
 		order = g.Nodes // cyclic graphs fail later, in BuildPartition
@@ -89,6 +86,7 @@ func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 	finish := make(map[int]float64, len(g.Nodes))
 	free := make([]float64, k)
 	for _, n := range order {
+		flops, elements, bytes := clk.Launch(n)
 		bestP, bestF := 0, math.Inf(1)
 		for p := 0; p < k; p++ {
 			start := free[p]
@@ -99,14 +97,13 @@ func PartitionAssign(g *graph.Graph, specs []gpu.Spec) []int {
 				}
 				f := finish[pn.ID]
 				if from := partOf[pn.ID]; from != p {
-					f += devs[from].D2HDuration(b.Size()) + devs[p].H2DDuration(b.Size())
+					f += specs[from].D2HDuration(b.Size()) + specs[p].H2DDuration(b.Size())
 				}
 				if f > start {
 					start = f
 				}
 			}
-			sec, _ := kernelTime(devs[p], n)
-			fin := start + sec
+			fin := start + specs[p].KernelTime(flops, elements, bytes)
 			if fin < bestF {
 				bestP, bestF = p, fin
 			}
@@ -144,13 +141,13 @@ func PartitionStripeAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 	// card gating the joined makespan.
 	rate := make([]float64, k)
 	var rateSum float64
+	var clk Clock // Launch's scratch
 	for p, s := range specs {
-		dev := gpu.New(s)
 		bw := math.Min(s.H2DBandwidth, s.D2HBandwidth)
 		var t float64
 		for _, n := range g.Nodes {
-			sec, bytes := kernelTime(dev, n)
-			t += sec
+			flops, elements, bytes := clk.Launch(n)
+			t += s.KernelTime(flops, elements, bytes)
 			t += float64(bytes) / bw
 		}
 		if t <= 0 {
@@ -284,12 +281,11 @@ func PartitionChainAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 	}
 
 	// Cluster weights: modeled device-seconds per spec, compute plus bus.
-	devs := make([]*gpu.Device, k)
 	bw := make([]float64, k)
 	for p, s := range specs {
-		devs[p] = gpu.New(s)
 		bw[p] = math.Min(s.H2DBandwidth, s.D2HBandwidth)
 	}
+	var clk Clock // Launch's scratch
 	type cluster struct {
 		nodes []int
 		w     []float64
@@ -305,9 +301,9 @@ func PartitionChainAssign(g *graph.Graph, specs []gpu.Spec) ([]int, bool) {
 			clusters = append(clusters, c)
 		}
 		c.nodes = append(c.nodes, i)
+		flops, elements, bytes := clk.Launch(n)
 		for p := 0; p < k; p++ {
-			sec, bytes := kernelTime(devs[p], n)
-			c.w[p] += sec + float64(bytes)/bw[p]
+			c.w[p] += specs[p].KernelTime(flops, elements, bytes) + float64(bytes)/bw[p]
 		}
 	}
 	if len(clusters) < k {
@@ -374,7 +370,7 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 	}
 	for p, nodes := range partNodes {
 		if len(nodes) == 0 {
-			return nil, fmt.Errorf("%w: partition stripe for %s is empty — the graph is too small to cut across %d devices",
+			return nil, fmt.Errorf("%w: the assignment leaves no operator for %s — the graph is too small to cut across %d devices",
 				ErrInfeasible, specs[p].Name, k)
 		}
 	}
@@ -402,9 +398,7 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 	}
 
 	pp := &PartitionedPlan{Parts: make([]PartPlan, k)}
-	devs := make([]*gpu.Device, k)
 	for p := 0; p < k; p++ {
-		devs[p] = gpu.New(specs[p])
 		sub := g.Subgraph(partNodes[p])
 		capacity := specs[p].PlannerCapacity()
 		popt := Options{
@@ -469,7 +463,7 @@ func BuildPartition(g *graph.Graph, assign []int, specs []gpu.Spec, opt Options)
 			}
 			pp.Edges = append(pp.Edges, CrossEdge{
 				Buf: s.Buf, From: p, To: q, FromStep: from, ToStep: si,
-				Sec: devs[p].D2HDuration(s.Buf.Size()) + devs[q].H2DDuration(s.Buf.Size()),
+				Sec: specs[p].D2HDuration(s.Buf.Size()) + specs[q].H2DDuration(s.Buf.Size()),
 			})
 		}
 	}
@@ -493,17 +487,16 @@ func (pp *PartitionedPlan) CutFloats() int64 {
 	return total
 }
 
-// Makespan models the joined execution: each part replays its plan on
-// its own device timeline (the same cost model the executor charges),
-// and a cut H2D stalls until the producing part's D2H has completed.
-// Both legs cost what the single-device executor would charge. Returns
-// an error if the cross edges deadlock, which BuildPartition's
-// construction precludes.
+// Makespan models the joined execution: each part steps its own Clock
+// through its plan, serially, as the executor charges the part, and a cut
+// H2D waits until the producing part's D2H has completed. Returns an
+// error if the cross edges deadlock, which BuildPartition's construction
+// precludes.
 func (pp *PartitionedPlan) Makespan() (float64, error) {
 	k := len(pp.Parts)
-	devs := make([]*gpu.Device, k)
+	clk := make([]Clock, k)
 	for p := range pp.Parts {
-		devs[p] = gpu.New(pp.Parts[p].Spec)
+		clk[p].Spec = pp.Parts[p].Spec
 	}
 	// in[q][si] is the edge feeding step si of part q (at most one: a cut
 	// buffer has one producer); out[p][si] lists edges the D2H at (p,si)
@@ -521,24 +514,7 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 
 	ready := make([]float64, len(pp.Edges)) // D2H completion per edge
 	done := make([]bool, len(pp.Edges))
-	clock := make([]float64, k)
 	idx := make([]int, k)
-
-	stepSec := func(p int, s Step) float64 {
-		dev := devs[p]
-		switch s.Kind {
-		case StepH2D:
-			return dev.H2DDuration(s.Buf.Size())
-		case StepD2H:
-			return dev.D2HDuration(s.Buf.Size())
-		case StepLaunch:
-			sec, _ := kernelTime(dev, s.Node)
-			return sec
-		case StepSync:
-			return pp.Parts[p].Spec.SyncOverhead
-		}
-		return 0 // Free
-	}
 
 	remaining := 0
 	for p := range pp.Parts {
@@ -547,25 +523,21 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 	for remaining > 0 {
 		progress := false
 		for p := 0; p < k; p++ {
+			c := &clk[p]
 			steps := pp.Parts[p].Plan.Steps
 			for idx[p] < len(steps) {
 				si := idx[p]
-				s := steps[si]
-				start := clock[p]
 				if ei, ok := in[p][si]; ok {
 					if !done[ei] {
 						break // producer has not shipped the cut buffer yet
 					}
-					if ready[ei] > start {
-						start = ready[ei]
-					}
+					c.now = max(c.now, ready[ei])
 				}
-				end := start + stepSec(p, s)
+				c.Step(steps[si])
 				for _, ei := range out[p][si] {
-					ready[ei] = end
+					ready[ei] = c.now
 					done[ei] = true
 				}
-				clock[p] = end
 				idx[p]++
 				remaining--
 				progress = true
@@ -576,8 +548,8 @@ func (pp *PartitionedPlan) Makespan() (float64, error) {
 		}
 	}
 	makespan := 0.0
-	for p := range clock {
-		makespan = math.Max(makespan, clock[p])
+	for p := range clk {
+		makespan = max(makespan, clk[p].now)
 	}
 	return makespan, nil
 }

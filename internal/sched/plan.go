@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/gpu"
 	"repro/internal/graph"
 )
 
@@ -146,20 +145,6 @@ func nodeIDBound(g *graph.Graph) int {
 		bound = max(bound, n.ID+1)
 	}
 	return bound
-}
-
-// kernelTime returns dev's modeled duration of launching n — the cost the
-// executor charges — and the bytes n touches.
-func kernelTime(dev *gpu.Device, n *graph.Node) (float64, int64) {
-	var bytes int64
-	for _, b := range n.Buffers() {
-		bytes += b.Bytes()
-	}
-	in := make([]graph.Shape, len(n.In))
-	for i, a := range n.In {
-		in[i] = a.Shape()
-	}
-	return dev.KernelTime(n.Op.FLOPs(in, n.Out.Shape()), n.Out.Region.Size(), bytes), bytes
 }
 
 // TransferFloats returns the host→device and device→host float volumes of

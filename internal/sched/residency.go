@@ -94,7 +94,7 @@ var digestSep = [...]string{"ord=", ";reg=", ",", ",", ",", ";rootreg=", ",", ",
 // i.e. the device copy is a pure function of host data that no step
 // mutates on either side.
 func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
-	dev := gpu.New(spec) // duration helpers are pure functions of the spec
+	clk := Clock{Spec: spec}
 
 	nb := p.bufferIDs()
 	written := make([]bool, nb) // launch output or D2H target
@@ -195,19 +195,15 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 			res.LeadSteps = append(res.LeadSteps, LeadStep{
 				BufID:  s.Buf.ID,
 				Floats: s.Buf.Size(),
-				Sec:    dev.H2DDuration(s.Buf.Size()),
+				Sec:    clk.cost(s),
 			})
 		}
 	}
 
 	// Tail: modeled compute+sync time after the last H2D step.
-	for i := lastH2D + 1; i < len(p.Steps); i++ {
-		switch s := p.Steps[i]; s.Kind {
-		case StepLaunch:
-			sec, _ := kernelTime(dev, s.Node)
-			res.TailSec += sec
-		case StepSync:
-			res.TailSec += spec.SyncOverhead
+	for _, s := range p.Steps[lastH2D+1:] {
+		if s.Kind == StepLaunch || s.Kind == StepSync {
+			res.TailSec += clk.cost(s)
 		}
 	}
 	return res, nil
