@@ -123,6 +123,29 @@ func TestOOMClassification(t *testing.T) {
 	}
 }
 
+// Recovery time is its own bucket: it counts toward TotalTime when the
+// engines serialize, is summed across devices by Add, and gives way to
+// the overlapped makespan when one is set.
+func TestChargeRecovery(t *testing.T) {
+	spec := Custom("t", 1<<20)
+	s := Stats{TransferTime: spec.H2DDuration(1 << 20)}
+	base := s.TotalTime()
+	s.RecoveryTime = 0.5
+	if got := s.TotalTime(); got != base+0.5 {
+		t.Fatalf("TotalTime = %v, want %v", got, base+0.5)
+	}
+	var sum Stats
+	sum.Add(s)
+	sum.Add(Stats{RecoveryTime: 0.25})
+	if sum.RecoveryTime != 0.75 || sum.TotalTime() != base+0.75 {
+		t.Fatalf("Add: RecoveryTime = %v, TotalTime = %v", sum.RecoveryTime, sum.TotalTime())
+	}
+	s.WallTime = base + 0.1
+	if got := s.TotalTime(); got != s.WallTime {
+		t.Fatalf("overlapped TotalTime = %v, want WallTime %v", got, s.WallTime)
+	}
+}
+
 func TestNilInjectorIsNoop(t *testing.T) {
 	d := New(Custom("t", 1<<20))
 	for i := 0; i < 10; i++ {

@@ -338,3 +338,31 @@ func TestAllocatorCompact(t *testing.T) {
 		t.Fatalf("post-compact 50-byte alloc failed: %v", err)
 	}
 }
+
+// Compacting a device's arena moves the live buffer above a hole, and
+// the Spec prices the moved bytes; the charge counts toward TotalTime.
+func TestDeviceCompactCharges(t *testing.T) {
+	d := New(Custom("c", 100))
+	o1, _ := d.Malloc(10)
+	if _, err := d.Malloc(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FreeMem(o1); err != nil {
+		t.Fatal(err)
+	}
+	moves := d.Allocator().Compact()
+	if len(moves) != 1 || moves[0] != (Move{Old: 10, New: 0, Len: 10}) {
+		t.Fatalf("moves=%+v, want one 10-byte slide from 10 to 0", moves)
+	}
+	ct := d.Spec.CompactDuration(moves[0].Len)
+	if want := 2 * 10 / d.Spec.DeviceBandwidth; ct != want || ct <= 0 {
+		t.Fatalf("CompactDuration(10) = %g, want %g", ct, want)
+	}
+	st := Stats{Compactions: 1, CompactedFloats: moves[0].Len / 4, CompactTime: ct}
+	if st.TotalTime() != ct {
+		t.Fatalf("TotalTime %g must include CompactTime %g", st.TotalTime(), ct)
+	}
+	if _, err := d.Malloc(90); err != nil {
+		t.Fatalf("compacted arena must fit the whole free tail: %v", err)
+	}
+}
