@@ -3,12 +3,18 @@
 // (CrystalGPU-style cross-call buffer reuse). A PinSet is pure
 // bookkeeping — it owns no allocator offsets; the serving layer charges
 // pinned bytes against its committed-bytes ledger and the executor
-// elides the transfers. Keys are (fingerprint-prefix, buffer digest)
-// pairs built by PinKey, so two templates whose read-only state is
-// byte-identical under the content-address assumption share entries.
+// elides the transfers in its modeled accounting. A PinKey names a
+// buffer by position (fingerprint prefix, plan ordinal), not by content.
 package gpu
 
 import "sort"
+
+// PinKey names one pinned buffer: a graph fingerprint prefix and the
+// buffer's ordinal in its plan's Buffers().
+type PinKey struct {
+	Prefix  string
+	Ordinal int
+}
 
 // pinEntry is one pinned buffer's bookkeeping.
 type pinEntry struct {
@@ -34,19 +40,19 @@ type pinEntry struct {
 //	Clear on device quarantine (bytes released immediately; referenced
 //	entries linger doomed until their last Release).
 type PinSet struct {
-	entries map[string]*pinEntry
+	entries map[PinKey]*pinEntry
 	seq     uint64
 }
 
 // NewPinSet returns an empty pinned set.
 func NewPinSet() *PinSet {
-	return &PinSet{entries: make(map[string]*pinEntry)}
+	return &PinSet{entries: make(map[PinKey]*pinEntry)}
 }
 
 // Acquire takes a reference on an existing pin. It returns the entry's
 // size and true on a hit; a missing or doomed key is a miss and leaves
 // the set unchanged.
-func (s *PinSet) Acquire(key string) (int64, bool) {
+func (s *PinSet) Acquire(key PinKey) (int64, bool) {
 	e := s.entries[key]
 	if e == nil || e.doomed {
 		return 0, false
@@ -61,9 +67,9 @@ func (s *PinSet) Acquire(key string) (int64, bool) {
 // caller must have charged bytes to its ledger first. Installing over a
 // live key is a programming error and panics: the admission path always
 // Acquires before it Installs.
-func (s *PinSet) Install(key string, bytes int64) {
+func (s *PinSet) Install(key PinKey, bytes int64) {
 	if e := s.entries[key]; e != nil && !e.doomed {
-		panic("gpu: PinSet.Install over live key " + key)
+		panic("gpu: PinSet.Install over a live key of " + key.Prefix)
 	}
 	// A doomed entry under the same key is superseded: its bytes were
 	// already written off, and its holder releases by pointer-free key
@@ -76,7 +82,7 @@ func (s *PinSet) Install(key string, bytes int64) {
 // release (their bytes were written off at Clear time); live entries
 // stay resident at refs==0, eligible for EvictLRU. Unknown keys are
 // ignored — a Clear+Install cycle can orphan an old holder's key.
-func (s *PinSet) Release(key string) {
+func (s *PinSet) Release(key PinKey) {
 	e := s.entries[key]
 	if e == nil {
 		return
@@ -96,7 +102,7 @@ func (s *PinSet) Release(key string) {
 // ledger.
 func (s *PinSet) EvictLRU(need int64) (freed int64, evicted int) {
 	type cand struct {
-		key     string
+		key     PinKey
 		bytes   int64
 		lastUse uint64
 	}
@@ -165,17 +171,9 @@ func (s *PinSet) Count() (n int) {
 // scheduling.
 func (s *PinSet) AffinityBytes(prefix string) (total int64) {
 	for k, e := range s.entries {
-		if e.doomed {
-			continue
-		}
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+		if !e.doomed && k.Prefix == prefix {
 			total += e.bytes
 		}
 	}
 	return total
 }
-
-// PinKey builds the canonical pin key: the fingerprint prefix namespaces
-// entries per template family, the digest identifies one buffer's
-// content within it.
-func PinKey(fpPrefix, digest string) string { return fpPrefix + "|" + digest }

@@ -4,48 +4,48 @@ import "testing"
 
 func TestPinSetAcquireInstallRelease(t *testing.T) {
 	s := NewPinSet()
-	if _, ok := s.Acquire("fp|a"); ok {
+	if _, ok := s.Acquire(PinKey{"fp", 0}); ok {
 		t.Fatal("acquire on empty set should miss")
 	}
-	s.Install("fp|a", 100)
+	s.Install(PinKey{"fp", 0}, 100)
 	if got := s.Bytes(); got != 100 {
 		t.Fatalf("Bytes = %d, want 100", got)
 	}
 	if got := s.Count(); got != 1 {
 		t.Fatalf("Count = %d, want 1", got)
 	}
-	b, ok := s.Acquire("fp|a")
+	b, ok := s.Acquire(PinKey{"fp", 0})
 	if !ok || b != 100 {
 		t.Fatalf("Acquire = (%d, %v), want (100, true)", b, ok)
 	}
-	s.Release("fp|a")
-	s.Release("fp|a")
+	s.Release(PinKey{"fp", 0})
+	s.Release(PinKey{"fp", 0})
 	// Entry stays resident at refs==0.
 	if got := s.Bytes(); got != 100 {
 		t.Fatalf("Bytes after release = %d, want 100 (stays pinned)", got)
 	}
-	if _, ok := s.Acquire("fp|a"); !ok {
+	if _, ok := s.Acquire(PinKey{"fp", 0}); !ok {
 		t.Fatal("re-acquire after full release should hit")
 	}
 }
 
 func TestPinSetEvictLRUOrder(t *testing.T) {
 	s := NewPinSet()
-	s.Install("fp|a", 10)
-	s.Install("fp|b", 20)
-	s.Install("fp|c", 30)
-	s.Release("fp|a")
-	s.Release("fp|b")
-	s.Release("fp|c")
+	s.Install(PinKey{"fp", 0}, 10)
+	s.Install(PinKey{"fp", 1}, 20)
+	s.Install(PinKey{"fp", 2}, 30)
+	s.Release(PinKey{"fp", 0})
+	s.Release(PinKey{"fp", 1})
+	s.Release(PinKey{"fp", 2})
 	// Touch a so b becomes the LRU candidate.
-	s.Acquire("fp|a")
-	s.Release("fp|a")
+	s.Acquire(PinKey{"fp", 0})
+	s.Release(PinKey{"fp", 0})
 
 	freed, n := s.EvictLRU(1)
 	if freed != 20 || n != 1 {
 		t.Fatalf("EvictLRU(1) = (%d, %d), want (20, 1) — b is LRU", freed, n)
 	}
-	if _, ok := s.Acquire("fp|b"); ok {
+	if _, ok := s.Acquire(PinKey{"fp", 1}); ok {
 		t.Fatal("b should be evicted")
 	}
 	freed, n = s.EvictLRU(100)
@@ -59,23 +59,23 @@ func TestPinSetEvictLRUOrder(t *testing.T) {
 
 func TestPinSetEvictSkipsReferenced(t *testing.T) {
 	s := NewPinSet()
-	s.Install("fp|a", 10) // refs=1, held
-	s.Install("fp|b", 20)
-	s.Release("fp|b")
+	s.Install(PinKey{"fp", 0}, 10) // refs=1, held
+	s.Install(PinKey{"fp", 1}, 20)
+	s.Release(PinKey{"fp", 1})
 	freed, n := s.EvictLRU(1000)
 	if freed != 20 || n != 1 {
 		t.Fatalf("EvictLRU = (%d, %d), want (20, 1): referenced pin must survive", freed, n)
 	}
-	if _, ok := s.Acquire("fp|a"); !ok {
+	if _, ok := s.Acquire(PinKey{"fp", 0}); !ok {
 		t.Fatal("referenced pin evicted")
 	}
 }
 
 func TestPinSetClearDoomsReferenced(t *testing.T) {
 	s := NewPinSet()
-	s.Install("fp|a", 10) // held
-	s.Install("fp|b", 20)
-	s.Release("fp|b")
+	s.Install(PinKey{"fp", 0}, 10) // held
+	s.Install(PinKey{"fp", 1}, 20)
+	s.Release(PinKey{"fp", 1})
 	freed := s.Clear()
 	if freed != 30 {
 		t.Fatalf("Clear freed %d, want 30 (both live entries written off)", freed)
@@ -83,7 +83,7 @@ func TestPinSetClearDoomsReferenced(t *testing.T) {
 	if s.Bytes() != 0 {
 		t.Fatalf("Bytes after Clear = %d, want 0", s.Bytes())
 	}
-	if _, ok := s.Acquire("fp|a"); ok {
+	if _, ok := s.Acquire(PinKey{"fp", 0}); ok {
 		t.Fatal("doomed entry must not be acquirable")
 	}
 	// Double Clear must not double-count the doomed entry.
@@ -91,9 +91,9 @@ func TestPinSetClearDoomsReferenced(t *testing.T) {
 		t.Fatalf("second Clear freed %d, want 0", freed)
 	}
 	// Final release of the doomed holder deletes it.
-	s.Release("fp|a")
+	s.Release(PinKey{"fp", 0})
 	// a fresh Install under the same key must work afterwards
-	s.Install("fp|a", 40)
+	s.Install(PinKey{"fp", 0}, 40)
 	if got := s.Bytes(); got != 40 {
 		t.Fatalf("Bytes after reinstall = %d, want 40", got)
 	}
@@ -101,26 +101,30 @@ func TestPinSetClearDoomsReferenced(t *testing.T) {
 
 func TestPinSetInstallOverDoomed(t *testing.T) {
 	s := NewPinSet()
-	s.Install("fp|a", 10) // held by job 1
+	s.Install(PinKey{"fp", 0}, 10) // held by job 1
 	if freed := s.Clear(); freed != 10 {
 		t.Fatalf("Clear freed %d, want 10", freed)
 	}
 	// Job 2 re-installs while job 1 still holds the doomed entry.
-	s.Install("fp|a", 10)
+	s.Install(PinKey{"fp", 0}, 10)
 	if s.Bytes() != 10 || s.Count() != 1 {
 		t.Fatalf("got %d bytes / %d entries, want 10 / 1", s.Bytes(), s.Count())
 	}
-	s.Release("fp|a") // job 1's stale release must not kill the new entry
-	if _, ok := s.Acquire("fp|a"); !ok {
+	s.Release(PinKey{"fp", 0}) // job 1's stale release must not kill the new entry
+	if _, ok := s.Acquire(PinKey{"fp", 0}); !ok {
 		t.Fatal("new entry should survive the stale release of the doomed one")
 	}
 }
 
 func TestPinSetAffinityBytes(t *testing.T) {
 	s := NewPinSet()
-	s.Install(PinKey("aaaa", "w1"), 10)
-	s.Install(PinKey("aaaa", "w2"), 20)
-	s.Install(PinKey("bbbb", "w1"), 40)
+	s.Install(PinKey{"aaaa", 1}, 10)
+	s.Install(PinKey{"aaaa", 2}, 20)
+	s.Install(PinKey{"bbbb", 1}, 40)
+	// A prefix of a live prefix is a different family.
+	if got := s.AffinityBytes("aa"); got != 0 {
+		t.Fatalf("AffinityBytes(aa) = %d, want 0", got)
+	}
 	if got := s.AffinityBytes("aaaa"); got != 30 {
 		t.Fatalf("AffinityBytes(aaaa) = %d, want 30", got)
 	}

@@ -8,12 +8,13 @@ import (
 
 // OpParams is an optional Operator interface for operators whose kernel
 // depends on parameters beyond their Kind: kernel dimensions, pooling
-// factors, remap constants. Params returns a canonical, deterministic
-// encoding of those parameters; Fingerprint folds it into the graph hash
-// so that e.g. a 3×3 and a 16×16 convolution never collide. Operators
-// without parameters need not implement it.
+// factors, remap constants. AppendParams appends a canonical,
+// deterministic encoding of those parameters to dst and returns the
+// extended slice; Fingerprint writes it straight into the graph hash's
+// input so that e.g. a 3×3 and a 16×16 convolution never collide.
+// Operators without parameters need not implement it.
 type OpParams interface {
-	Params() string
+	AppendParams(dst []byte) []byte
 }
 
 // Fingerprint returns a canonical SHA-256 fingerprint of the graph: a
@@ -44,7 +45,7 @@ func (g *Graph) Fingerprint() string {
 	for _, n := range order {
 		e.buf = append(append(e.buf[:0], "n:"...), n.Op.Kind()...)
 		if p, ok := n.Op.(OpParams); ok {
-			e.buf = append(append(append(e.buf, '['), p.Params()...), ']')
+			e.buf = append(p.AppendParams(append(e.buf, '[')), ']')
 		}
 		e.buf = append(e.buf, "|in="...)
 		for i, a := range n.In {

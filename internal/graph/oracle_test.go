@@ -317,7 +317,7 @@ func naiveFingerprint(g *graph.Graph) string {
 		sb.WriteString(n.Op.Kind())
 		if p, ok := n.Op.(graph.OpParams); ok {
 			sb.WriteByte('[')
-			sb.WriteString(p.Params())
+			sb.Write(p.AppendParams(nil))
 			sb.WriteByte(']')
 		}
 		sb.WriteString("|in=")

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/loadbalance"
@@ -39,8 +40,11 @@ func NewConv2D(kh, kw int) *Conv2D {
 // Kind implements graph.Operator.
 func (c *Conv2D) Kind() string { return "conv2d" }
 
-// Params implements graph.OpParams: the kernel dimensions.
-func (c *Conv2D) Params() string { return fmt.Sprintf("kh=%d,kw=%d", c.Kh, c.Kw) }
+// AppendParams implements graph.OpParams: the kernel dimensions.
+func (c *Conv2D) AppendParams(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "kh="...), int64(c.Kh), 10)
+	return strconv.AppendInt(append(dst, ",kw="...), int64(c.Kw), 10)
+}
 
 // OutShape implements graph.Operator.
 func (c *Conv2D) OutShape(in []graph.Shape) (graph.Shape, error) {

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/loadbalance"
@@ -48,8 +49,11 @@ func (c *Conv2DSame) PadLeft() int { return (c.Kw - 1) / 2 }
 // Kind implements graph.Operator.
 func (c *Conv2DSame) Kind() string { return "conv2d-same" }
 
-// Params implements graph.OpParams: the kernel dimensions.
-func (c *Conv2DSame) Params() string { return fmt.Sprintf("kh=%d,kw=%d", c.Kh, c.Kw) }
+// AppendParams implements graph.OpParams: the kernel dimensions.
+func (c *Conv2DSame) AppendParams(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "kh="...), int64(c.Kh), 10)
+	return strconv.AppendInt(append(dst, ",kw="...), int64(c.Kw), 10)
+}
 
 // OutShape implements graph.Operator.
 func (c *Conv2DSame) OutShape(in []graph.Shape) (graph.Shape, error) {

@@ -37,8 +37,8 @@ func (e *elementwise) BindSchedule(s loadbalance.Schedule) graph.Operator {
 
 func (e *elementwise) Kind() string { return e.kind }
 
-// Params implements graph.OpParams.
-func (e *elementwise) Params() string { return e.params }
+// AppendParams implements graph.OpParams.
+func (e *elementwise) AppendParams(dst []byte) []byte { return append(dst, e.params...) }
 
 func (e *elementwise) OutShape(in []graph.Shape) (graph.Shape, error) {
 	if err := wantInputs(e.kind, in, e.nIn); err != nil {

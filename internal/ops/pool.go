@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/loadbalance"
@@ -34,8 +35,10 @@ func NewSubsample(k int) *Subsample {
 // Kind implements graph.Operator.
 func (s *Subsample) Kind() string { return "subsample" }
 
-// Params implements graph.OpParams: the pooling factor.
-func (s *Subsample) Params() string { return fmt.Sprintf("k=%d", s.K) }
+// AppendParams implements graph.OpParams: the pooling factor.
+func (s *Subsample) AppendParams(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, "k="...), int64(s.K), 10)
+}
 
 // OutShape implements graph.Operator.
 func (s *Subsample) OutShape(in []graph.Shape) (graph.Shape, error) {

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/loadbalance"
@@ -26,6 +27,9 @@ import (
 type SpMV struct {
 	schedulable
 	S *tensor.CSR
+	// csr is S.StructureDigest(), hashed once at construction: every
+	// fingerprint of a graph holding this node writes it.
+	csr string
 }
 
 // NewSpMV returns an SpMV operator over the given sparsity structure.
@@ -33,7 +37,7 @@ func NewSpMV(s *tensor.CSR) *SpMV {
 	if s == nil {
 		panic("ops: spmv needs a CSR structure")
 	}
-	return &SpMV{S: s}
+	return &SpMV{S: s, csr: s.StructureDigest()}
 }
 
 // BindSchedule implements graph.ScheduleBinder.
@@ -46,11 +50,15 @@ func (o *SpMV) BindSchedule(s loadbalance.Schedule) graph.Operator {
 // Kind implements graph.Operator.
 func (o *SpMV) Kind() string { return "spmv" }
 
-// Params implements graph.OpParams: the CSR structure digest is part of
-// the operator's identity, so two SpMVs over different sparsity patterns
-// never share a fingerprint (and hence never share a cached plan).
-func (o *SpMV) Params() string {
-	return fmt.Sprintf("m=%d,n=%d,nnz=%d,csr=%s", o.S.Rows, o.S.Cols, o.S.NNZ(), o.S.StructureDigest())
+// AppendParams implements graph.OpParams: the CSR structure digest is
+// part of the operator's identity, so two SpMVs over different sparsity
+// patterns never share a fingerprint (and hence never share a cached
+// plan).
+func (o *SpMV) AppendParams(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, "m="...), int64(o.S.Rows), 10)
+	dst = strconv.AppendInt(append(dst, ",n="...), int64(o.S.Cols), 10)
+	dst = strconv.AppendInt(append(dst, ",nnz="...), int64(o.S.NNZ()), 10)
+	return append(append(dst, ",csr="...), o.csr...)
 }
 
 // OutShape implements graph.Operator.

@@ -181,7 +181,7 @@ func TestSpMVShapeValidation(t *testing.T) {
 func TestSpMVParamsDistinguishStructures(t *testing.T) {
 	s1 := randCSR(t, 21, 10, []int{2, 2, 2})
 	s2 := randCSR(t, 22, 10, []int{2, 2, 2}) // same shape+nnz, different pattern
-	if NewSpMV(s1).Params() == NewSpMV(s2).Params() {
+	if string(NewSpMV(s1).AppendParams(nil)) == string(NewSpMV(s2).AppendParams(nil)) {
 		t.Fatal("SpMV params collide for different sparsity structures")
 	}
 }
@@ -212,7 +212,7 @@ func TestBindScheduleDoesNotMutate(t *testing.T) {
 		}
 		p1, ok1 := op.(graph.OpParams)
 		p2, ok2 := bound.(graph.OpParams)
-		if ok1 != ok2 || (ok1 && p1.Params() != p2.Params()) {
+		if ok1 != ok2 || (ok1 && string(p1.AppendParams(nil)) != string(p2.AppendParams(nil))) {
 			t.Fatalf("%s: binding changed params", op.Kind())
 		}
 	}

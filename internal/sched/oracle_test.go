@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/split"
 	"repro/internal/templates"
+	"repro/internal/tensor"
 )
 
 // The naive* functions are the map-based passes the slice-indexed ones in
@@ -575,26 +574,18 @@ func naiveAnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 
 	res := &Residency{}
 	shareable := make(map[int]bool)
-	// plan.Buffers() is the canonical ascending-ID walk; its ordinal
-	// positions are identical across compilations of equal-fingerprint
-	// graphs (equal fingerprints compile to identical plans), which is
-	// what makes the per-buffer digest a sound cross-job key.
 	for ord, b := range naivePlanBuffers(p) {
 		steps := h2dSteps[b.ID]
 		if len(steps) == 0 || written[b.ID] || b.Root == nil || !b.Root.IsInput {
 			continue
 		}
-		h := sha256.Sum256([]byte(fmt.Sprintf("ord=%d;reg=%d,%d,%d,%d;rootreg=%d,%d,%d,%d;est=%s",
-			ord, b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols,
-			b.Root.Region.Row, b.Root.Region.Col, b.Root.Region.Rows, b.Root.Region.Cols,
-			b.Root.EstDigest)))
 		res.Shareable = append(res.Shareable, ResidentBuf{
-			ID:     b.ID,
-			Name:   b.Name,
-			Digest: hex.EncodeToString(h[:16]),
-			Bytes:  b.Bytes(),
-			Floats: b.Size(),
-			Steps:  steps,
+			ID:      b.ID,
+			Name:    b.Name,
+			Ordinal: ord,
+			Bytes:   b.Bytes(),
+			Floats:  b.Size(),
+			Steps:   steps,
 		})
 		res.SharedBytes += b.Bytes()
 		shareable[b.ID] = true
@@ -951,8 +942,7 @@ func TestSchedPassesMatchOracle(t *testing.T) {
 		}
 		variants := append([]*Plan{plan}, corruptions(plan, rng)...)
 		// The prefetched plan's hoisted H2Ds cross frees when capacity
-		// allows. (PrefetchH2D is quadratic in plan length: one policy,
-		// small plans only.)
+		// allows. (One policy, small plans only, for time.)
 		if c.opt.Policy == Belady && !c.opt.NoEagerFree && len(plan.Steps) < 10000 {
 			pre := PrefetchH2D(plan, 4*c.opt.Capacity)
 			derived("prefetched", pre)
@@ -1090,4 +1080,215 @@ func TestRandomPlansMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// naivePrefetchH2D is the pass before it kept its residency profile
+// current across hoists: it replays the whole plan's residency for every
+// H2D step and gathers each scanned launch's buffers into a fresh slice.
+func naivePrefetchH2D(plan *Plan, capacity int64) *Plan {
+	steps := append([]Step(nil), plan.Steps...)
+
+	// residentAfter[i] = device residency in floats after step i executes.
+	residency := func() []int64 {
+		out := make([]int64, len(steps))
+		var cur int64
+		for i, s := range steps {
+			switch s.Kind {
+			case StepH2D:
+				cur += s.Buf.Size()
+			case StepFree:
+				cur -= s.Buf.Size()
+			case StepLaunch:
+				// Outputs are allocated at launch; they stay resident until
+				// an explicit Free.
+				for _, b := range s.Node.OutputBuffers() {
+					cur += b.Size()
+				}
+			}
+			out[i] = cur
+		}
+		return out
+	}
+
+	touches := func(s Step, id int) bool {
+		if s.Buf != nil && s.Buf.ID == id {
+			return true
+		}
+		if s.Node != nil {
+			for _, b := range s.Node.Buffers() {
+				if b.ID == id {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	for i := 0; i < len(steps); i++ {
+		if steps[i].Kind != StepH2D {
+			continue
+		}
+		buf := steps[i].Buf
+		res := residency()
+		// Find the earliest insertion point p (< i) such that hoisting is
+		// valid across every step in [p, i).
+		p := i
+		for j := i - 1; j >= 0; j-- {
+			if touches(steps[j], buf.ID) {
+				break
+			}
+			// After hoisting to j, residency grows by buf.Size() over
+			// [j, i) — including immediately after the hoisted copy
+			// itself, whose predecessor is step j-1.
+			if res[j]+buf.Size() > capacity {
+				break
+			}
+			prev := int64(0)
+			if j > 0 {
+				prev = res[j-1]
+			}
+			if prev+buf.Size() > capacity {
+				break
+			}
+			p = j
+		}
+		if p == i {
+			continue
+		}
+		h := steps[i]
+		copy(steps[p+1:i+1], steps[p:i])
+		steps[p] = h
+	}
+
+	out := &Plan{Steps: steps, Order: plan.Order}
+	// Recompute the peak (hoisting can only raise it, still <= capacity).
+	for _, r := range residency() {
+		out.PeakFloats = max(out.PeakFloats, r)
+	}
+	return out
+}
+
+// prefetchArenaPlan is the executor benchmarks' plan: the Small CNN
+// 160×120 split into the 512 KiB arena (headroom 0.7) and scheduled by
+// the heuristic, before the prefetch pass hoists its copies.
+func prefetchArenaPlan(t testing.TB) (*Plan, int64) {
+	t.Helper()
+	arena := gpu.Custom("bench-arena", 512<<10)
+	arena.Headroom = 0.7
+	capacity := arena.PlannerCapacity()
+	g, _, err := templates.CNN(templates.SmallCNN(160, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Heuristic(g, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, capacity
+}
+
+// TestPrefetchH2DMatchesOracle compares the pass with its oracle on the
+// heuristic plan of every catalog template for the C870, the 8800 GTX,
+// the C1060 and a 1 MiB device, at the planner capacity c and at 9c/10
+// and c/2 (where copies stop hoisting sooner), and on the executor
+// benchmarks' arena plan at the 9c/10 the benchmarks use. Devices that
+// compile a template to the same plan share that plan, and capacities
+// above every residency a plan can reach bind nothing, so such cells
+// share one (slow) oracle run.
+func TestPrefetchH2DMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const vertices = 4096
+	rowPtr := make([]int32, vertices+1)
+	var colIdx []int32
+	for r := 0; r < vertices; r++ { // a skewed sparsity pattern
+		row := rng.Perm(vertices)[:1+rng.Intn(1+r%64)]
+		sort.Ints(row)
+		for _, c := range row {
+			colIdx = append(colIdx, int32(c))
+		}
+		rowPtr[r+1] = int32(len(colIdx))
+	}
+	csr, err := tensor.NewCSR(vertices, vertices, rowPtr, colIdx, make([]float32, len(colIdx)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"edge", func() (*graph.Graph, error) {
+			g, _, err := templates.EdgeDetect(templates.EdgeConfig{ImageH: 512, ImageW: 384, KernelSize: 5, Orientations: 4})
+			return g, err
+		}},
+		{"cnn-small", func() (*graph.Graph, error) {
+			g, _, err := templates.CNN(templates.SmallCNN(320, 240))
+			return g, err
+		}},
+		{"cnn-large", func() (*graph.Graph, error) {
+			g, _, err := templates.CNN(templates.LargeCNN(64, 48))
+			return g, err
+		}},
+		{"fig3", func() (*graph.Graph, error) { return templates.EdgeDetectFig3(1) }},
+		{"pagerank", func() (*graph.Graph, error) {
+			g, _, err := templates.PageRank(templates.SparseConfig{Structure: csr, Iterations: 4})
+			return g, err
+		}},
+		{"bfs", func() (*graph.Graph, error) {
+			g, _, err := templates.BFSLevels(templates.SparseConfig{Structure: csr, Iterations: 4})
+			return g, err
+		}},
+	}
+	specs := []gpu.Spec{gpu.TeslaC870(), gpu.GeForce8800GTX(), gpu.TeslaC1060(), gpu.Custom("mem=1MiB", 1<<20)}
+	plans, oracle := map[string]*Plan{}, map[string]*Plan{}
+	check := func(name string, p *Plan, capacity int64) {
+		t.Helper()
+		var reach int64 // every copy and launch output resident at once
+		for _, s := range p.Steps {
+			switch s.Kind {
+			case StepH2D:
+				reach += s.Buf.Size()
+			case StepLaunch:
+				for _, b := range s.Node.Out.Bufs {
+					reach += b.Size()
+				}
+			}
+		}
+		key := fmt.Sprintf("%p/%d", p, min(capacity, reach))
+		want := oracle[key]
+		if want == nil {
+			want = naivePrefetchH2D(p, capacity)
+			oracle[key] = want
+		}
+		if got := PrefetchH2D(p, capacity); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s capacity %d: PrefetchH2D plan differs from the oracle", name, capacity)
+		}
+	}
+	for _, c := range catalog {
+		for _, spec := range specs {
+			g, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			capacity := spec.PlannerCapacity()
+			if _, err := split.Apply(g, split.Options{Capacity: capacity}); err != nil {
+				t.Fatal(err)
+			}
+			p, err := Heuristic(g, capacity)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, spec.Name, err)
+			}
+			if same := plans[c.name+p.String()]; same != nil {
+				p = same
+			}
+			plans[c.name+p.String()] = p
+			for _, capacity := range []int64{capacity, capacity * 9 / 10, capacity / 2} {
+				check(c.name+"/"+spec.Name, p, capacity)
+			}
+		}
+	}
+	p, capacity := prefetchArenaPlan(t)
+	check("bench-arena", p, capacity*9/10)
 }

@@ -16,26 +16,32 @@ package sched
 func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 	steps := append([]Step(nil), plan.Steps...)
 
-	// residentAfter[i] = device residency in floats after step i executes.
-	residency := func() []int64 {
-		out := make([]int64, len(steps))
-		var cur int64
-		for i, s := range steps {
-			switch s.Kind {
-			case StepH2D:
-				cur += s.Buf.Size()
-			case StepFree:
-				cur -= s.Buf.Size()
-			case StepLaunch:
-				// Outputs are allocated at launch; they stay resident until
-				// an explicit Free.
-				for _, b := range s.Node.OutputBuffers() {
-					cur += b.Size()
-				}
+	// res[i] = device residency in floats after step i executes. It is
+	// computed once and kept current as copies hoist, so the pass costs
+	// the hoist distances, not one residency replay per H2D.
+	res := make([]int64, len(steps))
+	var cur int64
+	for i, s := range steps {
+		switch s.Kind {
+		case StepH2D:
+			cur += s.Buf.Size()
+		case StepFree:
+			cur -= s.Buf.Size()
+		case StepLaunch:
+			// Outputs are allocated at launch; they stay resident until
+			// an explicit Free.
+			for _, b := range s.Node.Out.Bufs {
+				cur += b.Size()
 			}
-			out[i] = cur
 		}
-		return out
+		res[i] = cur
+	}
+	// before(j) is the residency just before step j executes.
+	before := func(j int) int64 {
+		if j == 0 {
+			return 0
+		}
+		return res[j-1]
 	}
 
 	touches := func(s Step, id int) bool {
@@ -43,7 +49,14 @@ func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 			return true
 		}
 		if s.Node != nil {
-			for _, b := range s.Node.Buffers() {
+			for _, a := range s.Node.In {
+				for _, b := range a.Bufs {
+					if b.ID == id {
+						return true
+					}
+				}
+			}
+			for _, b := range s.Node.Out.Bufs {
 				if b.ID == id {
 					return true
 				}
@@ -57,7 +70,7 @@ func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 			continue
 		}
 		buf := steps[i].Buf
-		res := residency()
+		size := buf.Size()
 		// Find the earliest insertion point p (< i) such that hoisting is
 		// valid across every step in [p, i).
 		p := i
@@ -65,17 +78,10 @@ func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 			if touches(steps[j], buf.ID) {
 				break
 			}
-			// After hoisting to j, residency grows by buf.Size() over
-			// [j, i) — including immediately after the hoisted copy
-			// itself, whose predecessor is step j-1.
-			if res[j]+buf.Size() > capacity {
-				break
-			}
-			prev := int64(0)
-			if j > 0 {
-				prev = res[j-1]
-			}
-			if prev+buf.Size() > capacity {
+			// After hoisting to j, residency grows by size over [j, i) —
+			// including immediately after the hoisted copy itself, whose
+			// predecessor is step j-1.
+			if res[j]+size > capacity || before(j)+size > capacity {
 				break
 			}
 			p = j
@@ -86,11 +92,18 @@ func PrefetchH2D(plan *Plan, capacity int64) *Plan {
 		h := steps[i]
 		copy(steps[p+1:i+1], steps[p:i])
 		steps[p] = h
+		// Steps p..i-1 moved up one slot and now run with the copy
+		// already resident; the copy itself runs first, after step p-1.
+		copy(res[p+1:i+1], res[p:i])
+		for k := p + 1; k <= i; k++ {
+			res[k] += size
+		}
+		res[p] = before(p) + size
 	}
 
 	out := &Plan{Steps: steps, Order: plan.Order}
-	// Recompute the peak (hoisting can only raise it, still <= capacity).
-	for _, r := range residency() {
+	// The peak (hoisting can only raise it, still <= capacity).
+	for _, r := range res {
 		out.PeakFloats = max(out.PeakFloats, r)
 	}
 	return out

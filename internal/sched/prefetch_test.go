@@ -161,3 +161,14 @@ func TestPrefetchTightCapacityNoOp(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchH2DAllocBudget bounds what the pass allocates on the
+// executor benchmarks' arena plan (6 553 steps, 854 H2D): the step copy,
+// the residency profile and the plan, whatever the plan's length. A
+// residency replay or a buffer list per hoisted copy fails it.
+func TestPrefetchH2DAllocBudget(t *testing.T) {
+	p, capacity := prefetchArenaPlan(t)
+	if n := testing.AllocsPerRun(3, func() { PrefetchH2D(p, capacity*9/10) }); n > 3 {
+		t.Fatalf("PrefetchH2D allocates %.0f objects on a %d-step plan; budget 3", n, len(p.Steps))
+	}
+}

@@ -10,10 +10,7 @@
 package sched
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strconv"
 
 	"repro/internal/gpu"
 	"repro/internal/graph"
@@ -24,13 +21,13 @@ type ResidentBuf struct {
 	// ID is the buffer's graph ID within this compilation.
 	ID   int
 	Name string
-	// Digest identifies the buffer's content position within the
-	// template family: stable across compilations of equal-fingerprint
-	// graphs, distinct per buffer. Combined with the graph fingerprint it
-	// keys the serving layer's pinned sets (gpu.PinKey).
-	Digest string
-	Bytes  int64
-	Floats int64
+	// Ordinal is the buffer's position in the plan's Buffers(). Equal
+	// fingerprints compile to identical plans, so it names the same region
+	// of the same input root in every such compilation: with the
+	// fingerprint it keys the serving layer's pinned sets (gpu.PinKey).
+	Ordinal int
+	Bytes   int64
+	Floats  int64
 	// Steps lists the plan indices of the buffer's H2D steps — the
 	// transfers an executor may elide when the buffer is resident.
 	Steps []int
@@ -84,9 +81,6 @@ func (r *Residency) LeadSec(resident map[int]bool) float64 {
 	return s
 }
 
-// digestSep precedes each integer of a shareable buffer's digest key.
-var digestSep = [...]string{"ord=", ";reg=", ",", ",", ",", ";rootreg=", ",", ",", ","}
-
 // AnalyzeResidency classifies the plan's buffers and extracts its
 // rolling-admission shape for the given device. A buffer is shareable
 // when it is a region of a template input root, is never an output of
@@ -98,12 +92,14 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 
 	nb := p.bufferIDs()
 	written := make([]bool, nb) // launch output or D2H target
-	h2dSteps := make([][]int, nb)
+	// h2d[h2dAt[id]:h2dAt[id+1]] are buffer id's H2D step indices,
+	// ascending: counted, summed to each buffer's end, filled back to front.
+	h2dAt := make([]int, nb+1)
 	lastH2D := -1
 	for i, s := range p.Steps {
 		switch s.Kind {
 		case StepH2D:
-			h2dSteps[s.Buf.ID] = append(h2dSteps[s.Buf.ID], i)
+			h2dAt[s.Buf.ID]++
 			lastH2D = i
 		case StepD2H:
 			written[s.Buf.ID] = true
@@ -113,33 +109,31 @@ func AnalyzeResidency(p *Plan, spec gpu.Spec) (*Residency, error) {
 			}
 		}
 	}
+	for id := 1; id <= nb; id++ {
+		h2dAt[id] += h2dAt[id-1]
+	}
+	h2d := make([]int, h2dAt[nb])
+	for i := len(p.Steps) - 1; i >= 0; i-- {
+		if s := p.Steps[i]; s.Kind == StepH2D {
+			h2dAt[s.Buf.ID]--
+			h2d[h2dAt[s.Buf.ID]] = i
+		}
+	}
 
 	res := &Residency{}
 	shareable := make([]bool, nb)
-	var key []byte
-	// plan.Buffers() is the canonical ascending-ID walk; its ordinal
-	// positions are identical across compilations of equal-fingerprint
-	// graphs (equal fingerprints compile to identical plans), which is
-	// what makes the per-buffer digest a sound cross-job key.
 	for ord, b := range p.Buffers() {
-		steps := h2dSteps[b.ID]
-		if len(steps) == 0 || written[b.ID] || b.Root == nil || !b.Root.IsInput {
+		lo, hi := h2dAt[b.ID], h2dAt[b.ID+1]
+		if lo == hi || written[b.ID] || b.Root == nil || !b.Root.IsInput {
 			continue
 		}
-		key = key[:0] // "ord=%d;reg=%d,%d,%d,%d;rootreg=%d,%d,%d,%d;est=%s"
-		for i, v := range [...]int{ord, b.Region.Row, b.Region.Col, b.Region.Rows, b.Region.Cols,
-			b.Root.Region.Row, b.Root.Region.Col, b.Root.Region.Rows, b.Root.Region.Cols} {
-			key = strconv.AppendInt(append(key, digestSep[i]...), int64(v), 10)
-		}
-		key = append(append(key, ";est="...), b.Root.EstDigest...)
-		h := sha256.Sum256(key)
 		res.Shareable = append(res.Shareable, ResidentBuf{
-			ID:     b.ID,
-			Name:   b.Name,
-			Digest: hex.EncodeToString(h[:16]),
-			Bytes:  b.Bytes(),
-			Floats: b.Size(),
-			Steps:  steps,
+			ID:      b.ID,
+			Name:    b.Name,
+			Ordinal: ord,
+			Bytes:   b.Bytes(),
+			Floats:  b.Size(),
+			Steps:   h2d[lo:hi:hi],
 		})
 		res.SharedBytes += b.Bytes()
 		shareable[b.ID] = true

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/graph"
 	"repro/internal/templates"
 )
 
@@ -56,7 +59,7 @@ func TestAnalyzeResidencyClassification(t *testing.T) {
 		}
 	}
 	var sum int64
-	seen := make(map[string]bool)
+	bufs := p.Buffers()
 	for _, rb := range r.Shareable {
 		if written[rb.ID] {
 			t.Fatalf("shareable buffer %d (%s) is written by the plan", rb.ID, rb.Name)
@@ -69,10 +72,9 @@ func TestAnalyzeResidencyClassification(t *testing.T) {
 				t.Fatalf("buffer %d: step %d is not its H2D", rb.ID, si)
 			}
 		}
-		if seen[rb.Digest] {
-			t.Fatalf("duplicate digest %s", rb.Digest)
+		if bufs[rb.Ordinal].ID != rb.ID {
+			t.Fatalf("buffer %d: ordinal %d names buffer %d", rb.ID, rb.Ordinal, bufs[rb.Ordinal].ID)
 		}
-		seen[rb.Digest] = true
 		sum += rb.Bytes
 	}
 	if sum != r.SharedBytes {
@@ -87,7 +89,12 @@ func TestAnalyzeResidencyClassification(t *testing.T) {
 	}
 }
 
-func TestAnalyzeResidencyDigestsStableAcrossCompiles(t *testing.T) {
+// TestAnalyzeResidencyKeysStableAcrossCompiles checks what makes an
+// ordinal a sound pin key: two compilations of equal-fingerprint graphs
+// (edgePlan builds one template config twice) list, ordinal for ordinal,
+// the same region of the same input root with the same size and H2D
+// steps.
+func TestAnalyzeResidencyKeysStableAcrossCompiles(t *testing.T) {
 	p, p2 := edgePlan(t)
 	spec := gpu.TeslaC870()
 	r1, err := AnalyzeResidency(p, spec)
@@ -98,14 +105,24 @@ func TestAnalyzeResidencyDigestsStableAcrossCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Shareable) != len(r2.Shareable) {
-		t.Fatalf("shareable counts differ: %d vs %d", len(r1.Shareable), len(r2.Shareable))
+	type key struct {
+		ord          int
+		reg, rootReg graph.Region
+		bytes        int64
+		steps        string
 	}
-	for i := range r1.Shareable {
-		if r1.Shareable[i].Digest != r2.Shareable[i].Digest {
-			t.Fatalf("digest %d differs across identical compilations: %s vs %s",
-				i, r1.Shareable[i].Digest, r2.Shareable[i].Digest)
+	list := func(p *Plan, r *Residency) []key {
+		bufs := p.Buffers()
+		var out []key
+		for _, rb := range r.Shareable {
+			b := bufs[rb.Ordinal]
+			out = append(out, key{rb.Ordinal, b.Region, b.Root.Region, rb.Bytes, fmt.Sprint(rb.Steps)})
 		}
+		return out
+	}
+	k1, k2 := list(p, r1), list(p2, r2)
+	if len(k1) == 0 || !reflect.DeepEqual(k1, k2) {
+		t.Fatalf("shareable listings differ across equal-fingerprint compilations:\n%v\n%v", k1, k2)
 	}
 }
 

@@ -76,21 +76,38 @@ func ScheduleTransfers(g *graph.Graph, order []*graph.Node, opt Options) (*Plan,
 	producedHere := make([]int32, nb)
 
 	// Static use positions per buffer ("latest time of use" is
-	// computable statically once the schedule is known).
-	usePos := make([][]int, nb)
-	for t, n := range order {
-		for _, a := range n.In {
-			for _, b := range a.Bufs {
-				if us := usePos[b.ID]; len(us) == 0 || us[len(us)-1] != t {
-					usePos[b.ID] = append(us, t)
+	// computable statically once the schedule is known), flat: the
+	// operators reading buffer id are usePos[useAt[id]:useAt[id+1]],
+	// ascending. eachUse visits each operator's distinct inputs, last
+	// operator first (pinned stamps them, then is cleared): one walk
+	// counts, the sums give each buffer's end, one walk fills backward.
+	useAt := make([]int32, nb+1)
+	eachUse := func(f func(id, t int)) {
+		for t := len(order) - 1; t >= 0; t-- {
+			for _, a := range order[t].In {
+				for _, b := range a.Bufs {
+					if pinned[b.ID] != int32(t+1) {
+						pinned[b.ID] = int32(t + 1)
+						f(b.ID, t)
+					}
 				}
 			}
 		}
+		clear(pinned)
 	}
+	eachUse(func(id, _ int) { useAt[id]++ })
+	for id := 1; id <= nb; id++ {
+		useAt[id] += useAt[id-1]
+	}
+	usePos := make([]int32, useAt[nb])
+	eachUse(func(id, t int) {
+		useAt[id]--
+		usePos[useAt[id]] = int32(t)
+	})
 	nextUse := func(id, t int) int {
-		us := usePos[id]
-		if i, _ := slices.BinarySearch(us, t+1); i < len(us) {
-			return us[i]
+		us := usePos[useAt[id]:useAt[id+1]]
+		if i, _ := slices.BinarySearch(us, int32(t+1)); i < len(us) {
+			return int(us[i])
 		}
 		return math.MaxInt
 	}

@@ -38,7 +38,7 @@ type ledger struct {
 // and the pin refs a pinned-set grant took. release returns exactly this.
 type hold struct {
 	bytes int64
-	pins  []string
+	pins  []gpu.PinKey
 }
 
 func newLedger(device string, capacity int64, residency bool, o *obs.Observer) *ledger {
@@ -145,7 +145,8 @@ func reserve(ls []*ledger, shares []int64) []hold {
 // and ok is false: the caller falls back to reserve, so a batch never
 // waits while holding pin refs (all pins held by waiting batches would be
 // unevictable, and two starved batches could deadlock). ok is also false
-// with residency off or nothing shareable.
+// with residency off or nothing shareable. A pin hit whose size is not
+// the buffer's is a key collision and panics, as settled does.
 func (l *ledger) grant(r *sched.Residency, prefix string) (h hold, resident map[int]bool, ok bool) {
 	if l.pins == nil || r == nil || len(r.Shareable) == 0 {
 		return hold{}, nil, false
@@ -153,12 +154,17 @@ func (l *ledger) grant(r *sched.Residency, prefix string) (h hold, resident map[
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	defer l.settled()
-	resident = make(map[int]bool)
+	resident = make(map[int]bool, len(r.Shareable))
+	h.pins = make([]gpu.PinKey, 0, len(r.Shareable))
 	var missing []int // indices into r.Shareable
 	var missBytes int64
 	for i, rb := range r.Shareable {
-		key := gpu.PinKey(prefix, rb.Digest)
-		if _, hit := l.pins.Acquire(key); hit {
+		key := gpu.PinKey{Prefix: prefix, Ordinal: rb.Ordinal}
+		if bytes, hit := l.pins.Acquire(key); hit {
+			if bytes != rb.Bytes {
+				panic(fmt.Sprintf("serve: ledger %s pin %+v holds %d bytes, buffer %s has %d",
+					l.device, key, bytes, rb.Name, rb.Bytes))
+			}
 			h.pins = append(h.pins, key)
 			resident[rb.ID] = true
 		} else {
@@ -175,7 +181,7 @@ func (l *ledger) grant(r *sched.Residency, prefix string) (h hold, resident map[
 	l.committed += r.TransientPeakBytes + missBytes
 	l.reserved += r.TransientPeakBytes
 	for _, i := range missing {
-		key := gpu.PinKey(prefix, r.Shareable[i].Digest)
+		key := gpu.PinKey{Prefix: prefix, Ordinal: r.Shareable[i].Ordinal}
 		l.pins.Install(key, r.Shareable[i].Bytes)
 		h.pins = append(h.pins, key)
 	}

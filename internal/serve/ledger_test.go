@@ -82,7 +82,7 @@ func TestLedgerInvariantUnderRandomOps(t *testing.T) {
 					r := &sched.Residency{TransientPeakBytes: int64(1 + rng.Intn(capacity/4))}
 					for _, d := range rng.Perm(6)[:1+rng.Intn(3)] {
 						r.Shareable = append(r.Shareable, sched.ResidentBuf{
-							ID: d, Digest: fmt.Sprintf("d%d", d), Bytes: int64(10000 * (d + 1))})
+							ID: d, Ordinal: d, Bytes: int64(10000 * (d + 1))})
 					}
 					if h, resident, ok := ls[li].grant(r, "fp"); ok {
 						if len(h.pins) != len(r.Shareable) || len(resident) > len(r.Shareable) {
@@ -155,4 +155,65 @@ func TestLedgerInvariantUnderRandomOps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// residentSink keeps TestLedgerGrantHitAllocs' reference map on the heap,
+// where grant's returned resident set lives.
+var residentSink map[int]bool
+
+// A grant that hits every pin builds no key or list per shareable buffer:
+// beyond the resident set it returns (a map, whose table count Go's
+// runtime grows with its size), it allocates as many objects for 1 000
+// buffers as for 10.
+func TestLedgerGrantHitAllocs(t *testing.T) {
+	beyondSet := func(n int) float64 {
+		r := &sched.Residency{TransientPeakBytes: 1}
+		for i := 0; i < n; i++ {
+			r.Shareable = append(r.Shareable, sched.ResidentBuf{ID: i, Ordinal: i, Bytes: 100})
+		}
+		l := newLedger("d", 1<<30, true, nil)
+		h, _, ok := l.grant(r, "fp") // installs every pin
+		if !ok {
+			t.Fatal("first grant refused")
+		}
+		l.release(h)
+		grant := testing.AllocsPerRun(20, func() {
+			h, resident, ok := l.grant(r, "fp")
+			if !ok || len(resident) != n {
+				t.Fatalf("hit-only grant: ok=%v, %d of %d resident", ok, len(resident), n)
+			}
+			l.release(h)
+		})
+		set := testing.AllocsPerRun(20, func() {
+			residentSink = make(map[int]bool, n)
+			for i := 0; i < n; i++ {
+				residentSink[i] = true
+			}
+		})
+		return grant - set
+	}
+	if small, large := beyondSet(10), beyondSet(1000); small != large {
+		t.Fatalf("a hit-only grant allocates %.0f objects beyond its resident set for 10 buffers, %.0f for 1000",
+			small, large)
+	}
+}
+
+// A pin hit whose pinned size differs from the buffer's is a key
+// collision, a bookkeeping bug: grant panics as settled does.
+func TestLedgerGrantPanicsOnPinSizeMismatch(t *testing.T) {
+	l := newLedger("d", 1<<30, true, nil)
+	r := &sched.Residency{TransientPeakBytes: 1,
+		Shareable: []sched.ResidentBuf{{ID: 3, Name: "w", Ordinal: 0, Bytes: 100}}}
+	h, _, ok := l.grant(r, "fp")
+	if !ok {
+		t.Fatal("first grant refused")
+	}
+	l.release(h)
+	r.Shareable[0].Bytes = 200
+	defer func() {
+		if recover() == nil {
+			t.Fatal("grant accepted a pin of 100 bytes for a 200-byte buffer")
+		}
+	}()
+	l.grant(r, "fp")
 }

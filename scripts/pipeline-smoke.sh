@@ -9,7 +9,9 @@
 #      with its packed size;
 #   3. a Small CNN compiled partitioned across the C870 + 8800 GTX pool;
 #   4. README's overlapped timeline: an edge plan compiled with overlap
-#      for the c1060 and replayed as an ASCII Gantt chart.
+#      for the c1060 and replayed as an ASCII Gantt chart;
+#   5. the Large CNN 6400x480 compiled with overlap for the c1060, whose
+#      prefetch pass hoists the copies of a ~30 k-step plan, within 60 s.
 #
 # Run from the repository root: bash scripts/pipeline-smoke.sh
 set -euo pipefail
@@ -21,4 +23,5 @@ go run ./cmd/planview -passes -device c1060 -overlap -planner pb-optimal | grep 
 go run ./cmd/planview -template pagerank -h 512 -dot | grep 'packed' >/dev/null
 go run ./cmd/planview -template cnn-small -h 512 -w 384 -partition
 go run ./cmd/planview -template edge -h 3000 -w 3000 -device c1060 -trace -overlap
+timeout 60 go run ./cmd/planview -template cnn-large -h 6400 -w 480 -device c1060 -overlap
 echo "pipeline smoke: OK"
